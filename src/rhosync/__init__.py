@@ -14,11 +14,13 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
 from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      HookEvent, ProtocolDef, RegisterSpec, Trace,
                      TransitionRecord, View, check_attractor, check_closure,
-                     enabled, enabled_map, random_configuration, round_count,
-                     rounds, run, step, uniform_configuration)
+                     enabled, enabled_map, first_enabled_map,
+                     random_configuration, round_count, rounds, run, step,
+                     uniform_configuration)
 from .unison import (IncomparableError, IncrementingSystem, LiftedTrace,
-                     SizingError, build_ss_ws, d_K, intrinsic_delays, is_wu,
-                     is_wu0, lift, local_leq, ominus, path_delay)
+                     LiftError, SizingError, build_ss_ws, d_K,
+                     intrinsic_delays, is_wu, is_wu0, lift, local_leq, ominus,
+                     path_delay)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cover,
                         cut_for_level, cut_leq, is_coherent, to_dot)

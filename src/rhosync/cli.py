@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, fields
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import attach_infimum, make_infimum, verify_ball_infimum
 from .kernel import (DaemonPolicy, HookEvent, Trace, TransitionRecord,
-                     random_configuration, round_count, run, step,
-                     uniform_configuration)
+                     first_enabled_map, random_configuration, round_count,
+                     run, step, uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
     verify_delay_agreement
 from .lra import (compat_gme, compat_lme, compat_rw, lra_monitor_start,
@@ -452,11 +452,16 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
     step_lines = lines[2:-1]
     if footer.get("steps") != len(step_lines):
         raise CorruptTraceError("trace is truncated: step count mismatch")
+    try:
+        first = first_enabled_map(cfg, proto, topo)
+    except Exception as exc:
+        raise CorruptTraceError(f"bad initial configuration: {exc}") from exc
     for i, line in enumerate(step_lines):
         if line.get("type") != "step" or line.get("step") != i:
             raise CorruptTraceError(f"unexpected record at step {i}")
         try:
-            cfg, rec = step(cfg, line["selected"], proto, topo, step_index=i)
+            cfg, rec = step(cfg, line["selected"], proto, topo, step_index=i,
+                            first_enabled=first)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
         recorded_fired = {int(p): lab for p, lab in line["fired"].items()}

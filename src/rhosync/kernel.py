@@ -31,6 +31,7 @@ __all__ = [
     "EngineFault",
     "enabled",
     "enabled_map",
+    "first_enabled_map",
     "step",
     "run",
     "rounds",
@@ -153,11 +154,6 @@ class TransitionRecord:
     changed: dict[int, dict[str, Any]]
     events: tuple[HookEvent, ...] = ()
 
-    @property
-    def neighbor_read_count(self) -> int:
-        """Unique (actor, neighbor) pairs read in this transition."""
-        return sum(len({q for q, _ in rs}) for rs in self.reads.values())
-
 
 @dataclass
 class Trace:
@@ -208,18 +204,38 @@ def _first_enabled(c: Configuration, p: int, proto: ProtocolDef,
     return None
 
 
+def first_enabled_map(c: Configuration, proto: ProtocolDef,
+                      topo: Topology) -> dict[int, Action]:
+    """Each enabled process's first (highest-priority) enabled action."""
+    return {p: a for p in topo.nodes
+            if (a := _first_enabled(c, p, proto, topo)) is not None}
+
+
 def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
          topo: Topology, step_index: int = 0,
-         enabled_before: dict[int, list[str]] | None = None,
+         first_enabled: dict[int, Action] | None = None,
          ) -> tuple[Configuration, TransitionRecord]:
     """Fire the highest-priority enabled action of every selected process.
 
     All statements read the shared pre-state; updates apply atomically.
     Selecting a non-enabled process is an engine fault.
+
+    `first_enabled` maps each process enabled in `c` to its first enabled
+    action (see `first_enabled_map`); the step updates it in place for the
+    new configuration.  Without one, a map is computed fresh.
+
+    The update is exact by the locality contract (a guard reads only its
+    own and its neighbors' registers, through a View): only the closed
+    neighborhood of the fired processes can change status, so only it is
+    re-evaluated, stopping at the first guard that holds.  Neutralized =
+    (enabled before & that neighborhood) - fired - enabled after.  Each
+    firing guard is evaluated once more, with read tracking.
     """
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
+    if first_enabled is None:
+        first_enabled = first_enabled_map(c, proto, topo)
     fired: dict[int, str] = {}
     internal: dict[int, bool] = {}
     reads: dict[int, tuple[tuple[int, str], ...]] = {}
@@ -227,7 +243,7 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
     events: list[HookEvent] = []
 
     for p in selection:
-        action = _first_enabled(c, p, proto, topo)
+        action = first_enabled.get(p)
         if action is None:
             raise EngineFault(f"selected process {p} has no enabled action")
         view = View(c, topo, p, track=True)
@@ -254,16 +270,21 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
             new_states[p] = st
     c_next = tuple(new_states)
 
-    if enabled_before is None:
-        enabled_before = enabled_map(c, proto, topo)
-    neutralized = tuple(sorted(
-        p for p in enabled_before
-        if p not in fired and not enabled(c_next, p, proto, topo)))
+    dirty = set(fired)
+    for p in fired:
+        dirty |= topo.adjacency[p]
+    neutralized = []
+    for p in dirty:
+        action = _first_enabled(c_next, p, proto, topo)
+        if action is not None:
+            first_enabled[p] = action
+        elif first_enabled.pop(p, None) is not None and p not in fired:
+            neutralized.append(p)
 
     rec = TransitionRecord(step=step_index, selected=tuple(selection),
                            fired=fired, internal=internal, reads=reads,
-                           neutralized=neutralized, changed=changed,
-                           events=tuple(events))
+                           neutralized=tuple(sorted(neutralized)),
+                           changed=changed, events=tuple(events))
     return c_next, rec
 
 
@@ -360,30 +381,19 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
     trace = Trace(proto, topo, [init], [])
     dstate = make_daemon(daemon, topo)
     cfg = init
-    en = enabled_map(cfg, proto, topo)
+    first = first_enabled_map(cfg, proto, topo)
     if stop_predicate is not None and stop_predicate(cfg):
         trace.stop_reason = "predicate"
         return trace
     for i in range(max_steps):
-        if not en:
+        if not first:
             trace.stop_reason = "quiescence"
             return trace
-        selection = dstate.select(sorted(en), i)
+        selection = dstate.select(sorted(first), i)
         cfg, rec = step(cfg, selection, proto, topo, step_index=i,
-                        enabled_before=en)
+                        first_enabled=first)
         trace.configs.append(cfg)
         trace.records.append(rec)
-        # Incremental enabled-set maintenance: only acted processes and
-        # their neighbors can change status.
-        dirty = set(rec.fired)
-        for p in rec.fired:
-            dirty |= topo.adjacency[p]
-        for p in dirty:
-            labs = enabled(cfg, p, proto, topo)
-            if labs:
-                en[p] = labs
-            else:
-                en.pop(p, None)
         if stop_predicate is not None and stop_predicate(cfg):
             trace.stop_reason = "predicate"
             return trace
@@ -450,14 +460,14 @@ def check_closure(pred: Callable[[Configuration], bool],
         cfg = sampler(rng)
         if not pred(cfg):
             continue
+        first = first_enabled_map(cfg, proto, topo)
         for _ in range(steps_per_sample):
-            en = enabled_map(cfg, proto, topo)
-            if not en:
+            if not first:
                 break
-            pool = sorted(en)
+            pool = sorted(first)
             k = rng.randrange(1, len(pool) + 1)
             selection = tuple(sorted(rng.sample(pool, k)))
-            nxt, _rec = step(cfg, selection, proto, topo, enabled_before=en)
+            nxt, _rec = step(cfg, selection, proto, topo, first_enabled=first)
             checked += 1
             if not pred(nxt):
                 return ClosureVerdict(False, checked, (cfg, selection, nxt))

@@ -30,6 +30,7 @@ __all__ = [
     "lift",
     "SizingError",
     "IncomparableError",
+    "LiftError",
 ]
 
 
@@ -39,6 +40,14 @@ class SizingError(ValueError):
 
 class IncomparableError(ValueError):
     """Two ring values at torus distance > 1 cannot be ordered locally."""
+
+
+class LiftError(RuntimeError):
+    """A clock register changed by other than one increment after WU0.
+
+    WU0 is closed, so this is a fault of the trace or of the protocol, not
+    a trace that is merely unliftable: it is deliberately not a ValueError.
+    """
 
 
 @dataclass(frozen=True)
@@ -316,6 +325,8 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
 
     The minimal process (by precedence, ties to the lowest index) anchors
     bottom_0; each concrete ring increment bumps the virtual register by one.
+    Raises ValueError if the first configuration is not in WU0, and
+    LiftError on any later write to the register that is not phi(old).
     """
     proto, topo = trace.protocol, trace.topo
     sysm = proto.clock_registers[reg]
@@ -337,5 +348,9 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
                 new = updates[reg]
                 if sysm.in_ring(old) and new == sysm.phi(old):
                     current[p] += 1
+                elif new != old:
+                    raise LiftError(
+                        f"step {rec.step}: process {p} changed {reg} from "
+                        f"{old} to {new}, not by one increment")
         values.append(list(current))
     return LiftedTrace(trace=trace, reg=reg, base=base, values=values)

@@ -1,0 +1,194 @@
+"""The engine against a naive reference, and its guard-evaluation budget.
+
+The reference engine below recomputes the full enabled map before and after
+every step, evaluates every guard of every process, and scans every process
+for neutralization.  `kernel.step` instead keeps a map of first enabled
+actions and re-evaluates only the closed neighborhood of the fired
+processes; both must produce the same configurations and records, live and
+in trace replay.
+"""
+
+import dataclasses
+import os
+import random
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
+                     ProtocolDef, RegisterSpec, TransitionRecord, View,
+                     enabled_map, random_configuration, run)
+from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
+                         make_init, make_topology, read_trace, scenario_from,
+                         write_trace)
+from rhosync.kernel import make_daemon
+
+
+def reference_step(c, selection, proto, topo, step_index):
+    selection = sorted(set(selection))
+    if not selection:
+        raise EngineFault("empty selection")
+    before = enabled_map(c, proto, topo)
+    fired, internal, reads, changed, events = {}, {}, {}, {}, []
+    for p in selection:
+        if p not in before:
+            raise EngineFault(f"selected process {p} has no enabled action")
+        action = next(a for a in proto.actions if a.guard(View(c, topo, p)))
+        view = View(c, topo, p, track=True)
+        assert action.guard(view)
+        updates = action.statement(
+            view, lambda kind, payload, _p=p: events.append(
+                HookEvent(process=_p, kind=kind, payload=payload)))
+        assert set(updates) <= set(c[p])
+        fired[p] = action.label
+        internal[p] = action.internal
+        reads[p] = tuple(sorted(view.reads))
+        changed[p] = updates
+    c_next = tuple({**c[p], **changed.get(p, {})} for p in topo.nodes)
+    after = enabled_map(c_next, proto, topo)
+    neutralized = tuple(p for p in topo.nodes
+                        if p in before and p not in fired and p not in after)
+    rec = TransitionRecord(step=step_index, selected=tuple(selection),
+                           fired=fired, internal=internal, reads=reads,
+                           neutralized=neutralized, changed=changed,
+                           events=tuple(events))
+    return c_next, rec
+
+
+def reference_run(proto, topo, daemon, init, max_steps):
+    dstate = make_daemon(daemon, topo)
+    configs, records = [init], []
+    cfg = init
+    for i in range(max_steps):
+        en = enabled_map(cfg, proto, topo)
+        if not en:
+            return configs, records, "quiescence"
+        cfg, rec = reference_step(cfg, dstate.select(sorted(en), i),
+                                  proto, topo, i)
+        configs.append(cfg)
+        records.append(rec)
+    return configs, records, "budget"
+
+
+TOPOLOGIES = ["path:3", "path:5", "ring:3", "ring:6", "tree:6", "grid:2x3",
+              "grid:3x3", "random:6:0.4"]
+PROTOCOLS = ["ss_ws", "trivial", "lme", "gme", "rw"]
+DAEMONS = ["synchronous", "central", "rho_central", "distributed_random",
+           "adversarial"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(topo=st.sampled_from(TOPOLOGIES), proto=st.sampled_from(PROTOCOLS),
+       rho=st.sampled_from([1, 2]), daemon=st.sampled_from(DAEMONS),
+       init=st.sampled_from(["random_arbitrary", "wu0_uniform"]),
+       infimum=st.sampled_from(["", "lex_pair"]),
+       seed=st.integers(0, 10_000), steps=st.integers(1, 120))
+def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
+                                        infimum, seed, steps):
+    scn = scenario_from({}, {"topo": topo, "proto": proto, "rho": rho,
+                             "daemon": daemon, "init": init, "seed": seed,
+                             "steps": str(steps),
+                             "infimum": infimum if proto == "ss_ws" else ""})
+    graph = make_topology(scn.topo)
+    protocol = build_protocol(scn, graph)
+    start = make_init(scn, protocol, graph)
+    policy = make_daemon_policy(scn)
+
+    trace = run(protocol, graph, policy, start, max_steps=steps)
+    configs, records, stop = reference_run(protocol, graph, policy, start,
+                                           steps)
+    assert trace.stop_reason == stop
+    assert trace.configs == configs
+    assert trace.records == records
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        write_trace(path, scn, trace)
+        _scn, replayed = read_trace(path)
+    assert replayed.configs == configs
+    assert replayed.records == records
+
+
+def churn_protocol():
+    """Neutralizes often, which the clock protocols almost never do: a
+    process matching a neighbor stops matching when either of them moves.
+    Three actions, one internal, so a step also changes which action comes
+    first at a process that stays enabled."""
+    def match(v):
+        return any(v.nget(q, "x") == v.get("x") for q in v.neighbors)
+
+    def peak(v):
+        return all(v.nget(q, "x") < v.get("x") for q in v.neighbors)
+
+    def restart(v, emit):
+        emit("zero", v.p)
+        return {"x": 3}
+
+    return ProtocolDef(
+        name="churn",
+        actions=(
+            Action("MATCH", match,
+                   lambda v, e: {"x": (v.get("x") + 2) % 5}),
+            Action("PEAK", peak, lambda v, e: {"x": v.get("x") - 1}),
+            Action("ZERO", lambda v: v.get("x") == 0, restart,
+                   internal=True),
+        ),
+        registers=(RegisterSpec("x", 0, lambda rng: rng.randrange(5)),),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=st.sampled_from(TOPOLOGIES), daemon=st.sampled_from(DAEMONS),
+       rho=st.sampled_from([1, 2]), seed=st.integers(0, 10_000),
+       steps=st.integers(1, 60))
+def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
+                                                    steps):
+    graph = make_topology(topo)
+    proto = churn_protocol()
+    kind = "adversarial_unfair" if daemon == "adversarial" else daemon
+    policy = DaemonPolicy(kind=kind, seed=seed, rho=rho)
+    start = random_configuration(proto, graph, random.Random(seed))
+    trace = run(proto, graph, policy, start, max_steps=steps)
+    configs, records, stop = reference_run(proto, graph, policy, start, steps)
+    assert trace.stop_reason == stop
+    assert trace.configs == configs
+    assert trace.records == records
+
+
+def test_guard_evaluations_stay_in_the_fired_neighborhood():
+    """Central daemon on grid:4x4 (rho=2, 8,352 steps): each step may
+    evaluate the firing guard of every selected process once, plus every
+    guard of the closed neighborhood of the selection."""
+    scn = scenario_from({}, {"topo": "grid:4x4", "proto": "ss_ws", "rho": 2,
+                             "daemon": "central", "seed": 0})
+    topo = make_topology(scn.topo)
+    proto = build_protocol(scn, topo)
+    evals = [0]
+
+    def counted(guard):
+        def wrapper(view):
+            evals[0] += 1
+            return guard(view)
+        return wrapper
+
+    proto = dataclasses.replace(proto, actions=tuple(
+        dataclasses.replace(a, guard=counted(a.guard))
+        for a in proto.actions))
+    per_step = []  # snapshots before the first step and after each step
+
+    def snapshot(_cfg):
+        per_step.append(evals[0])
+        return False
+
+    steps = auto_steps(scn, topo, proto)
+    trace = run(proto, topo, make_daemon_policy(scn), make_init(scn, proto, topo),
+                max_steps=steps, stop_predicate=snapshot)
+    assert len(trace.records) == steps == 8352
+    for rec, lo, hi in zip(trace.records, per_step, per_step[1:]):
+        ball = set(rec.selected)
+        for p in rec.selected:
+            ball |= topo.adjacency[p]
+        assert hi - lo <= len(rec.selected) + len(proto.actions) * len(ball), \
+            f"step {rec.step} evaluated {hi - lo} guards"

@@ -1,5 +1,6 @@
 """Clock system, wave-stream protocol, legitimacy predicates, and lifting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (DaemonPolicy, IncomparableError, IncrementingSystem,
-                     SizingError, build_ss_ws, d_K, generate, graph_params,
-                     intrinsic_delays, is_wu, is_wu0, lift, local_leq, ominus,
-                     path_delay, random_configuration, run,
+                     LiftError, SizingError, build_ss_ws, d_K, generate,
+                     graph_params, intrinsic_delays, is_wu, is_wu0, lift,
+                     local_leq, ominus, path_delay, random_configuration, run,
                      uniform_configuration)
 from conftest import make_ws, stabilized_suffix
 
@@ -163,6 +164,24 @@ def test_lift_requires_wu0(ring8):
     tr = run(proto, ring8, DaemonPolicy(kind="synchronous"), bad, max_steps=1)
     with pytest.raises(ValueError):
         lift(tr)
+
+
+def test_lift_rejects_post_wu0_reset():
+    # WU0 is closed, so a reset after it is a fault the lifting must report,
+    # not skip: skipping leaves the lifted and concrete clocks out of step.
+    topo = generate("ring", n=6)
+    proto = make_ws(topo, 1)
+    tr = run(proto, topo, DaemonPolicy(kind="synchronous"),
+             uniform_configuration(proto, topo), max_steps=20)
+    lift(tr)
+    rec = tr.records[10]
+    p = min(rec.changed)
+    reset = proto.clock_registers["r"].reset_value
+    tr.records[10] = dataclasses.replace(
+        rec, changed={**rec.changed, p: {**rec.changed[p], "r": reset}})
+    with pytest.raises(LiftError) as info:
+        lift(tr)
+    assert not isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("daemon", ["synchronous", "central"])
