@@ -54,11 +54,6 @@ class EventGraph:
         i = bisect_left(times, t)
         return i < len(times) and times[i] == t
 
-    def latest_at_or_before(self, p: int, t: int) -> Event | None:
-        times = self.events_by_process[p]
-        i = bisect_left(times, t + 1) - 1
-        return (p, times[i]) if i >= 0 else None
-
     def ancestors(self, e: Event) -> set[Event]:
         """All events strictly or reflexively below e (includes e)."""
         seen = {e}
@@ -81,8 +76,7 @@ def build_event_graph(trace: Trace) -> EventGraph:
     events_by_process: dict[int, list[int]] = {p: [0] for p in topo.nodes}
     kinds: dict[Event, str] = {(p, 0): "internal" for p in topo.nodes}
     decides: set[Event] = set()
-    for rec in trace.records:
-        t = rec.step + 1
+    for t, rec in enumerate(trace.records, start=1):
         for p, label in rec.fired.items():
             events_by_process[p].append(t)
             kinds[(p, t)] = "internal" if rec.internal[p] else "external"

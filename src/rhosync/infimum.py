@@ -180,12 +180,8 @@ def verify_ball_infimum(trace: Trace, op: InfimumOp, rho: int,
                if c[p]["v2"] != c[p]["v0"]]
         return InfimumVerdict(not bad, 0, bad)
     lt = lifted if lifted is not None else lift(trace)
-    base, D = lt.base, topo.diameter
     delta = rho + 1
-    # First boundary level at which every process's phase start is a real
-    # in-trace initialization event (strictly above any initial value).
-    first_level = base + D + 1
-    start = first_level + (-first_level) % delta
+    start = lt.first_phase_level(delta)
     top = min(lt.values[-1])
     mismatches: list[tuple[int, int, int, str, Any, Any]] = []
     phases = 0

@@ -90,7 +90,6 @@ class ProtocolDef:
     actions: tuple[Action, ...]
     registers: tuple[RegisterSpec, ...]
     clock_registers: dict[str, Any] = field(default_factory=dict)
-    uses_ids: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
 
     def default_state(self) -> dict[str, Any]:
@@ -169,17 +168,11 @@ class Trace:
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.
 
-        Record step indices are renumbered from 0.
+        The records are shared, not copied: they keep their run step
+        numbers, so consumers index by position, not by `rec.step`.
         """
-        recs = []
-        for i, r in enumerate(self.records[start:]):
-            recs.append(TransitionRecord(
-                step=i, selected=r.selected, fired=r.fired,
-                internal=r.internal, reads=r.reads,
-                neutralized=r.neutralized, changed=r.changed,
-                events=r.events))
-        return Trace(self.protocol, self.topo, self.configs[start:], recs,
-                     stop_reason=self.stop_reason)
+        return Trace(self.protocol, self.topo, self.configs[start:],
+                     self.records[start:], stop_reason=self.stop_reason)
 
 
 def enabled(c: Configuration, p: int, proto: ProtocolDef,

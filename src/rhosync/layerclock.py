@@ -1,5 +1,5 @@
 """The two-layer clock: a master wave-stream clock gating a slave clock
-through a pluggable condition.
+through a pluggable condition, both built from `unison.clock_layer`.
 
 The master period is delta*K with delta = rho+1: each master phase spans
 delta ticks, leaving rho pipeline (computation) steps between consecutive
@@ -17,7 +17,8 @@ from typing import Any, Callable
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
                      View)
 from .topology import Topology
-from .unison import IncrementingSystem, SizingError, is_wu, lift
+from .unison import (IncrementingSystem, SizingError, check_sizing,
+                     clock_layer, is_wu, lift)
 
 __all__ = [
     "CondPlugin",
@@ -51,7 +52,6 @@ class CondPlugin:
     computation: Callable[[View, Callable], dict[str, Any]] = \
         lambda view, emit: {}
     critical_section: Callable[[View, Callable], None] = lambda view, emit: None
-    uses_ids: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
 
 
@@ -68,68 +68,39 @@ def build_ss_dc(topo: Topology, rho: int, *, K: int, K2: int,
                 t_g_bound: int | None = None,
                 c_g_bound: int | None = None,
                 allow_undersized: bool = False) -> ProtocolDef:
-    """Build the layer-clock protocol.
+    """Build the layer-clock protocol from two instances of the wave-stream
+    clock layer (`unison.clock_layer`): the master r1 (period (rho+1)*K)
+    gates the slave r2 (period K2).
+
+    Actions in priority order RA2, RA1, CA2, CA1, NA.  NA is the master's
+    normal step, taken only while the slave is locally correct; at a phase
+    boundary it runs the plugin's critical section and slave increment when
+    the slave's normal step and cond hold.
 
     Sizing: alpha_i >= greatest-hole bound, delta*K > cyclomatic bound,
     K2 >= max(4*rho+1, cyclomatic bound - 1).  allow_undersized skips the
     K2 check (negative-control experiments only).
     """
-    if rho < 1:
-        raise SizingError(f"rho must be >= 1, got {rho}")
+    period1 = check_sizing(rho, K, {"alpha1": alpha1, "alpha2": alpha2},
+                           t_g_bound, c_g_bound)
     delta = rho + 1
-    period1 = delta * K
-    if t_g_bound is not None:
-        for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
-            if a < t_g_bound:
-                raise SizingError(
-                    f"{name}={a} violates {name} >= T_G bound ({t_g_bound})")
-    if c_g_bound is not None and period1 <= c_g_bound:
-        raise SizingError(
-            f"master period {period1} violates (rho+1)*K > C_G bound "
-            f"({c_g_bound})")
     if not allow_undersized:
         floor = max(4 * rho + 1, (c_g_bound - 1) if c_g_bound else 0)
         if K2 < floor:
             raise SizingError(f"K2={K2} violates K2 >= {floor}")
     sys1 = IncrementingSystem(alpha=alpha1, period=period1)
     sys2 = IncrementingSystem(alpha=alpha2, period=K2)
-
-    def _normal_step(view: View, reg: str, sysm: IncrementingSystem) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_ring(rp):
-            return False
-        nxt = sysm.phi(rp)
-        return all((rq := view.nget(q, reg)) == rp or rq == nxt
-                   for q in view.neighbors)
-
-    def _locally_correct(view: View, reg: str, sysm: IncrementingSystem) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_ring(rp):
-            return False
-        for q in view.neighbors:
-            rq = view.nget(q, reg)
-            if not sysm.in_ring(rq):
-                return False
-            if not (rp == rq or rp == sysm.phi(rq) or sysm.phi(rp) == rq):
-                return False
-        return True
-
-    def _convergence_step(view: View, reg: str, sysm: IncrementingSystem) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_tail_star(rp):
-            return False
-        return all(sysm.in_tail(rq := view.nget(q, reg)) and rp <= rq
-                   for q in view.neighbors)
+    ra1, ca1, normal1, _correct1 = clock_layer("r1", sys1)
+    ra2, ca2, normal2, correct2 = clock_layer("r2", sys2)
 
     def na_guard(view: View) -> bool:
-        return (_normal_step(view, "r1", sys1)
-                and _locally_correct(view, "r2", sys2))
+        return normal1(view) and correct2(view)
 
     def na_body(view: View, emit) -> dict[str, Any]:
         r1 = view.get("r1")
         updates: dict[str, Any] = {}
         if r1 % delta == delta - 1:
-            if _normal_step(view, "r2", sys2) and plugin.cond(view):
+            if normal2(view) and plugin.cond(view):
                 plugin.critical_section(view, emit)
                 if plugin.cond1(view):
                     updates["r2"] = sys2.phi(view.get("r2"))
@@ -140,36 +111,15 @@ def build_ss_dc(topo: Topology, rho: int, *, K: int, K2: int,
         updates["r1"] = sys1.phi(r1)
         return updates
 
-    def make_ca(reg: str, sysm: IncrementingSystem) -> Action:
-        return Action(
-            f"CA{reg[-1]}",
-            lambda view: _convergence_step(view, reg, sysm),
-            lambda view, emit: {reg: sysm.phi(view.get(reg))})
-
-    def make_ra(reg: str, sysm: IncrementingSystem) -> Action:
-        return Action(
-            f"RA{reg[-1]}",
-            lambda view: (not _locally_correct(view, reg, sysm)
-                          and not sysm.in_tail(view.get(reg))),
-            lambda view, emit: {reg: sysm.reset_value})
-
     registers = (
         RegisterSpec("r1", 0, sys1.sample),
         RegisterSpec("r2", 0, sys2.sample),
     ) + plugin.registers
-    actions = (
-        make_ra("r2", sys2),
-        make_ra("r1", sys1),
-        make_ca("r2", sys2),
-        make_ca("r1", sys1),
-        Action("NA", na_guard, na_body),
-    )
     return ProtocolDef(
         name="ss_dc",
-        actions=actions,
+        actions=(ra2, ra1, ca2, ca1, Action("NA", na_guard, na_body)),
         registers=registers,
         clock_registers={"r1": sys1, "r2": sys2},
-        uses_ids=plugin.uses_ids,
         meta={"rho": rho, "delta": delta, "K": K, "K2": K2,
               "plugin": plugin.name, "topo": topo},
     )

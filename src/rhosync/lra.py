@@ -115,20 +115,24 @@ def _rw_leq(v, v2) -> bool:
 
 def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
                     colors: list[int] | None = None,
-                    groups: list[int] | None = None,
                     group_count: int = 3,
-                    request_source: Callable[[int, int], str] | None = None,
                     request_seed: int = 0,
                     break_cond: bool = False) -> CondPlugin:
     """Build the lme / gme / rw plugin.
 
     lme: values are a 2*rho-distance coloring (computed greedily unless
-    supplied; invalid colorings are refused).  gme: values are group ids
-    under the natural total order.  rw: request_source(p, phase) draws from
-    {N,R,W} (seeded random stream by default); values encode free/writer
-    claims.  break_cond replaces cond with constant truth (negative control
-    for the safety monitors).
+    supplied; invalid colorings are refused).  gme: values are seeded
+    random group ids under the natural total order.  rw: each process
+    draws a request from {N,R,W} per phase (seeded random stream); values
+    encode free/writer claims.  break_cond replaces cond with constant
+    truth (negative control for the safety monitors).
     """
+
+    def elected(view: View) -> bool:
+        return (view.get("r2"), view.get("v")) == view.get("res2")
+
+    request_of: Callable[[int, int], str] | None = None
+    extra: tuple[RegisterSpec, ...] = ()
     if kind == "lme":
         cols = colors if colors is not None else \
             greedy_distance_coloring(topo, 2 * rho)
@@ -136,29 +140,53 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         sigma_leq = lambda a, b: a <= b
         value_of: Callable[[int, int], Any] = lambda p, phase: cols[p]
         sampler = lambda rng: rng.randrange(0, max(cols) + 1)
-        uses_ids = True
+        cond = elected
+        critical_section = lambda view, emit: emit("cs", {"v": view.p})
     elif kind == "gme":
-        grp = groups if groups is not None else \
-            [random.Random(request_seed + p).randrange(group_count)
-             for p in topo.nodes]
+        grp = [random.Random(request_seed + p).randrange(group_count)
+               for p in topo.nodes]
         sigma_leq = lambda a, b: a <= b
         value_of = lambda p, phase: grp[p]
         sampler = lambda rng: rng.randrange(0, max(max(grp), 1) + 1)
-        uses_ids = False
+        # group match alone is unsafe while slave offsets persist: two
+        # overlapping balls may crown different groups.  Requiring the
+        # clock component too makes concurrent winners provably share a
+        # group; ties on equal (clock, group) still admit the whole group.
+        cond = elected
+        critical_section = lambda view, emit: emit("cs", {"v": view.get("v")})
     elif kind == "rw":
-        if request_source is None:
-            def request_source(p: int, phase: int) -> str:
-                # string seed: stable across processes, unlike tuple hashing
-                rng = random.Random(f"req:{request_seed}:{p}:{phase}")
-                return rng.choices("NRW", weights=(2, 5, 3))[0]
+        def request_of(p: int, phase: int) -> str:
+            # string seed: stable across processes, unlike tuple hashing
+            rng = random.Random(f"req:{request_seed}:{p}:{phase}")
+            return rng.choices("NRW", weights=(2, 5, 3))[0]
+
         sigma_leq = _rw_leq
-        value_of = lambda p, phase: _rw_encode(request_source(p, phase), p)
+        value_of = lambda p, phase: _rw_encode(request_of(p, phase), p)
         sampler = lambda rng: _rw_encode(rng.choice("NRW"),
                                          rng.randrange(topo.node_count))
-        uses_ids = True
+
+        def cond(view: View) -> bool:
+            # match on the elected candidate
+            rw, vw = view.get("res2")
+            if rw != view.get("r2"):
+                return False
+            if vw == _FREE:
+                return True
+            if view.get("req") == "N":
+                return True
+            return (view.get("r2"), view.get("v")) == (rw, vw)
+
+        def critical_section(view: View, emit) -> None:
+            req = view.get("req")
+            if req == "R":
+                emit("cs", {"v": ("R",)})
+            elif req == "W":
+                emit("cs", {"v": view.get("v")})
+            # req == "N": no resource use; the barrier still advances
+
+        extra = (RegisterSpec("req", "N", lambda rng: rng.choice("NRW")),)
     else:
         raise ValueError(f"unknown lra kind {kind!r}")
-    request_of = request_source if kind == "rw" else None
 
     def fold(view: View) -> Any:
         own = (view.get("r2"), view.get("v"))
@@ -184,59 +212,21 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
             updates["req"] = request_of(view.p, phase)
         return updates
 
-    def elected(view: View) -> bool:
-        return (view.get("r2"), view.get("v")) == view.get("res2")
-
-    if kind == "lme":
-        cond = elected
-    elif kind == "gme":
-        # group match alone is unsafe while slave offsets persist: two
-        # overlapping balls may crown different groups.  Requiring the
-        # clock component too makes concurrent winners provably share a
-        # group; ties on equal (clock, group) still admit the whole group.
-        cond = elected
-    else:  # rw: match on the elected candidate
-        def cond(view: View) -> bool:
-            rw, vw = view.get("res2")
-            if rw != view.get("r2"):
-                return False
-            if vw == _FREE:
-                return True
-            if view.get("req") == "N":
-                return True
-            return (view.get("r2"), view.get("v")) == (rw, vw)
-
     if break_cond:
         cond = lambda view: True
 
     def cond1(view: View) -> bool:
         return view.get("r2") == view.get("res2")[0]
 
-    def critical_section(view: View, emit) -> None:
-        if kind == "lme":
-            emit("cs", {"v": view.p})
-        elif kind == "gme":
-            emit("cs", {"v": view.get("v")})
-        else:
-            req = view.get("req")
-            if req == "R":
-                emit("cs", {"v": ("R",)})
-            elif req == "W":
-                emit("cs", {"v": view.get("v")})
-            # req == "N": no resource use; the barrier still advances
-
-    regs = [
+    regs = (
         RegisterSpec("v", value_of(0, 0), sampler),
         RegisterSpec("res1", (0, value_of(0, 0)),
                      lambda rng: (rng.randrange(K2), sampler(rng))),
         RegisterSpec("res2", (0, value_of(0, 0)),
                      lambda rng: (rng.randrange(K2), sampler(rng))),
         RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
-    ]
-    if kind == "rw":
-        regs.append(RegisterSpec("req", "N", lambda rng: rng.choice("NRW")))
-    regs = tuple(regs)
-    plugin = CondPlugin(
+    ) + extra
+    return CondPlugin(
         name=kind,
         registers=regs,
         cond=cond,
@@ -244,11 +234,9 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         initialization=initialization,
         computation=computation,
         critical_section=critical_section,
-        uses_ids=uses_ids,
         meta={"kind": kind, "rho": rho, "K2": K2,
               "colors": colors, "sigma_leq": sigma_leq},
     )
-    return plugin
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +252,9 @@ def lra_monitor_start(trace: Trace, wu: int) -> int:
     a phase whose whole rho-ball initialized after stabilization, plus one
     full phase for the pipeline to recompute.
     """
-    suffix = trace.suffix(wu)
-    lt = lift(suffix, reg="r1")
+    lt = lift(trace.suffix(wu), reg="r1")
     delta = trace.protocol.meta["delta"]
-    first = lt.base + trace.topo.diameter + 1
-    first += (-first) % delta
-    target = first + delta
+    target = lt.first_phase_level(delta) + delta
     for t, row in enumerate(lt.values):
         if min(row) >= target:
             return wu + t
@@ -289,25 +274,23 @@ def extract_cs_records(trace: Trace, *, start: int = 0) -> list[CsRecord]:
     """Critical-section intervals from the cs events of a trace.
 
     A privilege lasts from its entry step until the holder's next action
-    (or the end of the trace).
+    (or the end of the trace).  Steps are record positions in `trace`.
     """
     fires: dict[int, list[int]] = {p: [] for p in trace.topo.nodes}
-    for rec in trace.records:
+    for step, rec in enumerate(trace.records):
         for p in rec.fired:
-            fires[p].append(rec.step)
+            fires[p].append(step)
     records: list[CsRecord] = []
     end = len(trace.records)
-    for rec in trace.records:
-        if rec.step < start:
-            continue
+    for step, rec in enumerate(trace.records[start:], start=start):
         for ev in rec.events:
             if ev.kind != "cs":
                 continue
             p = ev.process
-            i = bisect_right(fires[p], rec.step)
+            i = bisect_right(fires[p], step)
             records.append(CsRecord(
                 process=p, resource=ev.payload.get("v"),
-                entry=rec.step, exit=fires[p][i] if i < len(fires[p]) else end))
+                entry=step, exit=fires[p][i] if i < len(fires[p]) else end))
     return records
 
 
@@ -315,8 +298,7 @@ def compat_lme(a: Any, b: Any) -> bool:
     return a == b
 
 
-def compat_gme(a: Any, b: Any) -> bool:
-    return a == b
+compat_gme = compat_lme
 
 
 def compat_rw(a: Any, b: Any) -> bool:
@@ -454,26 +436,22 @@ def _comms_per_phase(trace: Trace, start: int) -> list[int]:
     is reported once every process has completed that phase.
     """
     suffix = trace.suffix(start)
-    proto, topo = trace.protocol, trace.topo
-    delta = proto.meta.get("delta")
+    delta = trace.protocol.meta.get("delta")
     if delta is None:
         return []
     try:
         lt = lift(suffix, reg="r1")
     except ValueError:
         return []
-    base = lt.base
-    first = base + topo.diameter + 1
-    first += (-first) % delta
     counts: dict[int, int] = {}
     complete_top = min(lt.values[-1])
-    for rec in suffix.records:
+    for row, rec in zip(lt.values, suffix.records):
         for p in rec.fired:
-            level = lt.values[rec.step][p]  # lifted value before this step
+            level = row[p]  # lifted value before this step
             phase = level // delta
             counts[phase] = counts.get(phase, 0) + len({q for q, _ in rec.reads[p]})
     out = []
-    phase = first // delta
+    phase = lt.first_phase_level(delta) // delta
     while (phase + 1) * delta <= complete_top:
         out.append(counts.get(phase, 0))
         phase += 1

@@ -25,6 +25,8 @@ __all__ = [
     "path_delay",
     "is_wu",
     "is_wu0",
+    "check_sizing",
+    "clock_layer",
     "build_ss_ws",
     "LiftedTrace",
     "lift",
@@ -197,6 +199,77 @@ def _no_hook(view: View, emit: Callable[[str, Any], None]) -> dict[str, Any]:
     return {}
 
 
+def check_sizing(rho: int, K: int, alphas: dict[str, int],
+                 t_g_bound: int | None, c_g_bound: int | None) -> int:
+    """Check the clock sizing rules and return the period (rho+1)*K.
+
+    Each tail depth in `alphas` (name -> value) must reach the
+    greatest-hole bound T_G (convergence), and the period must exceed the
+    cyclomatic bound C_G (liveness); a None bound is not enforced.
+    """
+    if rho < 1:
+        raise SizingError(f"rho must be >= 1, got {rho}")
+    period = (rho + 1) * K
+    if t_g_bound is not None:
+        for name, a in alphas.items():
+            if a < t_g_bound:
+                raise SizingError(
+                    f"{name}={a} violates {name} >= T_G bound ({t_g_bound})")
+    if c_g_bound is not None and period <= c_g_bound:
+        raise SizingError(
+            f"(rho+1)*K={period} violates (rho+1)*K > C_G bound ({c_g_bound})")
+    return period
+
+
+def clock_layer(reg: str, sysm: IncrementingSystem
+                ) -> tuple[Action, Action, Callable[[View], bool],
+                           Callable[[View], bool]]:
+    """One self-stabilizing clock on register `reg`.
+
+    Returns (RA, CA, normal_step, locally_correct): the reset action (a
+    locally incorrect value outside the tail resets to -alpha), the
+    convergence action (climb the tail behind all neighbors), and the two
+    guards a protocol combines into its normal action.  Labels carry the
+    register suffix: RA/CA for `r`, RA1/CA1 for `r1`.
+    """
+
+    def normal_step(view: View) -> bool:
+        rp = view.get(reg)
+        if not sysm.in_ring(rp):
+            return False
+        nxt = sysm.phi(rp)
+        return all((rq := view.nget(q, reg)) == rp or rq == nxt
+                   for q in view.neighbors)
+
+    def convergence_step(view: View) -> bool:
+        rp = view.get(reg)
+        if not sysm.in_tail_star(rp):
+            return False
+        return all(sysm.in_tail(rq := view.nget(q, reg)) and rp <= rq
+                   for q in view.neighbors)
+
+    def locally_correct(view: View) -> bool:
+        rp = view.get(reg)
+        if not sysm.in_ring(rp):
+            return False
+        for q in view.neighbors:
+            rq = view.nget(q, reg)
+            if not sysm.in_ring(rq):
+                return False
+            if not (rp == rq or rp == sysm.phi(rq) or sysm.phi(rp) == rq):
+                return False
+        return True
+
+    def reset_init(view: View) -> bool:
+        return not locally_correct(view) and not sysm.in_tail(view.get(reg))
+
+    ra = Action(f"RA{reg[1:]}", reset_init,
+                lambda view, emit: {reg: sysm.reset_value})
+    ca = Action(f"CA{reg[1:]}", convergence_step,
+                lambda view, emit: {reg: sysm.phi(view.get(reg))})
+    return ra, ca, normal_step, locally_correct
+
+
 def build_ss_ws(topo: Topology, rho: int, K: int, alpha: int,
                 *, decide_hook: Hook | None = None,
                 cs1_hook: Hook | None = None,
@@ -219,49 +292,12 @@ def build_ss_ws(topo: Topology, rho: int, K: int, alpha: int,
     Sizing: alpha >= greatest-hole bound (convergence), delta*K >
     cyclomatic bound (liveness).  Pass the bounds to have them enforced.
     """
-    if rho < 1:
-        raise SizingError(f"rho must be >= 1, got {rho}")
+    period = check_sizing(rho, K, {"alpha": alpha}, t_g_bound, c_g_bound)
     delta = rho + 1
-    period = delta * K
-    if t_g_bound is not None and alpha < t_g_bound:
-        raise SizingError(
-            f"alpha={alpha} violates alpha >= T_G bound ({t_g_bound})")
-    if c_g_bound is not None and period <= c_g_bound:
-        raise SizingError(
-            f"(rho+1)*K={period} violates (rho+1)*K > C_G bound ({c_g_bound})")
     sysm = IncrementingSystem(alpha=alpha, period=period)
     cs1 = cs1_hook or _no_hook
     cs2 = decide_hook or _no_hook
-
-    def normal_step(view: View) -> bool:
-        rp = view.get("r")
-        if not sysm.in_ring(rp):
-            return False
-        nxt = sysm.phi(rp)
-        return all((rq := view.nget(q, "r")) == rp or rq == nxt
-                   for q in view.neighbors)
-
-    def convergence_step(view: View) -> bool:
-        rp = view.get("r")
-        if not sysm.in_tail_star(rp):
-            return False
-        return all(sysm.in_tail(rq := view.nget(q, "r")) and rp <= rq
-                   for q in view.neighbors)
-
-    def locally_correct(view: View) -> bool:
-        rp = view.get("r")
-        if not sysm.in_ring(rp):
-            return False
-        for q in view.neighbors:
-            rq = view.nget(q, "r")
-            if not sysm.in_ring(rq):
-                return False
-            if not (rp == rq or rp == sysm.phi(rq) or sysm.phi(rp) == rq):
-                return False
-        return True
-
-    def reset_init(view: View) -> bool:
-        return not locally_correct(view) and not sysm.in_tail(view.get("r"))
+    ra, ca, normal_step, _correct = clock_layer("r", sysm)
 
     def na_body(view: View, emit) -> dict[str, Any]:
         rp = view.get("r")
@@ -272,25 +308,13 @@ def build_ss_ws(topo: Topology, rho: int, K: int, alpha: int,
         updates["r"] = sysm.phi(rp)
         return updates
 
-    def ca_body(view: View, emit) -> dict[str, Any]:
-        return {"r": sysm.phi(view.get("r"))}
-
-    def ra_body(view: View, emit) -> dict[str, Any]:
-        return {"r": sysm.reset_value}
-
     registers = (RegisterSpec("r", 0, sysm.sample),) + payload_registers
-    actions = (
-        Action("RA", reset_init, ra_body),
-        Action("CA", convergence_step, ca_body),
-        Action("NA", normal_step, na_body),
-    )
     return ProtocolDef(
         name="ss_ws",
-        actions=actions,
+        actions=(ra, ca, Action("NA", normal_step, na_body)),
         registers=registers,
         clock_registers={"r": sysm},
-        meta={"rho": rho, "K": K, "delta": delta, "phase_len": delta,
-              "topo": topo},
+        meta={"rho": rho, "K": K, "delta": delta, "topo": topo},
     )
 
 
@@ -319,6 +343,14 @@ class LiftedTrace:
                 return None
         return None
 
+    def first_phase_level(self, delta: int) -> int:
+        """The first phase-boundary level (a multiple of delta) strictly
+        above every initial lifted value: base + D + 1 rounded up.  No
+        process holds it initially, so every phase from there on starts
+        with initializations taken within the trace across its rho-ball."""
+        first = self.base + self.trace.topo.diameter + 1
+        return first + (-first) % delta
+
 
 def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     """Lift ring clock values of a WU0-initial trace to the integers.
@@ -341,10 +373,10 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     base = c0[p_min][reg]
     current = [base + delays[p] - delays[p_min] for p in topo.nodes]
     values = [list(current)]
-    for rec in trace.records:
+    for cfg, rec in zip(trace.configs, trace.records):
         for p, updates in rec.changed.items():
             if reg in updates:
-                old = trace.configs[rec.step][p][reg]
+                old = cfg[p][reg]
                 new = updates[reg]
                 if sysm.in_ring(old) and new == sysm.phi(old):
                     current[p] += 1

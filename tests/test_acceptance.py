@@ -6,6 +6,7 @@ expensive run matrices between criteria.
 """
 
 import math
+import pathlib
 import random
 
 import pytest
@@ -427,3 +428,16 @@ def test_criterion_10_closure(ring8):
            f"WU closed over {v_wu.samples_checked} successors, WU0 over "
            f"{v_wu0.samples_checked}; all-clocks-equal control "
            f"{'escapes as expected' if not control.closed else 'DID NOT ESCAPE'}")
+
+
+# ---------------------------------------------------------------------------
+# Equivalence gate: the summary lines are seeded and deterministic
+
+
+def test_acceptance_lines_match_committed():
+    """Must stay the last test of this module: it reads the lines the ten
+    criteria recorded earlier in this test run."""
+    if len(ACCEPTANCE_LINES) != 10:
+        pytest.skip("not all ten criteria ran in this test run")
+    path = pathlib.Path(__file__).with_name("acceptance_lines.txt")
+    assert ACCEPTANCE_LINES == path.read_text(encoding="utf-8").splitlines()

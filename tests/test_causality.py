@@ -19,7 +19,7 @@ def oracle_preds(trace, p, t):
     """Independent reimplementation of the two causal rules."""
     topo = trace.topo
     rec = trace.records[t - 1]
-    fire_times = {q: [0] + [r.step + 1 for r in trace.records
+    fire_times = {q: [0] + [i + 1 for i, r in enumerate(trace.records)
                             if q in r.fired] for q in topo.nodes}
     preds = {(p, max(x for x in fire_times[p] if x < t))}
     if not rec.internal[p]:

@@ -102,6 +102,10 @@ def test_extract_cs_records_against_fire_times(ring8):
         expect_exit = (fires[r.process][i] if i < len(fires[r.process])
                        else len(tr.records))
         assert r.exit == expect_exit
+    # on a suffix, steps are positions within the suffix
+    shifted = [(r.process, r.entry + wu, r.exit + wu)
+               for r in extract_cs_records(tr.suffix(wu))]
+    assert shifted == [(r.process, r.entry, r.exit) for r in recs]
 
 
 def brute_safety(recs, topo, rho, compat):
