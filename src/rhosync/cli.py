@@ -30,7 +30,7 @@ from .lra import (compat_gme, compat_lme, compat_rw, lra_monitor_start,
                   make_lra_plugin, metrics, monitor_liveness, monitor_safety)
 from .topology import (Topology, TopologyError, generate, graph_params,
                        load_topology, parse_edge_list)
-from .unison import SizingError, build_ss_ws, is_wu0, lift
+from .unison import LiftedTrace, SizingError, build_ss_ws, is_wu0, lift
 
 CSV_HEADER = ["topo", "n", "rho", "daemon", "seed", "plugin", "stab_round",
               "violations", "fairness_index", "service_time",
@@ -225,19 +225,35 @@ def make_init(scn: Scenario, proto, topo: Topology):
                 states = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot load init file {rest!r}: {exc}") from exc
-        if not isinstance(states, list) or len(states) != topo.node_count:
-            raise ScenarioError(
-                f"init file must list {topo.node_count} register dicts")
-        known = {r.name for r in proto.registers}
-        cfg = []
-        for p, st in enumerate(states):
-            if set(st) != known:
-                raise ScenarioError(
-                    f"init file process {p}: registers {sorted(st)} != "
-                    f"{sorted(known)}")
-            cfg.append({k: _freeze(v) for k, v in st.items()})
-        return tuple(cfg)
+        try:
+            return _load_configuration(states, proto, topo)
+        except ValueError as exc:
+            raise ScenarioError(f"bad init file {rest!r}: {exc}") from exc
     raise ScenarioError(f"unknown init mode {scn.init!r}")
+
+
+def _load_configuration(states, proto, topo: Topology):
+    """The configuration listed by `states` (one register dict per process,
+    as JSON gives it).  Raises ValueError unless every process has exactly
+    the protocol's registers, each clock register holds an int of its
+    system's domain, and every guard evaluates on the result."""
+    if not isinstance(states, list) or len(states) != topo.node_count:
+        raise ValueError(f"expected a list of {topo.node_count} register dicts")
+    known = {r.name for r in proto.registers}
+    for p, st in enumerate(states):
+        if not isinstance(st, dict) or set(st) != known:
+            raise ValueError(f"process {p}: expected registers {sorted(known)}, "
+                             f"got {st!r}")
+        for reg, sysm in proto.clock_registers.items():
+            if type(st[reg]) is not int or not sysm.contains(st[reg]):
+                raise ValueError(f"process {p}: {reg}={st[reg]!r} is not an "
+                                 f"int in [{-sysm.alpha}, {sysm.period - 1}]")
+    cfg = tuple(_freeze(st) for st in states)
+    try:
+        first_enabled_map(cfg, proto, topo)
+    except Exception as exc:  # noqa: BLE001 - any guard failure is bad input
+        raise ValueError(f"bad initial configuration: {exc}") from exc
+    return cfg
 
 
 def auto_steps(scn: Scenario, topo: Topology, proto) -> int:
@@ -267,13 +283,12 @@ def run_scenario(scn: Scenario) -> Trace:
 # Analysis shared by run, check, and sweep
 
 
-def check_wavelet_levels(suffix: Trace, rho: int,
+def check_wavelet_levels(lt: LiftedTrace, rho: int,
                          max_levels: int = 6) -> list[tuple[int, bool]]:
-    """Wavelet verdicts for consecutive level windows [k, k+rho] of a
+    """Wavelet verdicts for consecutive level windows [k, k+rho] of a lifted
     stabilized trace, using the upper-cut events as the decide set."""
-    lt = lift(suffix)
-    g = build_event_graph(suffix)
-    topo = suffix.topo
+    g = build_event_graph(lt.trace)
+    topo = lt.trace.topo
     k = lt.base + topo.diameter
     top = min(lt.values[-1])
     out: list[tuple[int, bool]] = []
@@ -297,42 +312,41 @@ def ss_ws_stabilization_index(trace: Trace) -> int | None:
 
 def analyze(scn: Scenario, trace: Trace) -> dict:
     """Post-run monitors appropriate to the protocol; the 'violations' total
-    drives the exit code."""
+    drives the exit code.  Every monitor reads the one lifting of each
+    clock register of the suffix from the stabilization index on."""
     topo = trace.topo
     rho = scn.rho
     report: dict = {"stop_reason": trace.stop_reason,
                     "steps": len(trace.records), "n": topo.node_count}
-    violations = 0
-    if trace.protocol.name == "ss_ws":
+    ws = trace.protocol.name == "ss_ws"
+    if ws:
         stab = ss_ws_stabilization_index(trace)
-        report["stab_index"] = stab
-        if stab is None:
-            report["violations"] = 1
-            report["notes"] = ["did not stabilize within the step budget"]
-            return report
-        report["stab_round"] = round_count(trace, stab)
-        suffix = trace.suffix(stab)
-        levels = check_wavelet_levels(suffix, rho)
+    else:
+        report["wu1_index"], stab = stabilization_indices(trace)
+    report["stab_index"] = stab
+    if stab is None:
+        report["violations"] = 1
+        report["notes"] = ["did not stabilize within the step budget"]
+        return report
+    report["stab_round"] = round_count(trace, stab)
+    suffix = trace.suffix(stab)
+    violations = 0
+    if ws:
+        lt = lift(suffix)
+        levels = check_wavelet_levels(lt, rho)
         report["wavelet_levels"] = len(levels)
         bad = [k for k, ok in levels if not ok]
         report["wavelet_failures"] = bad
         violations += len(bad)
         if scn.infimum:
             op = make_infimum(scn.infimum)
-            verdict = verify_ball_infimum(suffix, op, rho, max_phases=20)
+            verdict = verify_ball_infimum(lt, op, rho, max_phases=20)
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
     else:
-        wu1, wu = stabilization_indices(trace)
-        report["wu1_index"], report["stab_index"] = wu1, wu
-        if wu is None:
-            report["violations"] = 1
-            report["notes"] = ["did not stabilize within the step budget"]
-            return report
-        report["stab_round"] = round_count(trace, wu)
-        suffix = trace.suffix(wu)
-        agree = verify_delay_agreement(suffix, topo, rho, sample_every=5)
+        lt1, lt2 = lift(suffix, "r1"), lift(suffix, "r2")
+        agree = verify_delay_agreement(lt2, rho, sample_every=5)
         report["delay_pairs"] = agree.pairs_checked
         report["delay_disagreements"] = len(agree.disagreements)
         violations += len(agree.disagreements)
@@ -340,16 +354,15 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
                   "trivial": lambda a, b: True}[scn.proto]
         # Score from the first phase whose elections only see
         # post-stabilization inputs.
-        mon_start = lra_monitor_start(trace, wu)
-        report["monitor_start"] = mon_start
-        safety = monitor_safety(trace, rho, compat, start=mon_start)
+        mon = lra_monitor_start(lt1)
+        report["monitor_start"] = stab + mon
+        safety = monitor_safety(trace, rho, compat, start=stab + mon)
         report["safety_violations"] = len(safety)
         violations += len(safety)
-        live = monitor_liveness(trace, start=mon_start)
+        live = monitor_liveness(lt2.suffix(mon))
         report["cs_min_count"] = live.min_count
         report["cs_max_gap"] = live.max_gap
-        m = metrics(trace, topo, rho, start=mon_start,
-                    rounds_to_stabilize=report["stab_round"])
+        m = metrics(lt1.suffix(mon))
         report["fairness_index"] = m.fairness_index
         report["service_time"] = m.service_time
         report["fairness_bound"] = math.ceil(topo.diameter / rho)
@@ -428,7 +441,8 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         raise CorruptTraceError(f"cannot read trace {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CorruptTraceError(f"malformed trace line: {exc}") from exc
-    if len(lines) < 3 or lines[0].get("type") != "header" \
+    if len(lines) < 3 or not all(isinstance(x, dict) for x in lines) \
+            or lines[0].get("type") != "header" \
             or lines[1].get("type") != "config" \
             or lines[-1].get("type") != "footer":
         raise CorruptTraceError("trace is truncated or missing header/footer")
@@ -441,42 +455,48 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
     try:
         topo = parse_edge_list(
             "\n".join(f"{u} {v}" for u, v in header["edges"]))
-    except (KeyError, TopologyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptTraceError(f"bad topology in header: {exc}") from exc
     if topo.node_count != header.get("n"):
         raise CorruptTraceError("edge list does not match declared node count")
     proto = build_protocol(scn, topo)
-    cfg = tuple(_freeze(st) for st in config_line["states"])
+    try:
+        cfg = _load_configuration(config_line.get("states"), proto, topo)
+    except ValueError as exc:
+        raise CorruptTraceError(f"bad config line: {exc}") from exc
     trace = Trace(proto, topo, [cfg], [],
                   stop_reason=header.get("stop_reason", "incomplete"))
     step_lines = lines[2:-1]
     if footer.get("steps") != len(step_lines):
         raise CorruptTraceError("trace is truncated: step count mismatch")
-    try:
-        first = first_enabled_map(cfg, proto, topo)
-    except Exception as exc:
-        raise CorruptTraceError(f"bad initial configuration: {exc}") from exc
+    first = first_enabled_map(cfg, proto, topo)
     for i, line in enumerate(step_lines):
         if line.get("type") != "step" or line.get("step") != i:
             raise CorruptTraceError(f"unexpected record at step {i}")
+        try:
+            recorded_fired = {int(p): lab for p, lab in line["fired"].items()}
+            recorded_events = tuple(
+                HookEvent(ev["process"], ev["kind"], _freeze(ev["payload"]))
+                for ev in line["events"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
         try:
             cfg, rec = step(cfg, line["selected"], proto, topo, step_index=i,
                             first_enabled=first)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
-        recorded_fired = {int(p): lab for p, lab in line["fired"].items()}
         if rec.fired != recorded_fired:
             raise CorruptTraceError(
                 f"replay fired {rec.fired} at step {i}, trace says "
                 f"{recorded_fired}")
-        recorded_events = tuple(
-            HookEvent(ev["process"], ev["kind"], _freeze(ev["payload"]))
-            for ev in line["events"])
         if rec.events != recorded_events:
             raise CorruptTraceError(f"replay events diverge at step {i}")
         trace.configs.append(cfg)
         trace.records.append(rec)
-    final = tuple(_freeze(st) for st in footer["final_states"])
+    try:
+        final = tuple(_freeze(st) for st in footer["final_states"])
+    except (KeyError, TypeError) as exc:
+        raise CorruptTraceError(f"malformed footer: {exc!r}") from exc
     if trace.configs[-1] != final:
         raise CorruptTraceError("replayed final configuration diverges")
     return scn, trace

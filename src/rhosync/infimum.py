@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .kernel import ProtocolDef, RegisterSpec, Trace, View
 from .topology import Topology, ball
-from .unison import LiftedTrace, build_ss_ws, lift
+from .unison import LiftedTrace, build_ss_ws
 
 __all__ = [
     "InfimumOp",
@@ -162,16 +162,14 @@ class InfimumVerdict:
         return self.ok
 
 
-def verify_ball_infimum(trace: Trace, op: InfimumOp, rho: int,
-                        *, max_phases: int | None = None,
-                        lifted: LiftedTrace | None = None) -> InfimumVerdict:
-    """Compare every phase of a stabilized trace against the brute-force
-    oracle: at each intermediate cut, v1/v2 must equal the fold of the
-    phase-start v0 snapshot over the (k-1)- and k-balls, and the phase-end
-    decide payload must hold the rho-ball infimum.
-
-    The trace must start inside WU0 (pass a stabilized suffix).
+def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
+                        *, max_phases: int | None = None) -> InfimumVerdict:
+    """Compare every phase of a lifted stabilized trace against the
+    brute-force oracle: at each intermediate cut, v1/v2 must equal the fold
+    of the phase-start v0 snapshot over the (k-1)- and k-balls, and the
+    phase-end decide payload must hold the rho-ball infimum.
     """
+    trace = lt.trace
     topo = trace.topo
     if rho == 0:
         # Degenerate radius: v2 is v0 itself at every configuration.
@@ -179,7 +177,6 @@ def verify_ball_infimum(trace: Trace, op: InfimumOp, rho: int,
                for c in trace.configs for p in topo.nodes
                if c[p]["v2"] != c[p]["v0"]]
         return InfimumVerdict(not bad, 0, bad)
-    lt = lifted if lifted is not None else lift(trace)
     delta = rho + 1
     start = lt.first_phase_level(delta)
     top = min(lt.values[-1])

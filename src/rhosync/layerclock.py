@@ -10,15 +10,14 @@ conditions allow, which realizes a barrier synchronization at distance rho.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
                      View)
 from .topology import Topology
-from .unison import (IncrementingSystem, SizingError, check_sizing,
-                     clock_layer, is_wu, lift)
+from .unison import (IncrementingSystem, LiftedTrace, SizingError,
+                     check_sizing, clock_layer, is_wu, is_wu0)
 
 __all__ = [
     "CondPlugin",
@@ -150,7 +149,10 @@ def lint_cond_independence(plugin: CondPlugin, proto: ProtocolDef,
 
 
 def stabilization_indices(trace: Trace) -> tuple[int | None, int | None]:
-    """First configuration indices where WU1 and WU (= WU1 and WU2) hold."""
+    """First configuration indices where WU1 holds and where both clock
+    registers are in WU0, as `lift` requires.  WU implies WU0 only for a
+    period above the cyclomatic characteristic C_G: with K2 <= C_G the slave
+    can stay wound around a cycle, in WU but never in WU0."""
     proto, topo = trace.protocol, trace.topo
     sys1 = proto.clock_registers["r1"]
     sys2 = proto.clock_registers["r2"]
@@ -159,7 +161,8 @@ def stabilization_indices(trace: Trace) -> tuple[int | None, int | None]:
         w1 = is_wu(cfg, topo, sys1, "r1")
         if w1 and first_wu1 is None:
             first_wu1 = i
-        if w1 and is_wu(cfg, topo, sys2, "r2"):
+        if w1 and is_wu0(cfg, topo, sys2, "r2") \
+                and is_wu0(cfg, topo, sys1, "r1"):
             first_wu = i
             break
     return first_wu1, first_wu
@@ -176,28 +179,26 @@ class DelayAgreementVerdict:
         return self.ok
 
 
-def verify_delay_agreement(trace: Trace, topo: Topology, rho: int,
+def verify_delay_agreement(lt2: LiftedTrace, rho: int,
                            *, k2_override: int | None = None,
-                           sample_every: int = 1,
-                           rng: random.Random | None = None,
-                           ) -> DelayAgreementVerdict:
+                           sample_every: int = 1) -> DelayAgreementVerdict:
     """Check the 2*rho-local comparison against the lifted slave delay.
 
-    For every sampled configuration of a stabilized trace and every pair
-    within distance 2*rho, delay_2rho on the r2 ring values must equal the
-    intrinsic slave delay.  k2_override re-encodes the lifted values modulo
+    For every sampled configuration of the lifted slave register and every
+    pair within distance 2*rho, delay_2rho on the r2 ring values must equal
+    the intrinsic slave delay.  k2_override re-encodes the lifted values modulo
     an alternative period (the undersized negative control: the same run
     with a too-small slave ring, where the window argument breaks down).
     """
+    topo = lt2.trace.topo
     k2 = k2_override if k2_override is not None else \
-        trace.protocol.clock_registers["r2"].period
-    lt = lift(trace, reg="r2")
+        lt2.trace.protocol.clock_registers[lt2.reg].period
     pairs = [(p, q) for p in topo.nodes for q in topo.nodes
              if p < q and topo.dist[p][q] <= 2 * rho]
     checked = 0
     bad: list[tuple[int, int, int, int | None, int]] = []
-    for t in range(0, len(trace.configs), sample_every):
-        row = lt.values[t]
+    for t in range(0, len(lt2.values), sample_every):
+        row = lt2.values[t]
         for p, q in pairs:
             true_delay = row[q] - row[p]
             a, b = row[p] % k2, row[q] % k2

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import RegisterSpec, Trace, View
-from .layerclock import CondPlugin, delay_2rho, stabilization_indices
+from .layerclock import CondPlugin, delay_2rho
 from .topology import Topology
-from .unison import lift
+from .unison import LiftedTrace
 
 __all__ = [
     "MonitorFault",
@@ -243,22 +243,22 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
 # Monitors
 
 
-def lra_monitor_start(trace: Trace, wu: int) -> int:
-    """First trace index whose election outcomes derive entirely from
-    post-stabilization initializations.
+def lra_monitor_start(lt1: LiftedTrace) -> int:
+    """First position in the lifted master register `lt1` (a stabilized
+    trace) whose election outcomes derive entirely from post-stabilization
+    initializations.
 
     Right after the clocks stabilize, res registers still hold arbitrary
     pre-stabilization values; guarantees apply once every process has begun
     a phase whose whole rho-ball initialized after stabilization, plus one
     full phase for the pipeline to recompute.
     """
-    lt = lift(trace.suffix(wu), reg="r1")
-    delta = trace.protocol.meta["delta"]
-    target = lt.first_phase_level(delta) + delta
-    for t, row in enumerate(lt.values):
+    delta = lt1.trace.protocol.meta["delta"]
+    target = lt1.first_phase_level(delta) + delta
+    for t, row in enumerate(lt1.values):
         if min(row) >= target:
-            return wu + t
-    return len(trace.records)
+            return t
+    return len(lt1.trace.records)
 
 
 @dataclass(frozen=True)
@@ -346,12 +346,13 @@ class LivenessReport:
         return min(self.cs_counts.values())
 
 
-def monitor_liveness(trace: Trace, *, start: int = 0,
+def monitor_liveness(lt2: LiftedTrace, *,
                      sample_every: int = 10) -> LivenessReport:
     """Per-process privilege counts plus the slave-delay potential
-    trajectory witnessing no-starvation (bounded by n*D)."""
-    topo = trace.topo
-    recs = extract_cs_records(trace, start=start)
+    trajectory witnessing no-starvation (bounded by n*D), over the trace of
+    the lifted slave register `lt2`."""
+    topo = lt2.trace.topo
+    recs = extract_cs_records(lt2.trace)
     counts = {p: 0 for p in topo.nodes}
     for r in recs:
         counts[r.process] += 1
@@ -362,16 +363,9 @@ def monitor_liveness(trace: Trace, *, start: int = 0,
     for p, es in entries.items():
         for a, b in zip(es, es[1:]):
             max_gap = max(max_gap, b - a)
-    suffix = trace.suffix(start)
-    potentials: list[list[int]] = []
-    try:
-        lt = lift(suffix, reg="r2")
-        for t in range(0, len(lt.values), sample_every):
-            row = lt.values[t]
-            potentials.append([sum(row[q] - row[p] for q in topo.nodes)
-                               for p in topo.nodes])
-    except ValueError:
-        pass  # slave clock not liftable at suffix start: skip the witness
+    potentials = [[sum(row[q] - row[p] for q in topo.nodes)
+                   for p in topo.nodes]
+                  for row in lt2.values[::sample_every]]
     return LivenessReport(
         cs_counts=counts, max_gap=max_gap, potentials=potentials,
         potential_bound=topo.node_count * topo.diameter)
@@ -382,8 +376,6 @@ class Metrics:
     fairness_index: int | None
     service_time: int | None
     comms_per_phase: list[int]
-    rounds_to_stabilize: int | None
-    stabilization_index: int | None
     cs_total: int
     partial: bool = False
 
@@ -408,50 +400,34 @@ def _per_pair_fairness(recs: list[CsRecord], nodes) -> tuple[int | None, int | N
     return fairness, service
 
 
-def metrics(trace: Trace, topo: Topology, rho: int,
-            *, start: int | None = None,
-            rounds_to_stabilize: int | None = None) -> Metrics:
-    """Fairness index, service time, per-phase communication counts, and
-    stabilization cost for a layer-clock trace."""
-    if start is None:
-        _w1, wu = stabilization_indices(trace)
-        start = wu if wu is not None else 0
-        if wu is None:
-            return Metrics(None, None, [], rounds_to_stabilize, None, 0,
-                           partial=True)
-    recs = extract_cs_records(trace, start=start)
-    fairness, service = _per_pair_fairness(recs, topo.nodes)
-    comms = _comms_per_phase(trace, start)
+def metrics(lt1: LiftedTrace) -> Metrics:
+    """Fairness index, service time and per-phase communication counts over
+    the trace of the lifted master register `lt1`."""
+    recs = extract_cs_records(lt1.trace)
+    fairness, service = _per_pair_fairness(recs, lt1.trace.topo.nodes)
+    comms = _comms_per_phase(lt1)
     return Metrics(
         fairness_index=fairness, service_time=service,
-        comms_per_phase=comms, rounds_to_stabilize=rounds_to_stabilize,
-        stabilization_index=start, cs_total=len(recs),
+        comms_per_phase=comms, cs_total=len(recs),
         partial=fairness is None or len(comms) == 0)
 
 
-def _comms_per_phase(trace: Trace, start: int) -> list[int]:
+def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
     """Unique (actor, neighbor) register reads per complete master phase.
 
     Each actor's reads are attributed to its own master phase; a phase total
     is reported once every process has completed that phase.
     """
-    suffix = trace.suffix(start)
-    delta = trace.protocol.meta.get("delta")
-    if delta is None:
-        return []
-    try:
-        lt = lift(suffix, reg="r1")
-    except ValueError:
-        return []
+    delta = lt1.trace.protocol.meta["delta"]
     counts: dict[int, int] = {}
-    complete_top = min(lt.values[-1])
-    for row, rec in zip(lt.values, suffix.records):
+    complete_top = min(lt1.values[-1])
+    for row, rec in zip(lt1.values, lt1.trace.records):
         for p in rec.fired:
             level = row[p]  # lifted value before this step
             phase = level // delta
             counts[phase] = counts.get(phase, 0) + len({q for q, _ in rec.reads[p]})
     out = []
-    phase = lt.first_phase_level(delta) // delta
+    phase = lt1.first_phase_level(delta) // delta
     while (phase + 1) * delta <= complete_top:
         out.append(counts.get(phase, 0))
         phase += 1

@@ -351,6 +351,17 @@ class LiftedTrace:
         first = self.base + self.trace.topo.diameter + 1
         return first + (-first) % delta
 
+    def suffix(self, i: int) -> "LiftedTrace":
+        """The lifting of trace.suffix(i), sharing this lifting's rows.
+
+        It equals lift(trace.suffix(i)) up to one multiple of the period
+        added to every value, which no level difference, `level // delta`
+        against `first_phase_level`, or `value % period` can see.
+        """
+        values = self.values[i:]
+        return LiftedTrace(trace=self.trace.suffix(i), reg=self.reg,
+                           base=min(values[0]), values=values)
+
 
 def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     """Lift ring clock values of a WU0-initial trace to the integers.

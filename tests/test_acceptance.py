@@ -64,12 +64,13 @@ def _dc_cell(kind, topo, daemon, seed, rho=1, break_cond=False):
         window *= 3 * topo.node_count
     t2 = run(proto, topo, DaemonPolicy(kind=daemon, seed=seed + 1),
              t1.configs[-1], max_steps=window)
-    mon = lra_monitor_start(t2, 0)
+    lt1 = lift(t2, "r1")
+    mon = lra_monitor_start(lt1)
     compat = {"lme": compat_lme, "gme": compat_gme, "rw": compat_rw,
               "trivial": lambda a, b: True}[kind]
     safety = monitor_safety(t2, rho, compat, start=mon)
-    agree = verify_delay_agreement(t2, topo, rho, sample_every=4)
-    m = metrics(t2, topo, rho, start=mon)
+    agree = verify_delay_agreement(lift(t2, "r2"), rho, sample_every=4)
+    m = metrics(lt1.suffix(mon))
     return {
         "n": topo.node_count, "diameter": topo.diameter, "rho": rho,
         "daemon": daemon, "w1": w1, "wu": wu, "stab_steps": len(t1.records),
@@ -229,7 +230,8 @@ def test_criterion_3_infimum(ring8, grid23):
                 steps = 420 if daemon == "synchronous" else 5000
                 suffix, _ = stabilized_suffix(proto, topo, daemon, seed=9,
                                               max_steps=steps)
-                verdict = verify_ball_infimum(suffix, op, rho, max_phases=20)
+                verdict = verify_ball_infimum(lift(suffix), op, rho,
+                                              max_phases=20)
                 assert verdict.phases_checked >= 20, (kind, name, daemon)
                 checked += verdict.phases_checked
                 mismatches += len(verdict.mismatches)
@@ -277,7 +279,7 @@ def test_criterion_5_delay_lemma(ring8, lme_matrix):
     rho = 2
     proto = make_dc(ring8, rho, trivial_plugin())
     tr, wu = stabilized_dc(proto, ring8, "central", seed=4, max_steps=30000)
-    control = verify_delay_agreement(tr.suffix(wu), ring8, rho,
+    control = verify_delay_agreement(lift(tr.suffix(wu), "r2"), rho,
                                      k2_override=2 * rho + 1)
     ok = bad == 0 and len(control.disagreements) >= 1
     record(5, ok,
@@ -320,8 +322,8 @@ def test_criterion_7_fairness(ring8, lme_matrix):
     proto, _ = _ring8_lme2(ring8)
     tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=2,
                            max_steps=4000)
-    start = lra_monitor_start(tr, wu)
-    m = metrics(tr, ring8, 2, start=start)
+    lt1 = lift(tr.suffix(wu), "r1")
+    m = metrics(lt1.suffix(lra_monitor_start(lt1)))
     bound = math.ceil(ring8.diameter / 2)
     ok = over == 0 and scored >= len(lme_matrix) // 2 \
         and m.fairness_index is not None and m.fairness_index <= bound
@@ -352,7 +354,7 @@ def test_criterion_8_comms(ring8, path6, grid23):
             proto = make_dc(topo, rho, trivial_plugin())
             tr, wu = stabilized_dc(proto, topo, "synchronous", seed=rho,
                                    max_steps=3000)
-            m = metrics(tr, topo, rho, start=wu)
+            m = metrics(lift(tr.suffix(wu), "r1"))
             expect = 2 * (rho + 1) * topo.edge_count
             assert m.comms_per_phase, (name, rho)
             checked += len(m.comms_per_phase)

@@ -4,13 +4,15 @@ sweep subcommands, trace round-trips, and exit codes."""
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+from rhosync import unison
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
-                         ScenarioError, expand_grid, main, make_topology,
-                         parse_config_file, read_trace, run_scenario,
-                         scenario_from, write_trace)
+                         ScenarioError, analyze, expand_grid, main,
+                         make_topology, parse_config_file, read_trace,
+                         run_scenario, scenario_from, write_trace)
 
 
 # -- configuration ---------------------------------------------------------
@@ -116,11 +118,66 @@ def test_run_lra_and_check(tmp_path, capsys):
 
 
 def test_run_nonstabilizing_budget_fails(capsys):
-    rc = run_cli(["run", "--topo", "ring:8", "--proto", "ss_ws",
-                  "--rho", "1", "--daemon", "central", "--steps", "3"])
+    for proto in ("ss_ws", "lme"):
+        rc = run_cli(["run", "--topo", "ring:8", "--proto", proto,
+                      "--rho", "1", "--daemon", "central", "--steps", "3"])
+        out = capsys.readouterr().out
+        assert rc == 1, proto
+        assert "did not stabilize" in out, proto
+
+
+def test_slave_wound_around_cycle_does_not_stabilize(tmp_path, capsys):
+    # K2 = 11 passes the K2 >= c_g_bound - 1 floor of ring:12, but a slave
+    # ring shorter than the cycle can wind once around it: r2 = i % 11 is
+    # in WU and never in WU0, so there is no suffix to lift.
+    init = tmp_path / "wound.json"
+    init.write_text(json.dumps([{"r1": 0, "r2": i % 11} for i in range(12)]))
+    rc = run_cli(["run", "--proto", "trivial", "--topo", "ring:12",
+                  "--k2", "11", "--daemon", "synchronous",
+                  "--init", f"adversarial_file:{init}"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "did not stabilize" in out
+    assert "did not stabilize within the step budget" in out
+    assert "violations = 1" in out
+
+
+@pytest.mark.parametrize("states", [
+    [1, 2, 3, 4, 5, 6],  # entries are not register dicts
+    [{"r": "x"}] * 6,  # clock value outside the clock domain
+])
+def test_malformed_init_file_exits_2(tmp_path, capsys, states):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(states))
+    rc = run_cli(["run", "--topo", "ring:6",
+                  "--init", f"adversarial_file:{init}"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_lifts_each_clock_register_once(monkeypatch):
+    # Count calls through every rhosync binding of `lift`: a monitor that
+    # lifts on its own shows up as an extra call.
+    original = unison.lift
+    calls = []
+
+    def counting(trace, reg="r"):
+        calls.append(reg)
+        return original(trace, reg)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rhosync" or name.startswith("rhosync."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    for params, expect in (
+            ({"topo": "ring:6", "proto": "ss_ws", "rho": "2",
+              "infimum": "min_int"}, ["r"]),
+            ({"topo": "ring:6", "proto": "lme", "rho": "1"}, ["r1", "r2"])):
+        calls.clear()
+        scn = scenario_from(params, {})
+        report = analyze(scn, run_scenario(scn))
+        assert report["stab_index"] is not None and report["violations"] == 0
+        assert sorted(calls) == expect, params
 
 
 def test_check_truncated_trace(tmp_path, capsys):
@@ -130,6 +187,34 @@ def test_check_truncated_trace(tmp_path, capsys):
     write_trace(trace_file, scn, run_scenario(scn))
     lines = open(trace_file).read().splitlines()
     open(trace_file, "w").write("\n".join(lines[:-2] + [lines[-1]]) + "\n")
+    rc = run_cli(["check", trace_file])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _drop_event_process(lines):
+    step = next(x for x in lines if x.get("type") == "step" and x["events"])
+    del step["events"][0]["process"]
+
+
+MALFORMED_FIELDS = {
+    "footer_final_states": lambda lines: lines[-1].pop("final_states"),
+    "config_states": lambda lines: lines[1].pop("states"),
+    "step_fired": lambda lines: lines[2].pop("fired"),
+    "event_process": _drop_event_process,
+    "edge_one_endpoint": lambda lines: lines[0]["edges"][0].pop(),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+def test_check_malformed_trace_field_exits_2(tmp_path, capsys, field):
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "synchronous", "steps": "40"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    MALFORMED_FIELDS[field](lines)
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     rc = run_cli(["check", trace_file])
     assert rc == 2
     assert "error:" in capsys.readouterr().err

@@ -95,7 +95,7 @@ def test_pipeline_exact_on_ring(ring8, daemon, kind):
     proto = attach_infimum(make_ws(ring8, rho), op, SOURCES[kind](7))
     suffix, _ = stabilized_suffix(proto, ring8, daemon, seed=8,
                                   max_steps=12000)
-    verdict = verify_ball_infimum(suffix, op, rho, max_phases=8)
+    verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=8)
     assert verdict.ok, verdict.mismatches[:5]
     assert verdict.phases_checked >= 4
 
@@ -107,7 +107,7 @@ def test_pipeline_exact_wave_case():
     proto = attach_infimum(make_ws(topo, rho), op, input_source(2))
     suffix, _ = stabilized_suffix(proto, topo, "central", seed=3,
                                   max_steps=15000)
-    verdict = verify_ball_infimum(suffix, op, rho, max_phases=5)
+    verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=5)
     assert verdict.ok and verdict.phases_checked >= 3
 
 
@@ -117,10 +117,10 @@ def test_verifier_catches_tampering(ring8):
     proto = attach_infimum(make_ws(ring8, rho), op, input_source(4))
     suffix, _ = stabilized_suffix(proto, ring8, "synchronous", seed=5,
                                   max_steps=2000)
-    verdict = verify_ball_infimum(suffix, op, rho, max_phases=4)
+    lt = lift(suffix)
+    verdict = verify_ball_infimum(lt, op, rho, max_phases=4)
     assert verdict.ok
     # corrupt process 3's v2 at a mid-phase level the verifier samples
-    lt = lift(suffix)
     delta = rho + 1
     first = lt.base + ring8.diameter + 1
     start = first + (-first) % delta
@@ -132,7 +132,7 @@ def test_verifier_catches_tampering(ring8):
     bad = Trace(suffix.protocol, suffix.topo,
                 [tuple(c) for c in tampered], suffix.records,
                 stop_reason=suffix.stop_reason)
-    assert not verify_ball_infimum(bad, op, rho).ok
+    assert not verify_ball_infimum(lift(bad), op, rho).ok
 
 
 def test_degenerate_radius_checks_v2_equals_v0(ring8):
@@ -141,11 +141,11 @@ def test_degenerate_radius_checks_v2_equals_v0(ring8):
     good = Trace(proto, ring8,
                  [tuple({"r": 0, "v0": 5, "v1": 5, "v2": 5, "u": 0}
                         for _ in ring8.nodes)], [])
-    assert verify_ball_infimum(good, op, 0).ok
+    assert verify_ball_infimum(lift(good), op, 0).ok
     bad = Trace(proto, ring8,
                 [tuple({"r": 0, "v0": 5, "v1": 5, "v2": 4, "u": 0}
                        for _ in ring8.nodes)], [])
-    assert not verify_ball_infimum(bad, op, 0).ok
+    assert not verify_ball_infimum(lift(bad), op, 0).ok
 
 
 def test_decide_payload_matches_ball_oracle(ring8):

@@ -101,7 +101,7 @@ def test_delay_agreement_on_stabilized_run(ring8):
     rho = 2
     proto = make_dc(ring8, rho, trivial_plugin())
     tr, wu = stabilized_dc(proto, ring8, "central", seed=3, max_steps=30000)
-    verdict = verify_delay_agreement(tr.suffix(wu), ring8, rho,
+    verdict = verify_delay_agreement(lift(tr.suffix(wu), "r2"), rho,
                                      sample_every=5)
     assert verdict.ok and bool(verdict)
     pairs = sum(1 for p in ring8.nodes for q in ring8.nodes
@@ -115,7 +115,7 @@ def test_delay_agreement_undersized_control(ring8):
     proto = make_dc(ring8, rho, trivial_plugin())
     # central daemon: slave delays stay nonzero, the short ring misreads them
     tr, wu = stabilized_dc(proto, ring8, "central", seed=4, max_steps=30000)
-    verdict = verify_delay_agreement(tr.suffix(wu), ring8, rho,
+    verdict = verify_delay_agreement(lift(tr.suffix(wu), "r2"), rho,
                                      k2_override=2 * rho + 1)
     assert not verdict.ok
     t, p, q, got, true = verdict.disagreements[0]

@@ -10,8 +10,8 @@ import pytest
 from rhosync import (CsRecord, MonitorFault, compat_gme, compat_lme,
                      compat_rw, extract_cs_records, graph_params,
                      greedy_distance_coloring, lra_monitor_start, lra_oplus,
-                     lra_order, make_lra_plugin, metrics, monitor_liveness,
-                     monitor_safety)
+                     lift, lra_order, make_lra_plugin, metrics,
+                     monitor_liveness, monitor_safety)
 from rhosync.lra import _per_pair_fairness
 from conftest import make_dc, stabilized_dc
 
@@ -24,6 +24,12 @@ def make_lra(topo, rho, kind, **kw):
 
 
 INT_LEQ = lambda a, b: a <= b
+
+
+def lifted_from(tr, wu):
+    """The liftings of r1 and r2 over the suffix from index wu."""
+    suffix = tr.suffix(wu)
+    return lift(suffix, "r1"), lift(suffix, "r2")
 
 
 # -- order and fold --------------------------------------------------------
@@ -176,7 +182,7 @@ COMPAT = {"lme": compat_lme, "gme": compat_gme, "rw": compat_rw}
 def test_safety_after_stabilization(ring8, kind, daemon):
     proto, _ = make_lra(ring8, 2, kind)
     tr, wu = stabilized_dc(proto, ring8, daemon, seed=13, max_steps=40000)
-    start = lra_monitor_start(tr, wu)
+    start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))
     assert start < len(tr.records)
     recs = extract_cs_records(tr, start=start)
     assert recs, "no privileges granted after the monitor start"
@@ -189,7 +195,7 @@ def test_break_cond_violates_safety(ring8):
     plugin = make_lra_plugin("lme", ring8, 2, k2, break_cond=True)
     proto = make_dc(ring8, 2, plugin, K2=k2)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=13, max_steps=40000)
-    start = lra_monitor_start(tr, wu)
+    start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))
     viol = monitor_safety(tr, 2, compat_lme, start=start)
     assert viol
 
@@ -198,8 +204,8 @@ def test_break_cond_violates_safety(ring8):
 def test_liveness_every_process_served(ring8, kind):
     proto, _ = make_lra(ring8, 2, kind)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=21, max_steps=60000)
-    start = lra_monitor_start(tr, wu)
-    report = monitor_liveness(tr, start=start)
+    lt1, lt2 = lifted_from(tr, wu)
+    report = monitor_liveness(lt2.suffix(lra_monitor_start(lt1)))
     assert report.min_count >= 1
     assert report.potentials
     for row in report.potentials:
@@ -207,13 +213,42 @@ def test_liveness_every_process_served(ring8, kind):
             assert abs(v) <= report.potential_bound
 
 
+def test_lifted_suffix_matches_fresh_lift(ring8):
+    # LiftedTrace.suffix(i) must agree with lift(trace.suffix(i)) up to one
+    # multiple of the period, and the monitors must not see the difference.
+    proto, _ = make_lra(ring8, 1, "lme")
+    tr, wu = stabilized_dc(proto, ring8, "central", seed=7, max_steps=6000)
+    lt1, lt2 = lifted_from(tr, wu)
+    suffix = tr.suffix(wu)
+    n = len(suffix.records)
+    shifted = False
+    for i in (0, 1, lra_monitor_start(lt1), n // 3, n // 2, n - 1, n):
+        sub = suffix.suffix(i)
+        fresh1, fresh2 = lift(sub, "r1"), lift(sub, "r2")
+        for sliced, fresh in ((lt1.suffix(i), fresh1),
+                              (lt2.suffix(i), fresh2)):
+            assert sliced.trace.configs == sub.configs
+            assert len(sliced.values) == len(fresh.values)
+            offsets = {a - b for srow, frow in zip(sliced.values, fresh.values)
+                       for a, b in zip(srow, frow)}
+            assert len(offsets) == 1
+            offset = offsets.pop()
+            assert offset % proto.clock_registers[sliced.reg].period == 0
+            assert sliced.base - fresh.base == offset
+            shifted = shifted or offset != 0
+        assert lra_monitor_start(lt1.suffix(i)) == lra_monitor_start(fresh1)
+        assert metrics(lt1.suffix(i)) == metrics(fresh1)
+        assert monitor_liveness(lt2.suffix(i)) == monitor_liveness(fresh2)
+    assert shifted, "no suffix exercised a nonzero offset"
+
+
 def test_metrics_bounds_and_comms(ring8):
     rho = 2
     proto, _ = make_lra(ring8, rho, "lme")
     tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=2,
                            max_steps=40000)
-    start = lra_monitor_start(tr, wu)
-    m = metrics(tr, ring8, rho, start=start)
+    lt1, _lt2 = lifted_from(tr, wu)
+    m = metrics(lt1.suffix(lra_monitor_start(lt1)))
     assert not m.partial
     assert m.cs_total > 0
     assert m.fairness_index <= math.ceil(ring8.diameter / rho)
@@ -225,11 +260,11 @@ def test_metrics_bounds_and_comms(ring8):
         assert c == 2 * (rho + 1) * ring8.edge_count
 
 
-def test_metrics_without_stabilization_is_partial(ring8):
+def test_metrics_on_suffix_shorter_than_a_phase_is_partial(ring8):
     proto, _ = make_lra(ring8, 1, "lme")
-    tr, _ = stabilized_dc(proto, ring8, "central", seed=5, max_steps=40000)
-    short = tr.suffix(0)
-    short.configs = short.configs[:3]
-    short.records = short.records[:2]
-    m = metrics(short, ring8, 1)
+    tr, wu = stabilized_dc(proto, ring8, "central", seed=5, max_steps=40000)
+    lt1, _lt2 = lifted_from(tr, wu)
+    short = lt1.suffix(len(lt1.values) - 3)
+    m = metrics(short)
     assert m.partial
+    assert m.comms_per_phase == []
