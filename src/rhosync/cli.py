@@ -26,8 +26,8 @@ from .kernel import (DaemonPolicy, HookEvent, Trace, TransitionRecord,
                      run, step, uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
     verify_delay_agreement
-from .lra import (compat_gme, compat_lme, compat_rw, lra_monitor_start,
-                  make_lra_plugin, metrics, monitor_liveness, monitor_safety)
+from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
+                  metrics, monitor_liveness, monitor_safety)
 from .topology import (Topology, TopologyError, generate, graph_params,
                        load_topology, parse_edge_list)
 from .unison import LiftedTrace, SizingError, build_ss_ws, is_wu0, lift
@@ -350,19 +350,21 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         report["delay_pairs"] = agree.pairs_checked
         report["delay_disagreements"] = len(agree.disagreements)
         violations += len(agree.disagreements)
-        compat = {"lme": compat_lme, "gme": compat_gme, "rw": compat_rw,
-                  "trivial": lambda a, b: True}[scn.proto]
         # Score from the first phase whose elections only see
-        # post-stabilization inputs.
+        # post-stabilization inputs: every LRA monitor reads the one list
+        # of privileges granted from there on.
         mon = lra_monitor_start(lt1)
         report["monitor_start"] = stab + mon
-        safety = monitor_safety(trace, rho, compat, start=stab + mon)
+        lt1, lt2 = lt1.suffix(mon), lt2.suffix(mon)
+        recs = extract_cs_records(lt1.trace)
+        compat = trace.protocol.meta["plugin"].compat
+        safety = monitor_safety(recs, topo, rho, compat)
         report["safety_violations"] = len(safety)
         violations += len(safety)
-        live = monitor_liveness(lt2.suffix(mon))
+        live = monitor_liveness(lt2, recs)
         report["cs_min_count"] = live.min_count
         report["cs_max_gap"] = live.max_gap
-        m = metrics(lt1.suffix(mon))
+        m = metrics(lt1, recs)
         report["fairness_index"] = m.fairness_index
         report["service_time"] = m.service_time
         report["fairness_bound"] = math.ceil(topo.diameter / rho)
@@ -414,10 +416,9 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
             "stop_reason": trace.stop_reason}) + "\n")
         fh.write(json.dumps({
             "type": "config", "states": list(trace.configs[0])}) + "\n")
-        for rec in trace.records:
+        for i, rec in enumerate(trace.records):
             fh.write(json.dumps({
-                "type": "step", "step": rec.step,
-                "selected": list(rec.selected),
+                "type": "step", "step": i, "selected": list(rec.fired),
                 "fired": {str(p): lab for p, lab in rec.fired.items()},
                 "events": [{"process": ev.process, "kind": ev.kind,
                             "payload": ev.payload} for ev in rec.events],
@@ -481,7 +482,7 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
         try:
-            cfg, rec = step(cfg, line["selected"], proto, topo, step_index=i,
+            cfg, rec = step(cfg, line["selected"], proto, topo,
                             first_enabled=first)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc

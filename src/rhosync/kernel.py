@@ -144,8 +144,10 @@ class HookEvent:
 
 @dataclass
 class TransitionRecord:
-    step: int
-    selected: tuple[int, ...]
+    """One step.  `fired` maps every selected process, in ascending order,
+    to the label of the action it fired; a record's step number is its
+    position in a trace."""
+
     fired: dict[int, str]
     internal: dict[int, bool]
     reads: dict[int, tuple[tuple[int, str], ...]]
@@ -168,8 +170,8 @@ class Trace:
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.
 
-        The records are shared, not copied: they keep their run step
-        numbers, so consumers index by position, not by `rec.step`.
+        The records are shared, not copied; a record's step number is its
+        position in the trace that holds it.
         """
         return Trace(self.protocol, self.topo, self.configs[start:],
                      self.records[start:], stop_reason=self.stop_reason)
@@ -205,7 +207,7 @@ def first_enabled_map(c: Configuration, proto: ProtocolDef,
 
 
 def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
-         topo: Topology, step_index: int = 0,
+         topo: Topology,
          first_enabled: dict[int, Action] | None = None,
          ) -> tuple[Configuration, TransitionRecord]:
     """Fire the highest-priority enabled action of every selected process.
@@ -274,8 +276,7 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
         elif first_enabled.pop(p, None) is not None and p not in fired:
             neutralized.append(p)
 
-    rec = TransitionRecord(step=step_index, selected=tuple(selection),
-                           fired=fired, internal=internal, reads=reads,
+    rec = TransitionRecord(fired=fired, internal=internal, reads=reads,
                            neutralized=tuple(sorted(neutralized)),
                            changed=changed, events=tuple(events))
     return c_next, rec
@@ -383,8 +384,7 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
             trace.stop_reason = "quiescence"
             return trace
         selection = dstate.select(sorted(first), i)
-        cfg, rec = step(cfg, selection, proto, topo, step_index=i,
-                        first_enabled=first)
+        cfg, rec = step(cfg, selection, proto, topo, first_enabled=first)
         trace.configs.append(cfg)
         trace.records.append(rec)
         if stop_predicate is not None and stop_predicate(cfg):

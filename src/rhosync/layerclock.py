@@ -10,7 +10,7 @@ conditions allow, which realizes a barrier synchronization at distance rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
@@ -40,6 +40,8 @@ class CondPlugin:
     initialization runs at every phase boundary (it receives the slave value
     after a possible increment); computation runs at every other master
     step.  critical_section runs when cond holds and may emit cs events.
+    compat says which resource pairs may be held within distance rho at
+    once (the safety monitor's relation; by default every pair).
     """
 
     name: str
@@ -51,7 +53,7 @@ class CondPlugin:
     computation: Callable[[View, Callable], dict[str, Any]] = \
         lambda view, emit: {}
     critical_section: Callable[[View, Callable], None] = lambda view, emit: None
-    meta: dict[str, Any] = field(default_factory=dict)
+    compat: Callable[[Any, Any], bool] = lambda a, b: True
 
 
 def trivial_plugin() -> CondPlugin:
@@ -120,7 +122,7 @@ def build_ss_dc(topo: Topology, rho: int, *, K: int, K2: int,
         registers=registers,
         clock_registers={"r1": sys1, "r2": sys2},
         meta={"rho": rho, "delta": delta, "K": K, "K2": K2,
-              "plugin": plugin.name, "topo": topo},
+              "plugin": plugin, "topo": topo},
     )
 
 

@@ -60,17 +60,15 @@ def lra_order(x: tuple[int, Any], y: tuple[int, Any], K2: int, rho: int,
     return sigma_leq(v, v2)
 
 
-def lra_oplus(x, y, K2: int, rho: int, sigma_leq, *, strict: bool = True):
+def lra_oplus(x, y, K2: int, rho: int, sigma_leq):
     """The election fold: the order-smaller of two candidates.
 
-    With strict=False an incomparable clock pair degrades to picking x
-    (pre-stabilization garbage must not crash the run).
+    An incomparable clock pair degrades to picking x (pre-stabilization
+    garbage must not crash the run).
     """
     try:
         return x if lra_order(x, y, K2, rho, sigma_leq) else y
     except MonitorFault:
-        if strict:
-            raise
         return x
 
 
@@ -85,15 +83,6 @@ def greedy_distance_coloring(topo: Topology, radius: int) -> list[int]:
             c += 1
         colors[p] = c
     return colors
-
-
-def _validate_coloring(topo: Topology, radius: int, colors: list[int]) -> None:
-    for p in topo.nodes:
-        for q in topo.nodes:
-            if p < q and topo.dist[p][q] <= radius and colors[p] == colors[q]:
-                raise ValueError(
-                    f"invalid coloring: nodes {p} and {q} at distance "
-                    f"{topo.dist[p][q]} <= {radius} share color {colors[p]}")
 
 
 # Readers-writers request encoding: the free value ranks above every
@@ -114,18 +103,18 @@ def _rw_leq(v, v2) -> bool:
 
 
 def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
-                    colors: list[int] | None = None,
                     group_count: int = 3,
                     request_seed: int = 0,
                     break_cond: bool = False) -> CondPlugin:
     """Build the lme / gme / rw plugin.
 
-    lme: values are a 2*rho-distance coloring (computed greedily unless
-    supplied; invalid colorings are refused).  gme: values are seeded
-    random group ids under the natural total order.  rw: each process
-    draws a request from {N,R,W} per phase (seeded random stream); values
-    encode free/writer claims.  break_cond replaces cond with constant
-    truth (negative control for the safety monitors).
+    lme: values are a greedy 2*rho-distance coloring.  gme: values are
+    seeded random group ids under the natural total order.  rw: each
+    process draws a request from {N,R,W} per phase (seeded random stream);
+    values encode free/writer claims.  The plugin carries the kind's
+    compatibility relation, which the safety monitor checks.  break_cond
+    replaces cond with constant truth (negative control for the safety
+    monitors).
     """
 
     def elected(view: View) -> bool:
@@ -134,9 +123,8 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     request_of: Callable[[int, int], str] | None = None
     extra: tuple[RegisterSpec, ...] = ()
     if kind == "lme":
-        cols = colors if colors is not None else \
-            greedy_distance_coloring(topo, 2 * rho)
-        _validate_coloring(topo, 2 * rho, cols)
+        cols = greedy_distance_coloring(topo, 2 * rho)
+        compat = compat_lme
         sigma_leq = lambda a, b: a <= b
         value_of: Callable[[int, int], Any] = lambda p, phase: cols[p]
         sampler = lambda rng: rng.randrange(0, max(cols) + 1)
@@ -145,6 +133,7 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     elif kind == "gme":
         grp = [random.Random(request_seed + p).randrange(group_count)
                for p in topo.nodes]
+        compat = compat_gme
         sigma_leq = lambda a, b: a <= b
         value_of = lambda p, phase: grp[p]
         sampler = lambda rng: rng.randrange(0, max(max(grp), 1) + 1)
@@ -160,6 +149,7 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
             rng = random.Random(f"req:{request_seed}:{p}:{phase}")
             return rng.choices("NRW", weights=(2, 5, 3))[0]
 
+        compat = compat_rw
         sigma_leq = _rw_leq
         value_of = lambda p, phase: _rw_encode(request_of(p, phase), p)
         sampler = lambda rng: _rw_encode(rng.choice("NRW"),
@@ -196,8 +186,7 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
             # Neighbors one master tick ahead already folded this stage:
             # take their previous-stage result.
             slot = "res2" if view.nget(q, "r1") == r1 else "res1"
-            acc = lra_oplus(acc, view.nget(q, slot), K2, rho, sigma_leq,
-                            strict=False)
+            acc = lra_oplus(acc, view.nget(q, slot), K2, rho, sigma_leq)
         return acc
 
     def computation(view: View, emit) -> dict[str, Any]:
@@ -234,8 +223,7 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         initialization=initialization,
         computation=computation,
         critical_section=critical_section,
-        meta={"kind": kind, "rho": rho, "K2": K2,
-              "colors": colors, "sigma_leq": sigma_leq},
+        compat=compat,
     )
 
 
@@ -267,11 +255,11 @@ class CsRecord:
     resource: Any
     entry: int
     exit: int  # step index of the process's next action (half-open interval)
-    phase: int | None = None
 
 
-def extract_cs_records(trace: Trace, *, start: int = 0) -> list[CsRecord]:
-    """Critical-section intervals from the cs events of a trace.
+def extract_cs_records(trace: Trace) -> list[CsRecord]:
+    """Critical-section intervals from the cs events of a trace, sorted by
+    (entry, process).
 
     A privilege lasts from its entry step until the holder's next action
     (or the end of the trace).  Steps are record positions in `trace`.
@@ -282,7 +270,7 @@ def extract_cs_records(trace: Trace, *, start: int = 0) -> list[CsRecord]:
             fires[p].append(step)
     records: list[CsRecord] = []
     end = len(trace.records)
-    for step, rec in enumerate(trace.records[start:], start=start):
+    for step, rec in enumerate(trace.records):
         for ev in rec.events:
             if ev.kind != "cs":
                 continue
@@ -305,10 +293,8 @@ def compat_rw(a: Any, b: Any) -> bool:
     return a == ("R",) and b == ("R",)
 
 
-def monitor_safety(trace: Trace, rho: int,
+def monitor_safety(records: list[CsRecord], topo: Topology, rho: int,
                    compat: Callable[[Any, Any], bool],
-                   *, start: int = 0,
-                   records: list[CsRecord] | None = None,
                    ) -> list[tuple[CsRecord, CsRecord]]:
     """Pairs of overlapping privileges within distance rho holding
     incompatible resources (empty means safe).
@@ -316,12 +302,9 @@ def monitor_safety(trace: Trace, rho: int,
     Interval sweep over entry-sorted records; the active set stays small
     (at most one open privilege per process), so the scan is near-linear.
     """
-    recs = records if records is not None else \
-        extract_cs_records(trace, start=start)
-    topo = trace.topo
     violations = []
     active: list[CsRecord] = []
-    for b in sorted(recs, key=lambda r: (r.entry, r.process)):
+    for b in sorted(records, key=lambda r: (r.entry, r.process)):
         active = [a for a in active if a.exit > b.entry]
         for a in active:
             if a.process == b.process:
@@ -332,6 +315,15 @@ def monitor_safety(trace: Trace, rho: int,
                 violations.append((a, b))
         active.append(b)
     return violations
+
+
+def _entries(records: list[CsRecord], nodes) -> dict[int, list[int]]:
+    """Each process's entry steps, in record order (ascending for records
+    sorted by entry)."""
+    entries: dict[int, list[int]] = {p: [] for p in nodes}
+    for r in records:
+        entries[r.process].append(r.entry)
+    return entries
 
 
 @dataclass
@@ -346,29 +338,23 @@ class LivenessReport:
         return min(self.cs_counts.values())
 
 
-def monitor_liveness(lt2: LiftedTrace, *,
+def monitor_liveness(lt2: LiftedTrace, records: list[CsRecord], *,
                      sample_every: int = 10) -> LivenessReport:
     """Per-process privilege counts plus the slave-delay potential
     trajectory witnessing no-starvation (bounded by n*D), over the trace of
-    the lifted slave register `lt2`."""
+    the lifted slave register `lt2` and its privileges `records`."""
     topo = lt2.trace.topo
-    recs = extract_cs_records(lt2.trace)
-    counts = {p: 0 for p in topo.nodes}
-    for r in recs:
-        counts[r.process] += 1
-    entries: dict[int, list[int]] = {p: [] for p in topo.nodes}
-    for r in recs:
-        entries[r.process].append(r.entry)
+    entries = _entries(records, topo.nodes)
     max_gap = 0
-    for p, es in entries.items():
+    for es in entries.values():
         for a, b in zip(es, es[1:]):
             max_gap = max(max_gap, b - a)
     potentials = [[sum(row[q] - row[p] for q in topo.nodes)
                    for p in topo.nodes]
                   for row in lt2.values[::sample_every]]
     return LivenessReport(
-        cs_counts=counts, max_gap=max_gap, potentials=potentials,
-        potential_bound=topo.node_count * topo.diameter)
+        cs_counts={p: len(es) for p, es in entries.items()}, max_gap=max_gap,
+        potentials=potentials, potential_bound=topo.node_count * topo.diameter)
 
 
 @dataclass
@@ -380,35 +366,33 @@ class Metrics:
     partial: bool = False
 
 
-def _per_pair_fairness(recs: list[CsRecord], nodes) -> tuple[int | None, int | None]:
-    entries: dict[int, list[int]] = {p: [] for p in nodes}
-    for r in sorted(recs, key=lambda r: r.entry):
-        entries[r.process].append(r.entry)
+def _per_pair_fairness(entries: dict[int, list[int]]
+                       ) -> tuple[int | None, int | None]:
     fairness = None
     service = None
-    for p in nodes:
-        es = entries[p]
+    for p, es in entries.items():
         for a, b in zip(es, es[1:]):
             others_total = 0
-            for q in nodes:
+            for q, eq in entries.items():
                 if q == p:
                     continue
-                cnt = bisect_left(entries[q], b) - bisect_right(entries[q], a)
+                cnt = bisect_left(eq, b) - bisect_right(eq, a)
                 fairness = cnt if fairness is None else max(fairness, cnt)
                 others_total += cnt
             service = others_total if service is None else max(service, others_total)
     return fairness, service
 
 
-def metrics(lt1: LiftedTrace) -> Metrics:
+def metrics(lt1: LiftedTrace, records: list[CsRecord]) -> Metrics:
     """Fairness index, service time and per-phase communication counts over
-    the trace of the lifted master register `lt1`."""
-    recs = extract_cs_records(lt1.trace)
-    fairness, service = _per_pair_fairness(recs, lt1.trace.topo.nodes)
+    the trace of the lifted master register `lt1` and its privileges
+    `records`."""
+    fairness, service = _per_pair_fairness(
+        _entries(records, lt1.trace.topo.nodes))
     comms = _comms_per_phase(lt1)
     return Metrics(
         fairness_index=fairness, service_time=service,
-        comms_per_phase=comms, cs_total=len(recs),
+        comms_per_phase=comms, cs_total=len(records),
         partial=fairness is None or len(comms) == 0)
 
 

@@ -384,7 +384,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     base = c0[p_min][reg]
     current = [base + delays[p] - delays[p_min] for p in topo.nodes]
     values = [list(current)]
-    for cfg, rec in zip(trace.configs, trace.records):
+    for i, (cfg, rec) in enumerate(zip(trace.configs, trace.records)):
         for p, updates in rec.changed.items():
             if reg in updates:
                 old = cfg[p][reg]
@@ -393,7 +393,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
                     current[p] += 1
                 elif new != old:
                     raise LiftError(
-                        f"step {rec.step}: process {p} changed {reg} from "
+                        f"step {i}: process {p} changed {reg} from "
                         f"{old} to {new}, not by one increment")
         values.append(list(current))
     return LiftedTrace(trace=trace, reg=reg, base=base, values=values)

@@ -12,9 +12,9 @@ import random
 import pytest
 
 from rhosync import (DaemonPolicy, build_event_graph, check_closure,
-                     check_wavelet, compat_gme, compat_lme, compat_rw,
-                     cut_for_level, generate, graph_params, is_wu, is_wu0,
-                     lift, lra_monitor_start, make_infimum, make_lra_plugin,
+                     check_wavelet, cut_for_level, extract_cs_records,
+                     generate, graph_params, is_wu, is_wu0, lift,
+                     lra_monitor_start, make_infimum, make_lra_plugin,
                      metrics, monitor_safety, random_configuration,
                      round_count, run, stabilization_indices, trivial_plugin,
                      verify_ball_infimum, verify_delay_agreement)
@@ -65,12 +65,11 @@ def _dc_cell(kind, topo, daemon, seed, rho=1, break_cond=False):
     t2 = run(proto, topo, DaemonPolicy(kind=daemon, seed=seed + 1),
              t1.configs[-1], max_steps=window)
     lt1 = lift(t2, "r1")
-    mon = lra_monitor_start(lt1)
-    compat = {"lme": compat_lme, "gme": compat_gme, "rw": compat_rw,
-              "trivial": lambda a, b: True}[kind]
-    safety = monitor_safety(t2, rho, compat, start=mon)
     agree = verify_delay_agreement(lift(t2, "r2"), rho, sample_every=4)
-    m = metrics(lt1.suffix(mon))
+    lt1 = lt1.suffix(lra_monitor_start(lt1))
+    recs = extract_cs_records(lt1.trace)
+    safety = monitor_safety(recs, topo, rho, plugin.compat)
+    m = metrics(lt1, recs)
     return {
         "n": topo.node_count, "diameter": topo.diameter, "rho": rho,
         "daemon": daemon, "w1": w1, "wu": wu, "stab_steps": len(t1.records),
@@ -323,7 +322,8 @@ def test_criterion_7_fairness(ring8, lme_matrix):
     tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=2,
                            max_steps=4000)
     lt1 = lift(tr.suffix(wu), "r1")
-    m = metrics(lt1.suffix(lra_monitor_start(lt1)))
+    lt1 = lt1.suffix(lra_monitor_start(lt1))
+    m = metrics(lt1, extract_cs_records(lt1.trace))
     bound = math.ceil(ring8.diameter / 2)
     ok = over == 0 and scored >= len(lme_matrix) // 2 \
         and m.fairness_index is not None and m.fairness_index <= bound
@@ -354,7 +354,8 @@ def test_criterion_8_comms(ring8, path6, grid23):
             proto = make_dc(topo, rho, trivial_plugin())
             tr, wu = stabilized_dc(proto, topo, "synchronous", seed=rho,
                                    max_steps=3000)
-            m = metrics(lift(tr.suffix(wu), "r1"))
+            lt1 = lift(tr.suffix(wu), "r1")
+            m = metrics(lt1, extract_cs_records(lt1.trace))
             expect = 2 * (rho + 1) * topo.edge_count
             assert m.comms_per_phase, (name, rho)
             checked += len(m.comms_per_phase)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rhosync import unison
+from rhosync import lra, unison
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -154,21 +154,27 @@ def test_malformed_init_file_exits_2(tmp_path, capsys, states):
     assert "error:" in capsys.readouterr().err
 
 
-def test_analyze_lifts_each_clock_register_once(monkeypatch):
-    # Count calls through every rhosync binding of `lift`: a monitor that
-    # lifts on its own shows up as an extra call.
-    original = unison.lift
+def _count_calls(monkeypatch, original, record):
+    """Route every rhosync binding of `original` through a wrapper that
+    appends record(*args, **kwargs) to the returned list before the call."""
     calls = []
 
-    def counting(trace, reg="r"):
-        calls.append(reg)
-        return original(trace, reg)
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "rhosync" or name.startswith("rhosync."):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_analyze_lifts_each_clock_register_once(monkeypatch):
+    # a monitor that lifts on its own shows up as an extra call
+    calls = _count_calls(monkeypatch, unison.lift,
+                         lambda trace, reg="r": reg)
     for params, expect in (
             ({"topo": "ring:6", "proto": "ss_ws", "rho": "2",
               "infimum": "min_int"}, ["r"]),
@@ -178,6 +184,18 @@ def test_analyze_lifts_each_clock_register_once(monkeypatch):
         report = analyze(scn, run_scenario(scn))
         assert report["stab_index"] is not None and report["violations"] == 0
         assert sorted(calls) == expect, params
+
+
+def test_analyze_extracts_cs_records_once(monkeypatch):
+    # the safety, liveness and metrics monitors share one record list
+    calls = _count_calls(monkeypatch, lra.extract_cs_records,
+                         lambda trace, **_: len(trace.records))
+    scn = scenario_from({"topo": "ring:6", "proto": "lme", "rho": "1"}, {})
+    trace = run_scenario(scn)
+    report = analyze(scn, trace)
+    assert report["violations"] == 0 and report["cs_total"] > 0
+    # once, over the suffix from the monitor start
+    assert calls == [len(trace.records) - report["monitor_start"]]
 
 
 def test_check_truncated_trace(tmp_path, capsys):

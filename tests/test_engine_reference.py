@@ -25,7 +25,7 @@ from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
 from rhosync.kernel import make_daemon
 
 
-def reference_step(c, selection, proto, topo, step_index):
+def reference_step(c, selection, proto, topo):
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
@@ -49,8 +49,7 @@ def reference_step(c, selection, proto, topo, step_index):
     after = enabled_map(c_next, proto, topo)
     neutralized = tuple(p for p in topo.nodes
                         if p in before and p not in fired and p not in after)
-    rec = TransitionRecord(step=step_index, selected=tuple(selection),
-                           fired=fired, internal=internal, reads=reads,
+    rec = TransitionRecord(fired=fired, internal=internal, reads=reads,
                            neutralized=neutralized, changed=changed,
                            events=tuple(events))
     return c_next, rec
@@ -65,7 +64,7 @@ def reference_run(proto, topo, daemon, init, max_steps):
         if not en:
             return configs, records, "quiescence"
         cfg, rec = reference_step(cfg, dstate.select(sorted(en), i),
-                                  proto, topo, i)
+                                  proto, topo)
         configs.append(cfg)
         records.append(rec)
     return configs, records, "budget"
@@ -186,9 +185,10 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
     trace = run(proto, topo, make_daemon_policy(scn), make_init(scn, proto, topo),
                 max_steps=steps, stop_predicate=snapshot)
     assert len(trace.records) == steps == 8352
-    for rec, lo, hi in zip(trace.records, per_step, per_step[1:]):
-        ball = set(rec.selected)
-        for p in rec.selected:
+    for i, (rec, lo, hi) in enumerate(zip(trace.records, per_step,
+                                          per_step[1:])):
+        ball = set(rec.fired)
+        for p in rec.fired:
             ball |= topo.adjacency[p]
-        assert hi - lo <= len(rec.selected) + len(proto.actions) * len(ball), \
-            f"step {rec.step} evaluated {hi - lo} guards"
+        assert hi - lo <= len(rec.fired) + len(proto.actions) * len(ball), \
+            f"step {i} evaluated {hi - lo} guards"

@@ -158,12 +158,12 @@ def test_decide_payload_matches_ball_oracle(ring8):
     tr = run(proto, ring8, DaemonPolicy(kind="synchronous"),
              uniform_configuration(proto, ring8), max_steps=400)
     seen = 0
-    for rec in tr.records:
+    for i, rec in enumerate(tr.records):
         for ev in rec.events:
             if ev.kind != "decide":
                 continue
             p = ev.process
-            phase = tr.configs[rec.step][p]["u"]
+            phase = tr.configs[i][p]["u"]
             if phase < 1:
                 continue  # phase 0 aggregates the identity defaults
             expect = op.fold(src(q, phase) for q in ball(ring8, p, rho))

@@ -200,7 +200,7 @@ def test_run_deterministic_per_seed(ring8):
     b = run(proto, ring8, DaemonPolicy(kind="distributed_random", seed=9),
             init, max_steps=40)
     assert a.configs == b.configs
-    assert [r.selected for r in a.records] == [r.selected for r in b.records]
+    assert [r.fired for r in a.records] == [r.fired for r in b.records]
 
 
 def test_trace_suffix_shares_records(ring8):
@@ -210,8 +210,8 @@ def test_trace_suffix_shares_records(ring8):
              max_steps=10)
     suf = tr.suffix(4)
     assert len(suf.configs) == 7
+    assert len(suf.records) == 6
     assert all(a is b for a, b in zip(suf.records, tr.records[4:]))
-    assert [r.step for r in suf.records] == list(range(4, 10))
     assert suf.configs[0] == tr.configs[4]
 
 

@@ -53,9 +53,10 @@ def test_build_rejects_small_k2_unless_allowed(ring8):
 
 
 def test_meta_and_registers(ring8):
-    proto = make_dc(ring8, 2, trivial_plugin())
+    plugin = trivial_plugin()
+    proto = make_dc(ring8, 2, plugin)
     assert proto.meta["delta"] == 3
-    assert proto.meta["plugin"] == "trivial"
+    assert proto.meta["plugin"] is plugin
     names = [r.name for r in proto.registers]
     assert names[:2] == ["r1", "r2"]
 

@@ -11,8 +11,8 @@ from rhosync import (CsRecord, MonitorFault, compat_gme, compat_lme,
                      compat_rw, extract_cs_records, graph_params,
                      greedy_distance_coloring, lra_monitor_start, lra_oplus,
                      lift, lra_order, make_lra_plugin, metrics,
-                     monitor_liveness, monitor_safety)
-from rhosync.lra import _per_pair_fairness
+                     monitor_liveness, monitor_safety, trivial_plugin)
+from rhosync.lra import _entries, _per_pair_fairness, _rw_leq
 from conftest import make_dc, stabilized_dc
 
 
@@ -55,14 +55,11 @@ def test_order_incomparable_raises():
 def test_oplus_picks_smaller_and_degrades():
     assert lra_oplus((0, 9), (2, 0), 9, 2, INT_LEQ) == (0, 9)
     assert lra_oplus((3, 2), (3, 1), 9, 2, INT_LEQ) == (3, 1)
-    with pytest.raises(MonitorFault):
-        lra_oplus((0, 0), (5, 0), 11, 2, INT_LEQ)
-    assert lra_oplus((0, 0), (5, 0), 11, 2, INT_LEQ, strict=False) == (0, 0)
+    assert lra_oplus((0, 0), (5, 0), 11, 2, INT_LEQ) == (0, 0)
 
 
-def test_rw_value_order(ring8):
-    plugin = make_lra_plugin("rw", ring8, 1, 9)
-    leq = plugin.meta["sigma_leq"]
+def test_rw_value_order():
+    leq = _rw_leq
     free = ("F",)
     assert leq(free, free)
     assert leq(("W", 1), free) and not leq(free, ("W", 1))
@@ -81,14 +78,23 @@ def test_greedy_coloring_valid(ring8, radius):
                 assert cols[p] != cols[q]
 
 
-def test_invalid_coloring_refused(ring8):
-    with pytest.raises(ValueError):
-        make_lra_plugin("lme", ring8, 1, 9, colors=[0] * ring8.node_count)
-
-
 def test_unknown_kind_refused(ring8):
     with pytest.raises(ValueError):
         make_lra_plugin("dining", ring8, 1, 9)
+
+
+def test_plugin_carries_its_compat(ring8):
+    for kind, compat in (("lme", compat_lme), ("gme", compat_gme),
+                         ("rw", compat_rw)):
+        assert make_lra_plugin(kind, ring8, 1, 9).compat is compat
+    assert make_lra_plugin("lme", ring8, 1, 9, break_cond=True).compat \
+        is compat_lme
+    anything = trivial_plugin().compat
+    for a, b in ((None, None), (0, 1), (("W", 1), ("W", 2)), ("x", ("R",))):
+        assert anything(a, b)
+    # the relations differ where the kinds differ
+    assert compat_rw(("R",), ("R",)) and not compat_rw(("W", 1), ("W", 1))
+    assert compat_lme(3, 3) and not compat_lme(3, 4)
 
 
 # -- privilege extraction and monitors on synthetic data -------------------
@@ -97,9 +103,9 @@ def test_unknown_kind_refused(ring8):
 def test_extract_cs_records_against_fire_times(ring8):
     proto, _ = make_lra(ring8, 1, "lme")
     tr, wu = stabilized_dc(proto, ring8, "central", seed=6, max_steps=40000)
-    recs = extract_cs_records(tr, start=wu)
-    assert recs
-    fires = {p: [r.step for r in tr.records if p in r.fired]
+    recs = extract_cs_records(tr)
+    assert any(r.entry >= wu for r in recs)
+    fires = {p: [i for i, r in enumerate(tr.records) if p in r.fired]
              for p in ring8.nodes}
     for r in recs:
         # the privilege opens at a step where the holder acted
@@ -111,7 +117,22 @@ def test_extract_cs_records_against_fire_times(ring8):
     # on a suffix, steps are positions within the suffix
     shifted = [(r.process, r.entry + wu, r.exit + wu)
                for r in extract_cs_records(tr.suffix(wu))]
-    assert shifted == [(r.process, r.entry, r.exit) for r in recs]
+    assert shifted == [(r.process, r.entry, r.exit) for r in recs
+                       if r.entry >= wu]
+
+
+def test_extract_cs_records_sorted_by_entry_then_process(ring8):
+    # synchronous: every process fires every step, so several processes
+    # enter at the same step and the process order within a step shows
+    proto = make_dc(ring8, 1, trivial_plugin())
+    tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=4)
+    recs = extract_cs_records(tr.suffix(wu))
+    keys = [(r.entry, r.process) for r in recs]
+    assert keys == sorted(keys)
+    per_step = {}
+    for r in recs:
+        per_step[r.entry] = per_step.get(r.entry, 0) + 1
+    assert max(per_step.values()) >= 2
 
 
 def brute_safety(recs, topo, rho, compat):
@@ -136,10 +157,7 @@ def test_monitor_safety_matches_brute_force(ring8):
         e = rng.randrange(200)
         recs.append(CsRecord(process=p, resource=rng.randrange(2),
                              entry=e, exit=e + rng.randrange(1, 8)))
-    # with explicit records the trace only supplies the topology
-    class _T:
-        topo = ring8
-    viol = monitor_safety(_T(), 2, lambda a, b: a == b, records=recs)
+    viol = monitor_safety(recs, ring8, 2, lambda a, b: a == b)
     got = {frozenset([(a.process, a.entry), (b.process, b.entry)])
            for a, b in viol}
     assert got == brute_safety(recs, ring8, 2, lambda a, b: a == b)
@@ -152,7 +170,8 @@ def test_per_pair_fairness_matches_brute_force(ring8):
         p = rng.randrange(8)
         e = rng.randrange(300)
         recs.append(CsRecord(process=p, resource=0, entry=e, exit=e + 1))
-    fairness, service = _per_pair_fairness(recs, ring8.nodes)
+    recs.sort(key=lambda r: (r.entry, r.process))
+    fairness, service = _per_pair_fairness(_entries(recs, ring8.nodes))
     entries = {p: sorted(r.entry for r in recs if r.process == p)
                for p in ring8.nodes}
     bf = bs = None
@@ -184,9 +203,9 @@ def test_safety_after_stabilization(ring8, kind, daemon):
     tr, wu = stabilized_dc(proto, ring8, daemon, seed=13, max_steps=40000)
     start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))
     assert start < len(tr.records)
-    recs = extract_cs_records(tr, start=start)
+    recs = extract_cs_records(tr.suffix(start))
     assert recs, "no privileges granted after the monitor start"
-    assert monitor_safety(tr, 2, COMPAT[kind], records=recs) == []
+    assert monitor_safety(recs, ring8, 2, COMPAT[kind]) == []
 
 
 def test_break_cond_violates_safety(ring8):
@@ -196,7 +215,8 @@ def test_break_cond_violates_safety(ring8):
     proto = make_dc(ring8, 2, plugin, K2=k2)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=13, max_steps=40000)
     start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))
-    viol = monitor_safety(tr, 2, compat_lme, start=start)
+    viol = monitor_safety(extract_cs_records(tr.suffix(start)), ring8, 2,
+                          compat_lme)
     assert viol
 
 
@@ -205,7 +225,8 @@ def test_liveness_every_process_served(ring8, kind):
     proto, _ = make_lra(ring8, 2, kind)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=21, max_steps=60000)
     lt1, lt2 = lifted_from(tr, wu)
-    report = monitor_liveness(lt2.suffix(lra_monitor_start(lt1)))
+    lt2 = lt2.suffix(lra_monitor_start(lt1))
+    report = monitor_liveness(lt2, extract_cs_records(lt2.trace))
     assert report.min_count >= 1
     assert report.potentials
     for row in report.potentials:
@@ -236,9 +257,11 @@ def test_lifted_suffix_matches_fresh_lift(ring8):
             assert offset % proto.clock_registers[sliced.reg].period == 0
             assert sliced.base - fresh.base == offset
             shifted = shifted or offset != 0
+        recs = extract_cs_records(sub)
         assert lra_monitor_start(lt1.suffix(i)) == lra_monitor_start(fresh1)
-        assert metrics(lt1.suffix(i)) == metrics(fresh1)
-        assert monitor_liveness(lt2.suffix(i)) == monitor_liveness(fresh2)
+        assert metrics(lt1.suffix(i), recs) == metrics(fresh1, recs)
+        assert monitor_liveness(lt2.suffix(i), recs) == \
+            monitor_liveness(fresh2, recs)
     assert shifted, "no suffix exercised a nonzero offset"
 
 
@@ -248,7 +271,8 @@ def test_metrics_bounds_and_comms(ring8):
     tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=2,
                            max_steps=40000)
     lt1, _lt2 = lifted_from(tr, wu)
-    m = metrics(lt1.suffix(lra_monitor_start(lt1)))
+    lt1 = lt1.suffix(lra_monitor_start(lt1))
+    m = metrics(lt1, extract_cs_records(lt1.trace))
     assert not m.partial
     assert m.cs_total > 0
     assert m.fairness_index <= math.ceil(ring8.diameter / rho)
@@ -265,6 +289,6 @@ def test_metrics_on_suffix_shorter_than_a_phase_is_partial(ring8):
     tr, wu = stabilized_dc(proto, ring8, "central", seed=5, max_steps=40000)
     lt1, _lt2 = lifted_from(tr, wu)
     short = lt1.suffix(len(lt1.values) - 3)
-    m = metrics(short)
+    m = metrics(short, extract_cs_records(short.trace))
     assert m.partial
     assert m.comms_per_phase == []
