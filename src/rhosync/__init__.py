@@ -14,21 +14,19 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
 from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      HookEvent, ProtocolDef, RegisterSpec, Trace,
                      TransitionRecord, View, check_attractor, check_closure,
-                     enabled, enabled_map, first_enabled_map,
-                     random_configuration, round_count, rounds, run, step,
-                     uniform_configuration)
+                     enabled, first_enabled_map, random_configuration,
+                     round_count, rounds, run, step, uniform_configuration)
 from .unison import (IncomparableError, IncrementingSystem, LiftedTrace,
                      LiftError, SizingError, build_ss_ws, d_K,
                      intrinsic_delays, is_wu, is_wu0, lift, local_leq, ominus,
                      path_delay)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cover,
-                        cut_for_level, cut_leq, is_coherent, to_dot)
+                        cut_for_level, cut_leq, is_coherent)
 from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
                       attach_infimum, make_infimum, verify_ball_infimum)
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,
-                         delay_2rho, lint_cond_independence,
-                         stabilization_indices, trivial_plugin,
+                         delay_2rho, stabilization_indices, trivial_plugin,
                          verify_delay_agreement)
 from .lra import (CsRecord, Metrics, MonitorFault, compat_gme, compat_lme,
                   compat_rw, extract_cs_records, greedy_distance_coloring,

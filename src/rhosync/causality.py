@@ -3,14 +3,14 @@ computation, and the wavelet checker.
 
 Events are (process, time) pairs: (p, 0) for every process, plus (p, t+1)
 for every action p fires in the transition config[t] -> config[t+1].
-Edges follow the two causal rules: same-process predecessor, and, for
-non-internal events, each neighbor's most recent strictly earlier event.
+Edges follow the two causal rules: same-process predecessor, and each
+neighbor's most recent strictly earlier event.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import Trace
 from .topology import Topology, ball
@@ -27,7 +27,6 @@ __all__ = [
     "cut_leq",
     "check_wavelet",
     "WaveletVerdict",
-    "to_dot",
 ]
 
 Event = tuple[int, int]
@@ -38,13 +37,6 @@ class EventGraph:
     topo: Topology
     events_by_process: dict[int, list[int]]  # sorted event times per process
     preds: dict[Event, tuple[Event, ...]]
-    kinds: dict[Event, str]  # internal | external
-    decides: set[Event] = field(default_factory=set)
-
-    def events(self):
-        for p, times in self.events_by_process.items():
-            for t in times:
-                yield (p, t)
 
     def has_event(self, e: Event) -> bool:
         p, t = e
@@ -74,31 +66,22 @@ def build_event_graph(trace: Trace) -> EventGraph:
     """Apply the two causal rules to a completed trace."""
     topo = trace.topo
     events_by_process: dict[int, list[int]] = {p: [0] for p in topo.nodes}
-    kinds: dict[Event, str] = {(p, 0): "internal" for p in topo.nodes}
-    decides: set[Event] = set()
     for t, rec in enumerate(trace.records, start=1):
-        for p, label in rec.fired.items():
+        for p in rec.fired:
             events_by_process[p].append(t)
-            kinds[(p, t)] = "internal" if rec.internal[p] else "external"
-        for ev in rec.events:
-            if ev.kind == "decide":
-                decides.add((ev.process, t))
     preds: dict[Event, tuple[Event, ...]] = {}
     for p, times in events_by_process.items():
         for i, t in enumerate(times):
             if t == 0:
                 continue
-            e = (p, t)
             ps: list[Event] = [(p, times[i - 1])]
-            if kinds[e] == "external":
-                for q in topo.adjacency[p]:
-                    qtimes = events_by_process[q]
-                    j = bisect_left(qtimes, t) - 1
-                    ps.append((q, qtimes[j]))
-            preds[e] = tuple(ps)
-    g = EventGraph(topo=topo, events_by_process=events_by_process,
-                   preds=preds, kinds=kinds, decides=decides)
-    return g
+            for q in topo.adjacency[p]:
+                qtimes = events_by_process[q]
+                j = bisect_left(qtimes, t) - 1
+                ps.append((q, qtimes[j]))
+            preds[(p, t)] = tuple(ps)
+    return EventGraph(topo=topo, events_by_process=events_by_process,
+                      preds=preds)
 
 
 def cover(g: EventGraph, e: Event) -> frozenset[int]:
@@ -158,7 +141,7 @@ def segment_events(g: EventGraph, c1: Cut, c2: Cut) -> set[Event]:
 
 
 def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
-                  decides: set[Event] | None = None) -> WaveletVerdict:
+                  decides: set[Event]) -> WaveletVerdict:
     """Verify that [c1, c2] is a rho-wavelet for the given decide events.
 
     Requires coherent, ordered cuts.  Checks (a) at least one decide event
@@ -170,8 +153,7 @@ def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
     if not is_coherent(g, c1) or not is_coherent(g, c2):
         raise ValueError("cuts must be coherent")
     seg = segment_events(g, c1, c2)
-    dset = decides if decides is not None else g.decides
-    inside = sorted(d for d in dset if d in seg)
+    inside = sorted(d for d in decides if d in seg)
     if not inside:
         return WaveletVerdict(False, 0, None)
     for d in inside:
@@ -182,17 +164,3 @@ def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
             return WaveletVerdict(False, len(inside), (d, needed - covered))
     return WaveletVerdict(True, len(inside), None)
 
-
-def to_dot(g: EventGraph) -> str:
-    """DOT export for offline inspection."""
-    lines = ["digraph causal {"]
-    for e in g.events():
-        p, t = e
-        shape = "doublecircle" if e in g.decides else (
-            "circle" if g.kinds[e] == "external" else "box")
-        lines.append(f'  "e{p}_{t}" [label="({p},{t})", shape={shape}];')
-    for e, ps in g.preds.items():
-        for pr in ps:
-            lines.append(f'  "e{pr[0]}_{pr[1]}" -> "e{e[0]}_{e[1]}";')
-    lines.append("}")
-    return "\n".join(lines)

@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import attach_infimum, make_infimum, verify_ball_infimum
-from .kernel import (DaemonPolicy, HookEvent, Trace, TransitionRecord,
-                     first_enabled_map, random_configuration, round_count,
-                     run, step, uniform_configuration)
+from .kernel import (DaemonPolicy, HookEvent, Trace, first_enabled_map,
+                     random_configuration, round_count, run, step,
+                     uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
     verify_delay_agreement
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
@@ -126,6 +126,10 @@ def validate_scenario(scn: Scenario) -> None:
         raise ScenarioError(f"unknown daemon {scn.daemon!r}")
     if scn.rho < 1:
         raise ScenarioError("rho must be >= 1")
+    if scn.group_count < 1:
+        raise ScenarioError("group_count must be >= 1")
+    if not 0 <= scn.p_select <= 1:
+        raise ScenarioError("p_select must lie in [0, 1]")
     if scn.infimum and scn.proto != "ss_ws":
         raise ScenarioError("infimum operators attach to proto ss_ws only")
     if scn.infimum and scn.infimum not in ("min_int", "max_int", "lex_pair"):
@@ -137,6 +141,8 @@ def validate_scenario(scn: Scenario) -> None:
                 int(val)
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"{name} must be 'auto' or an integer") from exc
+    if scn.steps != "auto" and int(scn.steps) < 0:
+        raise ScenarioError("steps must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import ProtocolDef, RegisterSpec, Trace, View
-from .topology import Topology, ball
+from .topology import ball
 from .unison import LiftedTrace, build_ss_ws
 
 __all__ = [
@@ -122,7 +122,6 @@ def attach_infimum(proto: ProtocolDef, op: InfimumOp,
 
     def computation(view: View, emit) -> dict[str, Any]:
         rp = view.get("r")
-        nxt = sysm.phi(rp)
         acc = op.op(op.identity, view.get("v0"))
         for q in view.neighbors:
             rq = view.nget(q, "r")

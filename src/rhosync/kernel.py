@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .topology import Topology, ball
+from .topology import Topology
 
 __all__ = [
     "Configuration",
@@ -30,7 +30,6 @@ __all__ = [
     "Trace",
     "EngineFault",
     "enabled",
-    "enabled_map",
     "first_enabled_map",
     "step",
     "run",
@@ -67,14 +66,12 @@ class Action:
     """One guarded action.
 
     guard(view) -> bool; statement(view, emit) -> dict of register updates
-    for the acting process.  `internal` marks actions whose guard reads no
-    neighbor register (their events carry no cross edges in the causal DAG).
+    for the acting process.
     """
 
     label: str
     guard: Callable[["View"], bool]
     statement: Callable[["View", Callable[[str, Any], None]], dict[str, Any]]
-    internal: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,13 +143,12 @@ class HookEvent:
 class TransitionRecord:
     """One step.  `fired` maps every selected process, in ascending order,
     to the label of the action it fired; a record's step number is its
-    position in a trace."""
+    position in a trace.  The state the step writes lives only in the
+    trace's next configuration."""
 
     fired: dict[int, str]
-    internal: dict[int, bool]
     reads: dict[int, tuple[tuple[int, str], ...]]
     neutralized: tuple[int, ...]
-    changed: dict[int, dict[str, Any]]
     events: tuple[HookEvent, ...] = ()
 
 
@@ -182,12 +178,6 @@ def enabled(c: Configuration, p: int, proto: ProtocolDef,
     """Labels of actions whose guards hold at p, in priority order."""
     view = View(c, topo, p)
     return [a.label for a in proto.actions if a.guard(view)]
-
-
-def enabled_map(c: Configuration, proto: ProtocolDef,
-                topo: Topology) -> dict[int, list[str]]:
-    return {p: labs for p in topo.nodes
-            if (labs := enabled(c, p, proto, topo))}
 
 
 def _first_enabled(c: Configuration, p: int, proto: ProtocolDef,
@@ -232,10 +222,9 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
     if first_enabled is None:
         first_enabled = first_enabled_map(c, proto, topo)
     fired: dict[int, str] = {}
-    internal: dict[int, bool] = {}
     reads: dict[int, tuple[tuple[int, str], ...]] = {}
-    changed: dict[int, dict[str, Any]] = {}
     events: list[HookEvent] = []
+    new_states = list(c)
 
     for p in selection:
         action = first_enabled.get(p)
@@ -253,16 +242,9 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
             if reg not in c[p]:
                 raise EngineFault(f"{action.label} at {p} wrote unknown register {reg!r}")
         fired[p] = action.label
-        internal[p] = action.internal
         reads[p] = tuple(sorted(view.reads or ()))
-        changed[p] = updates
-
-    new_states = list(c)
-    for p, updates in changed.items():
         if updates:
-            st = dict(c[p])
-            st.update(updates)
-            new_states[p] = st
+            new_states[p] = {**c[p], **updates}
     c_next = tuple(new_states)
 
     dirty = set(fired)
@@ -276,9 +258,9 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
         elif first_enabled.pop(p, None) is not None and p not in fired:
             neutralized.append(p)
 
-    rec = TransitionRecord(fired=fired, internal=internal, reads=reads,
+    rec = TransitionRecord(fired=fired, reads=reads,
                            neutralized=tuple(sorted(neutralized)),
-                           changed=changed, events=tuple(events))
+                           events=tuple(events))
     return c_next, rec
 
 
@@ -404,10 +386,9 @@ def rounds(t: Trace) -> list[int]:
     i = 0
     total = len(t.records)
     while i < total:
-        start_enabled = set(enabled_map(t.configs[i], t.protocol, t.topo))
-        if not start_enabled:
+        remaining = set(first_enabled_map(t.configs[i], t.protocol, t.topo))
+        if not remaining:
             break
-        remaining = set(start_enabled)
         j = i
         while remaining and j < total:
             rec = t.records[j]

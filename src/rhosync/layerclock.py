@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
-                     View)
+from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
 from .topology import Topology
 from .unison import (IncrementingSystem, LiftedTrace, SizingError,
                      check_sizing, clock_layer, is_wu, is_wu0)
@@ -27,7 +26,6 @@ __all__ = [
     "DelayAgreementVerdict",
     "stabilization_indices",
     "trivial_plugin",
-    "lint_cond_independence",
 ]
 
 
@@ -121,8 +119,7 @@ def build_ss_dc(topo: Topology, rho: int, *, K: int, K2: int,
         actions=(ra2, ra1, ca2, ca1, Action("NA", na_guard, na_body)),
         registers=registers,
         clock_registers={"r1": sys1, "r2": sys2},
-        meta={"rho": rho, "delta": delta, "K": K, "K2": K2,
-              "plugin": plugin, "topo": topo},
+        meta={"delta": delta, "plugin": plugin},
     )
 
 
@@ -136,18 +133,6 @@ def delay_2rho(a: int, b: int, K2: int, rho: int) -> int | None:
     if bwd <= 2 * rho:
         return -bwd
     return None
-
-
-def lint_cond_independence(plugin: CondPlugin, proto: ProtocolDef,
-                           topo: Topology, cfg: Configuration) -> None:
-    """Verify on a sample configuration that cond never reads r1."""
-    for p in topo.nodes:
-        view = View(cfg, topo, p, track=True)
-        plugin.cond(view)
-        assert view.reads is not None
-        if any(reg == "r1" for _, reg in view.reads):
-            raise AssertionError(
-                f"plugin {plugin.name}: cond read neighbor register r1 at {p}")
 
 
 def stabilization_indices(trace: Trace) -> tuple[int | None, int | None]:

@@ -62,9 +62,6 @@ class Topology:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def neighbors(self, p: int) -> frozenset[int]:
-        return self.adjacency[p]
-
 
 @dataclass(frozen=True)
 class GraphParams:

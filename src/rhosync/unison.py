@@ -367,9 +367,10 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     """Lift ring clock values of a WU0-initial trace to the integers.
 
     The minimal process (by precedence, ties to the lowest index) anchors
-    bottom_0; each concrete ring increment bumps the virtual register by one.
-    Raises ValueError if the first configuration is not in WU0, and
-    LiftError on any later write to the register that is not phi(old).
+    bottom_0; each concrete ring increment, read off two consecutive
+    configurations, bumps the virtual register by one.  Raises ValueError
+    if the first configuration is not in WU0, and LiftError on any other
+    change of the register.
     """
     proto, topo = trace.protocol, trace.topo
     sysm = proto.clock_registers[reg]
@@ -384,16 +385,18 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     base = c0[p_min][reg]
     current = [base + delays[p] - delays[p_min] for p in topo.nodes]
     values = [list(current)]
-    for i, (cfg, rec) in enumerate(zip(trace.configs, trace.records)):
-        for p, updates in rec.changed.items():
-            if reg in updates:
-                old = cfg[p][reg]
-                new = updates[reg]
-                if sysm.in_ring(old) and new == sysm.phi(old):
-                    current[p] += 1
-                elif new != old:
-                    raise LiftError(
-                        f"step {i}: process {p} changed {reg} from "
-                        f"{old} to {new}, not by one increment")
+    configs = trace.configs
+    for i, rec in enumerate(trace.records):
+        cfg, nxt = configs[i], configs[i + 1]
+        for p in rec.fired:
+            old, new = cfg[p][reg], nxt[p][reg]
+            if new == old:
+                continue
+            if sysm.in_ring(old) and new == sysm.phi(old):
+                current[p] += 1
+            else:
+                raise LiftError(
+                    f"step {i}: process {p} changed {reg} from "
+                    f"{old} to {new}, not by one increment")
         values.append(list(current))
     return LiftedTrace(trace=trace, reg=reg, base=base, values=values)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from rhosync import (DaemonPolicy, ball, build_event_graph, check_wavelet,
-                     cover, cut_for_level, cut_leq, generate, is_coherent,
-                     lift, run, to_dot, uniform_configuration)
+from rhosync import (ball, build_event_graph, check_wavelet, cover,
+                     cut_for_level, cut_leq, generate, is_coherent, lift)
 from rhosync.causality import segment_events
 from conftest import make_ws, stabilized_suffix
 
@@ -18,13 +17,11 @@ def sync_suffix(topo, rho, seed=0, steps=400):
 def oracle_preds(trace, p, t):
     """Independent reimplementation of the two causal rules."""
     topo = trace.topo
-    rec = trace.records[t - 1]
     fire_times = {q: [0] + [i + 1 for i, r in enumerate(trace.records)
                             if q in r.fired] for q in topo.nodes}
     preds = {(p, max(x for x in fire_times[p] if x < t))}
-    if not rec.internal[p]:
-        for q in topo.adjacency[p]:
-            preds.add((q, max(x for x in fire_times[q] if x < t)))
+    for q in topo.adjacency[p]:
+        preds.add((q, max(x for x in fire_times[q] if x < t)))
     return preds
 
 
@@ -176,15 +173,3 @@ def test_wavelet_no_decides_in_segment(ring8):
     c1, c2 = cut_for_level(lt, k), cut_for_level(lt, k + 1)
     verdict = check_wavelet(g, c1, c2, 1, decides={(0, 10 ** 9)})
     assert not verdict.ok and verdict.decide_count == 0
-
-
-def test_to_dot_lists_every_event(ring8):
-    suffix, _ = sync_suffix(ring8, 1, steps=300)
-    sub = suffix.suffix(0)
-    sub.configs = sub.configs[:6]
-    sub.records = sub.records[:5]
-    g = build_event_graph(sub)
-    dot = to_dot(g)
-    assert dot.startswith("digraph")
-    for p, t in g.events():
-        assert f'"e{p}_{t}"' in dot

@@ -49,6 +49,9 @@ def test_flag_overrides_beat_config():
     {"proto": "lme", "infimum": "min_int"},  # needs proto ss_ws
     {"proto": "ss_ws", "infimum": "sum"},
     {"mystery_key": "1"},
+    {"proto": "gme", "group_count": "0"},
+    {"steps": "-5"},
+    {"p_select": "1.5"},
 ])
 def test_invalid_scenarios_rejected(config):
     with pytest.raises(ScenarioError):
@@ -221,6 +224,8 @@ MALFORMED_FIELDS = {
     "step_fired": lambda lines: lines[2].pop("fired"),
     "event_process": _drop_event_process,
     "edge_one_endpoint": lambda lines: lines[0]["edges"][0].pop(),
+    "header_group_count": lambda lines: lines[0]["scenario"].update(
+        group_count=0),
 }
 
 
@@ -347,6 +352,13 @@ def test_main_scenario_error_exits_2(capsys):
     rc = main(["run", "--topo", "moebius:8"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_bad_group_count_exits_2(capsys):
+    rc = main(["run", "--topo", "ring:6", "--proto", "gme",
+               "--group-count", "0"])
+    assert rc == 2
+    assert "group_count" in capsys.readouterr().err
 
 
 def test_main_missing_trace_exits_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ every step, evaluates every guard of every process, and scans every process
 for neutralization.  `kernel.step` instead keeps a map of first enabled
 actions and re-evaluates only the closed neighborhood of the fired
 processes; both must produce the same configurations and records, live and
-in trace replay.
+in trace replay, and the same round boundaries.
 """
 
 import dataclasses
@@ -18,11 +18,17 @@ from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
                      ProtocolDef, RegisterSpec, TransitionRecord, View,
-                     enabled_map, random_configuration, run)
+                     enabled, random_configuration, rounds, run)
 from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
                          make_init, make_topology, read_trace, scenario_from,
                          write_trace)
 from rhosync.kernel import make_daemon
+
+
+def enabled_map(c, proto, topo):
+    """Each enabled process, mapped to all its enabled labels."""
+    return {p: labs for p in topo.nodes
+            if (labs := enabled(c, p, proto, topo))}
 
 
 def reference_step(c, selection, proto, topo):
@@ -30,7 +36,7 @@ def reference_step(c, selection, proto, topo):
     if not selection:
         raise EngineFault("empty selection")
     before = enabled_map(c, proto, topo)
-    fired, internal, reads, changed, events = {}, {}, {}, {}, []
+    fired, reads, writes, events = {}, {}, {}, []
     for p in selection:
         if p not in before:
             raise EngineFault(f"selected process {p} has no enabled action")
@@ -42,15 +48,13 @@ def reference_step(c, selection, proto, topo):
                 HookEvent(process=_p, kind=kind, payload=payload)))
         assert set(updates) <= set(c[p])
         fired[p] = action.label
-        internal[p] = action.internal
         reads[p] = tuple(sorted(view.reads))
-        changed[p] = updates
-    c_next = tuple({**c[p], **changed.get(p, {})} for p in topo.nodes)
+        writes[p] = updates
+    c_next = tuple({**c[p], **writes.get(p, {})} for p in topo.nodes)
     after = enabled_map(c_next, proto, topo)
     neutralized = tuple(p for p in topo.nodes
                         if p in before and p not in fired and p not in after)
-    rec = TransitionRecord(fired=fired, internal=internal, reads=reads,
-                           neutralized=neutralized, changed=changed,
+    rec = TransitionRecord(fired=fired, reads=reads, neutralized=neutralized,
                            events=tuple(events))
     return c_next, rec
 
@@ -68,6 +72,26 @@ def reference_run(proto, topo, daemon, init, max_steps):
         configs.append(cfg)
         records.append(rec)
     return configs, records, "budget"
+
+
+def reference_rounds(configs, records, proto, topo):
+    """Round boundaries: from each round start, recompute the all-guard
+    enabled set and walk the records until every one of those processes
+    has fired or been neutralized."""
+    boundaries, i = [], 0
+    while i < len(records):
+        remaining = set(enabled_map(configs[i], proto, topo))
+        if not remaining:
+            break
+        j = i
+        while remaining and j < len(records):
+            remaining -= set(records[j].fired) | set(records[j].neutralized)
+            j += 1
+        if remaining:
+            break
+        boundaries.append(j)
+        i = j
+    return boundaries
 
 
 TOPOLOGIES = ["path:3", "path:5", "ring:3", "ring:6", "tree:6", "grid:2x3",
@@ -101,6 +125,7 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
+    assert rounds(trace) == reference_rounds(configs, records, protocol, graph)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
@@ -113,8 +138,8 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
 def churn_protocol():
     """Neutralizes often, which the clock protocols almost never do: a
     process matching a neighbor stops matching when either of them moves.
-    Three actions, one internal, so a step also changes which action comes
-    first at a process that stays enabled."""
+    Three actions, one reading no neighbor, so a step also changes which
+    action comes first at a process that stays enabled."""
     def match(v):
         return any(v.nget(q, "x") == v.get("x") for q in v.neighbors)
 
@@ -131,8 +156,7 @@ def churn_protocol():
             Action("MATCH", match,
                    lambda v, e: {"x": (v.get("x") + 2) % 5}),
             Action("PEAK", peak, lambda v, e: {"x": v.get("x") - 1}),
-            Action("ZERO", lambda v: v.get("x") == 0, restart,
-                   internal=True),
+            Action("ZERO", lambda v: v.get("x") == 0, restart),
         ),
         registers=(RegisterSpec("x", 0, lambda rng: rng.randrange(5)),),
     )
@@ -154,6 +178,7 @@ def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
+    assert rounds(trace) == reference_rounds(configs, records, proto, graph)
 
 
 def test_guard_evaluations_stay_in_the_fired_neighborhood():

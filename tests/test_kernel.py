@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, ProtocolDef,
                      RegisterSpec, View, check_attractor, check_closure,
-                     enabled, enabled_map, generate, random_configuration,
-                     rounds, run, step, uniform_configuration)
+                     enabled, first_enabled_map, generate,
+                     random_configuration, rounds, run, step,
+                     uniform_configuration)
 from rhosync.kernel import make_daemon
 
 
@@ -112,7 +113,7 @@ def test_neutralization(path6):
         registers=(RegisterSpec("x", 0, lambda rng: 0),),
     )
     cfg = tuple({"x": [5, 5, 0, 1, 2, 3][p]} for p in path6.nodes)
-    assert sorted(enabled_map(cfg, proto, path6)) == [0, 1]
+    assert sorted(first_enabled_map(cfg, proto, path6)) == [0, 1]
     _, rec = step(cfg, [0], proto, path6)
     assert rec.neutralized == (1,)
 

@@ -1,5 +1,5 @@
 """Two-layer clock: sizing, slave-delay comparison, stabilization order,
-delay agreement, and the cond independence lint."""
+and delay agreement."""
 
 import random
 
@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (CondPlugin, DaemonPolicy, SizingError, build_ss_dc,
-                     delay_2rho, graph_params, lift, run, stabilization_indices,
+from rhosync import (DaemonPolicy, SizingError, build_ss_dc, delay_2rho,
+                     graph_params, lift, run, stabilization_indices,
                      trivial_plugin, uniform_configuration,
                      verify_delay_agreement)
-from rhosync.layerclock import lint_cond_independence
 from conftest import make_dc, stabilized_dc
 
 
@@ -144,23 +143,3 @@ def test_cs_events_every_phase_for_trivial(ring8):
     cs = [ev for rec in tr.records for ev in rec.events if ev.kind == "cs"]
     assert len(cs) == ring8.node_count * (steps // delta)
 
-
-# -- cond lint -------------------------------------------------------------
-
-
-def test_lint_accepts_trivial(ring8):
-    plugin = trivial_plugin()
-    proto = make_dc(ring8, 1, plugin)
-    cfg = uniform_configuration(proto, ring8)
-    lint_cond_independence(plugin, proto, ring8, cfg)
-
-
-def test_lint_rejects_r1_reader(ring8):
-    bad = CondPlugin(
-        name="peeker",
-        cond=lambda view: view.nget(min(view.neighbors), "r1") == 0,
-    )
-    proto = make_dc(ring8, 1, bad)
-    cfg = uniform_configuration(proto, ring8)
-    with pytest.raises(AssertionError):
-        lint_cond_independence(bad, proto, ring8, cfg)

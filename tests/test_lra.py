@@ -229,6 +229,9 @@ def test_liveness_every_process_served(ring8, kind):
     report = monitor_liveness(lt2, extract_cs_records(lt2.trace))
     assert report.min_count >= 1
     assert report.potentials
+    assert report.potentials == [
+        [sum(row[q] - row[p] for q in ring8.nodes) for p in ring8.nodes]
+        for row in lt2.values[::10]]
     for row in report.potentials:
         for v in row:
             assert abs(v) <= report.potential_bound

@@ -1,6 +1,5 @@
 """Clock system, wave-stream protocol, legitimacy predicates, and lifting."""
 
-import dataclasses
 import random
 
 import pytest
@@ -174,11 +173,10 @@ def test_lift_rejects_post_wu0_reset():
     tr = run(proto, topo, DaemonPolicy(kind="synchronous"),
              uniform_configuration(proto, topo), max_steps=20)
     lift(tr)
-    rec = tr.records[10]
-    p = min(rec.changed)
+    p = min(tr.records[10].fired)
     reset = proto.clock_registers["r"].reset_value
-    tr.records[10] = dataclasses.replace(
-        rec, changed={**rec.changed, p: {**rec.changed[p], "r": reset}})
+    tr.configs[11] = tuple({**st, "r": reset} if q == p else st
+                           for q, st in enumerate(tr.configs[11]))
     with pytest.raises(LiftError) as info:
         lift(tr)
     assert not isinstance(info.value, ValueError)
