@@ -9,7 +9,7 @@ neighbor's most recent strictly earlier event.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .kernel import Trace
@@ -57,9 +57,6 @@ class EventGraph:
                     seen.add(pr)
                     stack.append(pr)
         return seen
-
-    def leq(self, a: Event, b: Event) -> bool:
-        return a in self.ancestors(b)
 
 
 def build_event_graph(trace: Trace) -> EventGraph:
@@ -110,12 +107,25 @@ def cut_for_level(lifted: LiftedTrace, k: int) -> Cut:
 
 def is_coherent(g: EventGraph, cut: Cut) -> bool:
     """A cut is coherent iff the past of every cut event stays inside the
-    cut's past: (q,t') <= (p, t_p) implies t' <= t_q."""
+    cut's past: (q,t') <= (p, t_p) implies t' <= t_q.
+
+    Raises ValueError if some (p, cut[p]) is not an event.  The test is
+    edge-local (no message crosses the cut backwards): for each p and each
+    neighbour q, the latest q-event strictly before cut[p] must be at or
+    before cut[q].  Those are the neighbour predecessors of (p, cut[p]); by
+    induction over the predecessors, the events at or before the cut are
+    then closed under the causal order.
+    """
     for p, tp in cut.items():
         if not g.has_event((p, tp)):
             raise ValueError(f"({p},{tp}) is not an event")
-        for (q, tq) in g.ancestors((p, tp)):
-            if tq > cut[q]:
+    ebp = g.events_by_process
+    for p, tp in cut.items():
+        if tp == 0:
+            continue
+        for q in g.topo.adjacency[p]:
+            qtimes = ebp[q]
+            if qtimes[bisect_left(qtimes, tp) - 1] > cut[q]:
                 return False
     return True
 
@@ -134,12 +144,6 @@ class WaveletVerdict:
         return self.ok
 
 
-def segment_events(g: EventGraph, c1: Cut, c2: Cut) -> set[Event]:
-    return {(p, t)
-            for p, times in g.events_by_process.items()
-            for t in times if c1[p] <= t <= c2[p]}
-
-
 def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
                   decides: set[Event]) -> WaveletVerdict:
     """Verify that [c1, c2] is a rho-wavelet for the given decide events.
@@ -147,20 +151,36 @@ def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
     Requires coherent, ordered cuts.  Checks (a) at least one decide event
     lies in the segment and (b) each decide's past restricted to the segment
     covers its rho-ball.  Returns the first violating decide otherwise.
+
+    The past of a decide d in the segment meets process q inside the
+    segment iff the frontier event (q, c1[q]) is <= d.  So one walk over
+    the events from min(c1) to the latest decide, in time order, gives
+    each event the bitmask of frontier events below it: the OR over its
+    predecessors, plus its own bit if it is a frontier event.
     """
     if not cut_leq(c1, c2):
         raise ValueError("cuts are not ordered c1 <= c2")
     if not is_coherent(g, c1) or not is_coherent(g, c2):
         raise ValueError("cuts must be coherent")
-    seg = segment_events(g, c1, c2)
-    inside = sorted(d for d in decides if d in seg)
+    inside = sorted(d for d in decides
+                    if g.has_event(d) and c1[d[0]] <= d[1] <= c2[d[0]])
     if not inside:
         return WaveletVerdict(False, 0, None)
+    lo = min(c1.values())
+    hi = max(t for _, t in inside)
+    window = sorted(
+        (t, p) for p, times in g.events_by_process.items()
+        for t in times[bisect_left(times, lo):bisect_right(times, hi)])
+    masks: dict[Event, int] = {}
+    for t, p in window:
+        mask = 1 << p if t == c1[p] else 0
+        for pr in g.preds.get((p, t), ()):
+            mask |= masks.get(pr, 0)
+        masks[(p, t)] = mask
     for d in inside:
-        past = {e for e in g.ancestors(d) if e in seg}
-        covered = frozenset(p for p, _ in past)
+        mask = masks[d]
         needed = ball(g.topo, d[0], rho)
-        if not needed <= covered:
-            return WaveletVerdict(False, len(inside), (d, needed - covered))
+        missing = frozenset(q for q in needed if not mask >> q & 1)
+        if missing:
+            return WaveletVerdict(False, len(inside), (d, missing))
     return WaveletVerdict(True, len(inside), None)
-

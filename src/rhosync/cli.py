@@ -206,7 +206,7 @@ def build_protocol(scn: Scenario, topo: Topology):
             plugin = make_lra_plugin(scn.proto, topo, rho, K2,
                                      group_count=scn.group_count,
                                      request_seed=scn.seed)
-        return build_ss_dc(topo, rho, K=K, K2=K2, alpha1=alpha, alpha2=alpha,
+        return build_ss_dc(rho, K=K, K2=K2, alpha1=alpha, alpha2=alpha,
                            plugin=plugin, t_g_bound=gp.t_g,
                            c_g_bound=gp.c_g_bound)
     except SizingError as exc:

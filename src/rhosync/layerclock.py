@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
-from .topology import Topology
 from .unison import (IncrementingSystem, LiftedTrace, SizingError,
                      check_sizing, clock_layer, is_wu, is_wu0)
 
@@ -62,9 +61,8 @@ def trivial_plugin() -> CondPlugin:
     )
 
 
-def build_ss_dc(topo: Topology, rho: int, *, K: int, K2: int,
-                alpha1: int, alpha2: int, plugin: CondPlugin,
-                t_g_bound: int | None = None,
+def build_ss_dc(rho: int, *, K: int, K2: int, alpha1: int, alpha2: int,
+                plugin: CondPlugin, t_g_bound: int | None = None,
                 c_g_bound: int | None = None,
                 allow_undersized: bool = False) -> ProtocolDef:
     """Build the layer-clock protocol from two instances of the wave-stream

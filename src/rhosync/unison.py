@@ -10,6 +10,7 @@ the convergence ramp, ring = {0..period-1} the cyclic operating range.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -335,12 +336,11 @@ class LiftedTrace:
 
     def level_time(self, p: int, k: int) -> int | None:
         """Earliest configuration index at which p's lifted value is >= k
-        and exactly k (None if the level is skipped or never reached)."""
-        for t, row in enumerate(self.values):
-            if row[p] == k:
-                return t
-            if row[p] > k:
-                return None
+        and exactly k (None if the level is skipped or never reached).
+        A lifted column never decreases, so a binary search finds it."""
+        t = bisect_left(self.values, k, key=lambda row: row[p])
+        if t < len(self.values) and self.values[t][p] == k:
+            return t
         return None
 
     def first_phase_level(self, delta: int) -> int:

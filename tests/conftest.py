@@ -43,7 +43,7 @@ def make_ws(topo, rho, **kw):
 def make_dc(topo, rho, plugin, **kw):
     gp = graph_params(topo)
     kw.setdefault("K2", max(4 * rho + 1, gp.c_g_bound + 1))
-    return build_ss_dc(topo, rho, K=gp.c_g_bound + 1,
+    return build_ss_dc(rho, K=gp.c_g_bound + 1,
                        alpha1=gp.t_g, alpha2=gp.t_g, plugin=plugin,
                        t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound, **kw)
 
@@ -68,12 +68,13 @@ def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,
 def stabilized_suffix(proto, topo, daemon_kind="synchronous", seed=0,
                       max_steps=6000, init_seed=None):
     """Run from a random configuration and return the trace suffix starting
-    at the first WU0 configuration (fails the test if never reached)."""
+    at the first WU0 configuration (fails the test if never reached).  A
+    rho_central daemon takes the protocol's rho."""
     init = random_configuration(proto, topo,
                                 random.Random(init_seed if init_seed is not None
                                               else seed))
-    tr = run(proto, topo, DaemonPolicy(kind=daemon_kind, seed=seed),
-             init, max_steps=max_steps)
+    daemon = DaemonPolicy(kind=daemon_kind, seed=seed, rho=proto.meta["rho"])
+    tr = run(proto, topo, daemon, init, max_steps=max_steps)
     sysm = proto.clock_registers[next(iter(proto.clock_registers))]
     reg = next(iter(proto.clock_registers))
     for i, cfg in enumerate(tr.configs):

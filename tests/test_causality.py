@@ -1,10 +1,14 @@
 """Causal DAG reconstruction, cuts, covers, and the wavelet checker."""
 
-import pytest
+import functools
 
-from rhosync import (ball, build_event_graph, check_wavelet, cover,
-                     cut_for_level, cut_leq, generate, is_coherent, lift)
-from rhosync.causality import segment_events
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rhosync import (WaveletVerdict, ball, build_event_graph, check_wavelet,
+                     cover, cut_for_level, cut_leq, generate, is_coherent,
+                     lift)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -73,9 +77,10 @@ def test_cover_rejects_non_event(ring8):
 def test_leq_and_ancestors(ring8):
     suffix, _ = sync_suffix(ring8, 1, steps=300)
     g = build_event_graph(suffix)
-    assert g.leq((0, 0), (0, 5))
-    assert g.leq((1, 2), (0, 5))  # distance 1, 3 steps of slack
-    assert not g.leq((4, 1), (0, 2))  # distance 4 cannot be covered in 1 step
+    assert (0, 0) in g.ancestors((0, 5))
+    assert (1, 2) in g.ancestors((0, 5))  # distance 1, 3 steps of slack
+    # distance 4 cannot be covered in 1 step
+    assert (4, 1) not in g.ancestors((0, 2))
 
 
 def test_cut_for_level_is_coherent(ring8):
@@ -104,17 +109,6 @@ def test_cut_for_level_missing_level(ring8):
     lt = lift(suffix)
     with pytest.raises(ValueError):
         cut_for_level(lt, max(lt.values[-1]) + 100)
-
-
-def test_segment_events_bounds(ring8):
-    suffix, _ = sync_suffix(ring8, 1, steps=300)
-    g = build_event_graph(suffix)
-    lt = lift(suffix)
-    base = lt.base + ring8.diameter
-    c1, c2 = cut_for_level(lt, base), cut_for_level(lt, base + 2)
-    seg = segment_events(g, c1, c2)
-    for p, t in seg:
-        assert c1[p] <= t <= c2[p]
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
@@ -173,3 +167,166 @@ def test_wavelet_no_decides_in_segment(ring8):
     c1, c2 = cut_for_level(lt, k), cut_for_level(lt, k + 1)
     verdict = check_wavelet(g, c1, c2, 1, decides={(0, 10 ** 9)})
     assert not verdict.ok and verdict.decide_count == 0
+
+
+# -- differential test against the past-cone DFS ----------------------------
+
+
+TOPOLOGIES = {
+    "path": lambda n, seed: generate("path", n=n),
+    "ring": lambda n, seed: generate("ring", n=n),
+    "tree": lambda n, seed: generate("tree", n=n, seed=seed),
+    "grid": lambda n, seed: generate("grid", rows=2, cols=n // 2),
+    "random": lambda n, seed: generate("random_connected", n=n, seed=seed),
+}
+DAEMONS = ("synchronous", "central", "rho_central", "distributed_random",
+           "adversarial_unfair")
+
+run_params = dict(kind=st.sampled_from(sorted(TOPOLOGIES)),
+                  n=st.integers(4, 6), seed=st.integers(0, 2),
+                  daemon=st.sampled_from(DAEMONS), rho=st.integers(1, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def lifted_run(kind, n, seed, daemon, rho):
+    topo = TOPOLOGIES[kind](n, seed)
+    suffix, _ = stabilized_suffix(make_ws(topo, rho), topo, daemon,
+                                  seed=seed, max_steps=150)
+    return lift(suffix), build_event_graph(suffix)
+
+
+def dfs_ancestors(g, e):
+    """Reference past cone: depth-first search over the predecessors."""
+    seen = {e}
+    stack = [e]
+    while stack:
+        for pr in g.preds.get(stack.pop(), ()):
+            if pr not in seen:
+                seen.add(pr)
+                stack.append(pr)
+    return seen
+
+
+def dfs_is_coherent(g, cut):
+    for p, tp in cut.items():
+        if not g.has_event((p, tp)):
+            raise ValueError(f"({p},{tp}) is not an event")
+    return all(tq <= cut[q] for p, tp in cut.items()
+               for q, tq in dfs_ancestors(g, (p, tp)))
+
+
+def dfs_check_wavelet(g, c1, c2, rho, decides):
+    """Reference verdict: the segment intersected with each decide's past
+    cone."""
+    if not cut_leq(c1, c2):
+        raise ValueError("cuts are not ordered c1 <= c2")
+    if not dfs_is_coherent(g, c1) or not dfs_is_coherent(g, c2):
+        raise ValueError("cuts must be coherent")
+    seg = {(p, t) for p, times in g.events_by_process.items()
+           for t in times if c1[p] <= t <= c2[p]}
+    inside = sorted(d for d in decides if d in seg)
+    if not inside:
+        return WaveletVerdict(False, 0, None)
+    for d in inside:
+        covered = frozenset(p for p, t in dfs_ancestors(g, d)
+                            if (p, t) in seg)
+        needed = ball(g.topo, d[0], rho)
+        if not needed <= covered:
+            return WaveletVerdict(False, len(inside), (d, needed - covered))
+    return WaveletVerdict(True, len(inside), None)
+
+
+def wavelet_outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def level_range(lt):
+    """Levels every process holds at some configuration of the trace."""
+    return max(lt.values[0]), min(lt.values[-1])
+
+
+def closure_cut(g, events):
+    """The cut of the causal past of `events`: coherent by construction."""
+    cut = dict.fromkeys(g.topo.nodes, 0)
+    for e in events:
+        for q, tq in dfs_ancestors(g, e):
+            cut[q] = max(cut[q], tq)
+    return cut
+
+
+def draw_events(data, g, size):
+    return data.draw(st.lists(
+        st.sampled_from(sorted(g.preds)), min_size=1, max_size=size))
+
+
+def shift_one(data, g, cut):
+    """The cut with one process moved one event earlier or later."""
+    p = data.draw(st.sampled_from(sorted(cut)))
+    times = g.events_by_process[p]
+    i = times.index(cut[p]) + data.draw(st.sampled_from((-1, 1)))
+    return {**cut, p: times[min(max(i, 0), len(times) - 1)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), **run_params)
+def test_is_coherent_matches_past_cone_dfs(kind, n, seed, daemon, rho, data):
+    lt, g = lifted_run(kind, n, seed, daemon, rho)
+    level = cut_for_level(lt, data.draw(st.integers(*level_range(lt))))
+    closure = closure_cut(g, draw_events(data, g, 3))
+    assert dfs_is_coherent(g, closure) and dfs_is_coherent(g, level)
+    random_cut = {p: data.draw(st.sampled_from(times))
+                  for p, times in g.events_by_process.items()}
+    for cut in (level, shift_one(data, g, level), closure,
+                shift_one(data, g, closure), random_cut):
+        assert is_coherent(g, cut) == dfs_is_coherent(g, cut), cut
+    off = {**level, 0: max(g.events_by_process[0]) + 1}
+    with pytest.raises(ValueError):
+        is_coherent(g, off)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), **run_params)
+def test_check_wavelet_matches_past_cone_dfs(kind, n, seed, daemon, rho,
+                                             data):
+    lt, g = lifted_run(kind, n, seed, daemon, rho)
+    lo, top = level_range(lt)
+    k = data.draw(st.integers(lo, top - rho))
+    # level windows of width rho and the rho-1 short-window control
+    windows = [(cut_for_level(lt, k), cut_for_level(lt, k + width))
+               for width in (rho, rho - 1)]
+    below = draw_events(data, g, 3)
+    c1 = closure_cut(g, below)
+    windows.append((c1, closure_cut(g, below + draw_events(data, g, 3))))
+    # unordered, and ordered but (mostly) incoherent
+    random_cut = {p: data.draw(st.sampled_from(times))
+                  for p, times in g.events_by_process.items()}
+    windows.append((windows[0][1], windows[0][0]))
+    windows.append((random_cut, {p: max(t, windows[0][1][p])
+                                 for p, t in random_cut.items()}))
+    for c1, c2 in windows:
+        segment = sorted((p, t) for p, times in g.events_by_process.items()
+                         for t in times if c1[p] <= t <= c2[p])
+        upper = {(p, c2[p]) for p in g.topo.nodes}
+        picked = set(draw_events(data, g, 2))
+        if segment:
+            picked |= set(data.draw(st.lists(st.sampled_from(segment),
+                                             max_size=6)))
+        for decides in (upper, picked, upper | picked):
+            args = (g, c1, c2, rho, decides)
+            assert (wavelet_outcome(check_wavelet, *args)
+                    == wavelet_outcome(dfs_check_wavelet, *args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**run_params)
+def test_level_time_matches_linear_scan(kind, n, seed, daemon, rho):
+    lt, _ = lifted_run(kind, n, seed, daemon, rho)
+    for p in lt.trace.topo.nodes:
+        column = [row[p] for row in lt.values]
+        for k in range(column[0] - 2, column[-1] + 3):
+            t = next((t for t, v in enumerate(column) if v >= k), None)
+            expect = t if t is not None and column[t] == k else None
+            assert lt.level_time(p, k) == expect

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rhosync import lra, unison
+from rhosync import causality, lra, unison
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -199,6 +199,22 @@ def test_analyze_extracts_cs_records_once(monkeypatch):
     assert report["violations"] == 0 and report["cs_total"] > 0
     # once, over the suffix from the monitor start
     assert calls == [len(trace.records) - report["monitor_start"]]
+
+
+def test_analyze_walks_no_past_cones(monkeypatch):
+    # coherence and cover are decided edge by edge, not by past-cone walks
+    calls = []
+    original = causality.EventGraph.ancestors
+
+    def counting(self, e):
+        calls.append(e)
+        return original(self, e)
+
+    monkeypatch.setattr(causality.EventGraph, "ancestors", counting)
+    scn = scenario_from({"topo": "ring:6", "proto": "ss_ws", "rho": "2"}, {})
+    report = analyze(scn, run_scenario(scn))
+    assert report["wavelet_levels"] > 0 and report["violations"] == 0
+    assert calls == []
 
 
 def test_check_truncated_trace(tmp_path, capsys):

@@ -25,11 +25,11 @@ def test_build_rejects_bad_rho(ring8):
 def test_build_rejects_small_alpha(ring8):
     gp = graph_params(ring8)
     with pytest.raises(SizingError):
-        build_ss_dc(ring8, 2, K=gp.c_g_bound + 1, K2=9,
+        build_ss_dc(2, K=gp.c_g_bound + 1, K2=9,
                     alpha1=gp.t_g - 1, alpha2=gp.t_g,
                     plugin=trivial_plugin(), t_g_bound=gp.t_g)
     with pytest.raises(SizingError):
-        build_ss_dc(ring8, 2, K=gp.c_g_bound + 1, K2=9,
+        build_ss_dc(2, K=gp.c_g_bound + 1, K2=9,
                     alpha1=gp.t_g, alpha2=gp.t_g - 1,
                     plugin=trivial_plugin(), t_g_bound=gp.t_g)
 
@@ -37,7 +37,7 @@ def test_build_rejects_small_alpha(ring8):
 def test_build_rejects_small_master_period(ring8):
     gp = graph_params(ring8)
     with pytest.raises(SizingError):
-        build_ss_dc(ring8, 1, K=gp.c_g_bound // 2, K2=9,
+        build_ss_dc(1, K=gp.c_g_bound // 2, K2=9,
                     alpha1=gp.t_g, alpha2=gp.t_g,
                     plugin=trivial_plugin(), c_g_bound=gp.c_g_bound)
 
