@@ -293,18 +293,21 @@ def check_wavelet_levels(lt: LiftedTrace, rho: int,
                          max_levels: int = 6) -> list[tuple[int, bool]]:
     """Wavelet verdicts for consecutive level windows [k, k+rho] of a lifted
     stabilized trace, using the upper-cut events as the decide set."""
-    g = build_event_graph(lt.trace)
     topo = lt.trace.topo
-    k = lt.base + topo.diameter
-    top = min(lt.values[-1])
+    k0 = lt.base + topo.diameter
+    count = min(max_levels, min(lt.values[-1]) - rho - k0 + 1)
+    if count <= 0:
+        return []
+    # cuts[i] is the cut of level k0 + i: window i reads cuts i and i + rho.
+    cuts = [cut_for_level(lt, k) for k in range(k0, k0 + count + rho)]
+    # Predecessors and coherence look only backwards in time, so the trace
+    # up to the last upper cut decides every window.
+    g = build_event_graph(lt.trace.prefix(max(cuts[-1].values())))
     out: list[tuple[int, bool]] = []
-    while k + rho <= top and len(out) < max_levels:
-        c1 = cut_for_level(lt, k)
-        c2 = cut_for_level(lt, k + rho)
+    for i in range(count):
+        c1, c2 = cuts[i], cuts[i + rho]
         decides = {(p, c2[p]) for p in topo.nodes}
-        verdict = check_wavelet(g, c1, c2, rho, decides)
-        out.append((k, bool(verdict)))
-        k += 1
+        out.append((k0 + i, bool(check_wavelet(g, c1, c2, rho, decides))))
     return out
 
 
@@ -434,12 +437,14 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
             "final_states": list(trace.configs[-1])}) + "\n")
 
 
-def read_trace(path: str) -> tuple[Scenario, Trace]:
-    """Load and replay a trace file.
+def parse_trace(path: str) -> tuple[Scenario, Trace, list[tuple], tuple]:
+    """Parse and check a trace file without replaying it.
 
-    Replay re-executes every recorded selection through the engine and
-    cross-checks the fired labels, emitted events, and final configuration;
-    any divergence or truncation raises CorruptTraceError.
+    Returns (scenario, trace, steps, final): `trace` holds the protocol,
+    topology, stop reason and initial configuration only; each entry of
+    `steps` is a step line's (selection, fired labels, events); `final` is
+    the footer's configuration.  Raises CorruptTraceError on malformed
+    input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -476,20 +481,40 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
     step_lines = lines[2:-1]
     if footer.get("steps") != len(step_lines):
         raise CorruptTraceError("trace is truncated: step count mismatch")
-    first = first_enabled_map(cfg, proto, topo)
+    steps = []
     for i, line in enumerate(step_lines):
         if line.get("type") != "step" or line.get("step") != i:
             raise CorruptTraceError(f"unexpected record at step {i}")
         try:
-            recorded_fired = {int(p): lab for p, lab in line["fired"].items()}
-            recorded_events = tuple(
-                HookEvent(ev["process"], ev["kind"], _freeze(ev["payload"]))
-                for ev in line["events"])
+            steps.append((
+                line["selected"],
+                {int(p): lab for p, lab in line["fired"].items()},
+                tuple(HookEvent(ev["process"], ev["kind"],
+                                _freeze(ev["payload"]))
+                      for ev in line["events"])))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
+    try:
+        final = tuple(_freeze(st) for st in footer["final_states"])
+    except (KeyError, TypeError) as exc:
+        raise CorruptTraceError(f"malformed footer: {exc!r}") from exc
+    return scn, trace, steps, final
+
+
+def read_trace(path: str) -> tuple[Scenario, Trace]:
+    """Load and replay a trace file.
+
+    Replay re-executes every recorded selection through the engine and
+    cross-checks the fired labels, emitted events, and final configuration;
+    any divergence, truncation or malformed line raises CorruptTraceError.
+    """
+    scn, trace, steps, final = parse_trace(path)
+    proto, topo = trace.protocol, trace.topo
+    cfg = trace.configs[0]
+    first = first_enabled_map(cfg, proto, topo)
+    for i, (selected, recorded_fired, recorded_events) in enumerate(steps):
         try:
-            cfg, rec = step(cfg, line["selected"], proto, topo,
-                            first_enabled=first)
+            cfg, rec = step(cfg, selected, proto, topo, first_enabled=first)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
         if rec.fired != recorded_fired:
@@ -500,10 +525,6 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
             raise CorruptTraceError(f"replay events diverge at step {i}")
         trace.configs.append(cfg)
         trace.records.append(rec)
-    try:
-        final = tuple(_freeze(st) for st in footer["final_states"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptTraceError(f"malformed footer: {exc!r}") from exc
     if trace.configs[-1] != final:
         raise CorruptTraceError("replayed final configuration diverges")
     return scn, trace

@@ -102,9 +102,14 @@ class View:
     `get` reads an own register; `nget` reads a neighbor's register and,
     when tracking is on, records the (neighbor, register) access.  Guards
     must go through a View so the engine can enforce the locality contract.
+
+    `memo` maps a register name to a result derived from this view (the
+    clock layer's status of that register).  A View is built per
+    (configuration, process), so a memoized result never meets another
+    state.
     """
 
-    __slots__ = ("cfg", "topo", "p", "reads")
+    __slots__ = ("cfg", "topo", "p", "reads", "memo")
 
     def __init__(self, cfg: Configuration, topo: Topology, p: int,
                  track: bool = False):
@@ -112,6 +117,7 @@ class View:
         self.topo = topo
         self.p = p
         self.reads: set[tuple[int, str]] | None = set() if track else None
+        self.memo: dict[str, Any] = {}
 
     @property
     def neighbors(self) -> frozenset[int]:
@@ -171,6 +177,11 @@ class Trace:
         """
         return Trace(self.protocol, self.topo, self.configs[start:],
                      self.records[start:], stop_reason=self.stop_reason)
+
+    def prefix(self, end: int) -> "Trace":
+        """The first `end` transitions: configurations 0 to `end`."""
+        return Trace(self.protocol, self.topo, self.configs[:end + 1],
+                     self.records[:end])
 
 
 def enabled(c: Configuration, p: int, proto: ProtocolDef,
@@ -404,9 +415,7 @@ def rounds(t: Trace) -> list[int]:
 
 def round_count(t: Trace, upto: int | None = None) -> int:
     """Number of complete rounds in the first `upto` transitions."""
-    sub = t if upto is None else Trace(t.protocol, t.topo,
-                                       t.configs[:upto + 1], t.records[:upto])
-    return len(rounds(sub))
+    return len(rounds(t if upto is None else t.prefix(upto)))
 
 
 # ---------------------------------------------------------------------------

@@ -120,13 +120,12 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     def elected(view: View) -> bool:
         return (view.get("r2"), view.get("v")) == view.get("res2")
 
-    request_of: Callable[[int, int], str] | None = None
     extra: tuple[RegisterSpec, ...] = ()
     if kind == "lme":
         cols = greedy_distance_coloring(topo, 2 * rho)
         compat = compat_lme
         sigma_leq = lambda a, b: a <= b
-        value_of: Callable[[int, int], Any] = lambda p, phase: cols[p]
+        draw = lambda p, phase: {"v": cols[p]}
         sampler = lambda rng: rng.randrange(0, max(cols) + 1)
         cond = elected
         critical_section = lambda view, emit: emit("cs", {"v": view.p})
@@ -135,7 +134,7 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
                for p in topo.nodes]
         compat = compat_gme
         sigma_leq = lambda a, b: a <= b
-        value_of = lambda p, phase: grp[p]
+        draw = lambda p, phase: {"v": grp[p]}
         sampler = lambda rng: rng.randrange(0, max(max(grp), 1) + 1)
         # group match alone is unsafe while slave offsets persist: two
         # overlapping balls may crown different groups.  Requiring the
@@ -144,14 +143,14 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         cond = elected
         critical_section = lambda view, emit: emit("cs", {"v": view.get("v")})
     elif kind == "rw":
-        def request_of(p: int, phase: int) -> str:
+        def draw(p: int, phase: int) -> dict[str, Any]:
             # string seed: stable across processes, unlike tuple hashing
             rng = random.Random(f"req:{request_seed}:{p}:{phase}")
-            return rng.choices("NRW", weights=(2, 5, 3))[0]
+            req = rng.choices("NRW", weights=(2, 5, 3))[0]
+            return {"v": _rw_encode(req, p), "req": req}
 
         compat = compat_rw
         sigma_leq = _rw_leq
-        value_of = lambda p, phase: _rw_encode(request_of(p, phase), p)
         sampler = lambda rng: _rw_encode(rng.choice("NRW"),
                                          rng.randrange(topo.node_count))
 
@@ -194,12 +193,9 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
 
     def initialization(view: View, emit, r2_after: int) -> dict[str, Any]:
         phase = view.get("u") + 1
-        v = value_of(view.p, phase)
-        cand = (r2_after, v)
-        updates = {"u": phase, "v": v, "res1": cand, "res2": cand}
-        if request_of is not None:
-            updates["req"] = request_of(view.p, phase)
-        return updates
+        drawn = draw(view.p, phase)
+        cand = (r2_after, drawn["v"])
+        return {"u": phase, "res1": cand, "res2": cand, **drawn}
 
     if break_cond:
         cond = lambda view: True
@@ -207,11 +203,12 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     def cond1(view: View) -> bool:
         return view.get("r2") == view.get("res2")[0]
 
+    v0 = draw(0, 0)["v"]
     regs = (
-        RegisterSpec("v", value_of(0, 0), sampler),
-        RegisterSpec("res1", (0, value_of(0, 0)),
+        RegisterSpec("v", v0, sampler),
+        RegisterSpec("res1", (0, v0),
                      lambda rng: (rng.randrange(K2), sampler(rng))),
-        RegisterSpec("res2", (0, value_of(0, 0)),
+        RegisterSpec("res2", (0, v0),
                      lambda rng: (rng.randrange(K2), sampler(rng))),
         RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
     ) + extra

@@ -222,6 +222,10 @@ def check_sizing(rho: int, K: int, alphas: dict[str, int],
     return period
 
 
+# The status of one clock register at one process (see `clock_layer`).
+_WAIT, _RESET, _CONVERGE, _CORRECT, _NORMAL = range(5)
+
+
 def clock_layer(reg: str, sysm: IncrementingSystem
                 ) -> tuple[Action, Action, Callable[[View], bool],
                            Callable[[View], bool]]:
@@ -232,37 +236,61 @@ def clock_layer(reg: str, sysm: IncrementingSystem
     convergence action (climb the tail behind all neighbors), and the two
     guards a protocol combines into its normal action.  Labels carry the
     register suffix: RA/CA for `r`, RA1/CA1 for `r1`.
+
+    All four guards read one status of `reg`, found by a single pass over
+    the neighbors on the first guard call and kept in `View.memo`:
+      ring value: locally incorrect (_RESET, or _WAIT at 0, which is also
+          the tail's top), locally correct (_CORRECT) or normal (_NORMAL);
+      tail value below 0: convergence-enabled (_CONVERGE) or _WAIT;
+      outside chi: _RESET.
+    The pass stops at the first neighbor that breaks local correctness
+    (ring) or convergence (tail), where each guard stated alone would
+    stop, so a tracking View records the reads of the firing guard alone.
     """
+    alpha, period = sysm.alpha, sysm.period
 
-    def normal_step(view: View) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_ring(rp):
-            return False
-        nxt = sysm.phi(rp)
-        return all((rq := view.nget(q, reg)) == rp or rq == nxt
-                   for q in view.neighbors)
+    def classify(view: View) -> int:
+        # Walks the View's own adjacency: local by construction, so the
+        # reads skip `nget`'s neighbor check.
+        cfg, reads = view.cfg, view.reads
+        rp = cfg[view.p][reg]
+        nbrs = view.topo.adjacency[view.p]
+        if 0 <= rp < period:
+            nxt, prv = (rp + 1) % period, (rp - 1) % period
+            status = _NORMAL
+            for q in nbrs:
+                if reads is not None:
+                    reads.add((q, reg))
+                rq = cfg[q][reg]
+                if rq == rp or rq == nxt:
+                    continue
+                if rq != prv:
+                    status = _RESET if rp else _WAIT
+                    break
+                status = _CORRECT
+        elif -alpha <= rp < 0:
+            status = _CONVERGE
+            for q in nbrs:
+                if reads is not None:
+                    reads.add((q, reg))
+                if not rp <= cfg[q][reg] <= 0:
+                    status = _WAIT
+                    break
+        else:
+            status = _RESET
+        view.memo[reg] = status
+        return status
 
-    def convergence_step(view: View) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_tail_star(rp):
-            return False
-        return all(sysm.in_tail(rq := view.nget(q, reg)) and rp <= rq
-                   for q in view.neighbors)
+    def status_in(*statuses: int) -> Callable[[View], bool]:
+        def guard(view: View) -> bool:
+            s = view.memo.get(reg)
+            return (classify(view) if s is None else s) in statuses
+        return guard
 
-    def locally_correct(view: View) -> bool:
-        rp = view.get(reg)
-        if not sysm.in_ring(rp):
-            return False
-        for q in view.neighbors:
-            rq = view.nget(q, reg)
-            if not sysm.in_ring(rq):
-                return False
-            if not (rp == rq or rp == sysm.phi(rq) or sysm.phi(rp) == rq):
-                return False
-        return True
-
-    def reset_init(view: View) -> bool:
-        return not locally_correct(view) and not sysm.in_tail(view.get(reg))
+    reset_init = status_in(_RESET)
+    convergence_step = status_in(_CONVERGE)
+    normal_step = status_in(_NORMAL)
+    locally_correct = status_in(_CORRECT, _NORMAL)
 
     ra = Action(f"RA{reg[1:]}", reset_init,
                 lambda view, emit: {reg: sysm.reset_value})
