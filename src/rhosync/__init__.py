@@ -18,8 +18,7 @@ from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      round_count, rounds, run, step, uniform_configuration)
 from .unison import (IncomparableError, IncrementingSystem, LiftedTrace,
                      LiftError, SizingError, build_ss_ws, d_K,
-                     intrinsic_delays, is_wu, is_wu0, lift, local_leq, ominus,
-                     path_delay)
+                     intrinsic_delays, is_wu, is_wu0, lift, ominus)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cover,
                         cut_for_level, cut_leq, is_coherent)
@@ -28,9 +27,9 @@ from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,
                          delay_2rho, stabilization_indices, trivial_plugin,
                          verify_delay_agreement)
-from .lra import (CsRecord, Metrics, MonitorFault, compat_gme, compat_lme,
-                  compat_rw, extract_cs_records, greedy_distance_coloring,
-                  lra_monitor_start, lra_oplus, lra_order, make_lra_plugin,
-                  metrics, monitor_liveness, monitor_safety)
+from .lra import (CsRecord, Metrics, compat_gme, compat_lme, compat_rw,
+                  extract_cs_records, greedy_distance_coloring,
+                  lra_monitor_start, lra_oplus, make_lra_plugin, metrics,
+                  monitor_liveness, monitor_safety)
 
 __version__ = "0.1.0"

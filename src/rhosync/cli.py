@@ -72,6 +72,7 @@ _FLOAT_FIELDS = {"p_select"}
 _DAEMONS = {"synchronous", "central", "rho_central", "distributed_random",
             "adversarial"}
 _PROTOS = {"ss_ws", "trivial", "lme", "gme", "rw"}
+_INIT_MODES = {"wu0_uniform", "random_arbitrary", "adversarial_file"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -143,6 +144,12 @@ def validate_scenario(scn: Scenario) -> None:
                 raise ScenarioError(f"{name} must be 'auto' or an integer") from exc
     if scn.steps != "auto" and int(scn.steps) < 0:
         raise ScenarioError("steps must be >= 0")
+    mode, sep, _ = scn.init.partition(":")
+    if mode not in _INIT_MODES:
+        raise ScenarioError(f"unknown init mode {scn.init!r}")
+    if sep and mode != "adversarial_file":
+        raise ScenarioError(f"init mode {mode!r} takes no argument, got "
+                            f"{scn.init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ def build_protocol(scn: Scenario, topo: Topology):
     K2 = max(4 * rho + 1, gp.c_g_bound + 1) if scn.k2 == "auto" else int(scn.k2)
     try:
         if scn.proto == "ss_ws":
-            proto = build_ss_ws(topo, rho, K, alpha,
+            proto = build_ss_ws(rho, K, alpha,
                                 t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound)
             if scn.infimum:
                 op = make_infimum(scn.infimum)
@@ -289,13 +296,13 @@ def run_scenario(scn: Scenario) -> Trace:
 # Analysis shared by run, check, and sweep
 
 
-def check_wavelet_levels(lt: LiftedTrace, rho: int,
-                         max_levels: int = 6) -> list[tuple[int, bool]]:
-    """Wavelet verdicts for consecutive level windows [k, k+rho] of a lifted
-    stabilized trace, using the upper-cut events as the decide set."""
+def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
+    """Wavelet verdicts for up to six consecutive level windows [k, k+rho]
+    of a lifted stabilized trace, using the upper-cut events as the decide
+    set."""
     topo = lt.trace.topo
     k0 = lt.base + topo.diameter
-    count = min(max_levels, min(lt.values[-1]) - rho - k0 + 1)
+    count = min(6, min(lt.values[-1]) - rho - k0 + 1)
     if count <= 0:
         return []
     # cuts[i] is the cut of level k0 + i: window i reads cuts i and i + rho.
@@ -566,7 +573,11 @@ def cmd_run(args) -> int:
     scn = _scenario_from_args(args)
     trace = run_scenario(scn)
     if args.trace:
-        write_trace(args.trace, scn, trace)
+        try:
+            write_trace(args.trace, scn, trace)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write trace {args.trace}: "
+                                f"{exc}") from exc
     report = analyze(scn, trace)
     print_summary(scn, report)
     return 0 if report["violations"] == 0 else 1
@@ -675,14 +686,20 @@ def cmd_sweep(args) -> int:
     for key, val in overrides.items():
         if val is not None:
             config[key] = str(val)
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     cells = expand_grid(config) if config else []
     if args.jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(scn) for scn in cells]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
+    try:
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
+            else sys.stdout
+    except OSError as exc:
+        raise ScenarioError(f"cannot write sweep output {args.out}: "
+                            f"{exc}") from exc
     try:
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER)

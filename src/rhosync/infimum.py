@@ -114,10 +114,9 @@ def attach_infimum(proto: ProtocolDef, op: InfimumOp,
     (every normal step) and the initialization/decide hook (phase
     boundaries).
     """
-    if proto.name != "ss_ws" or "rho" not in proto.meta:
+    if proto.name != "ss_ws":
         raise ValueError("attach_infimum expects a wave-stream protocol")
-    rho = proto.meta["rho"]
-    K = proto.meta["K"]
+    delta = proto.meta["delta"]
     sysm = proto.clock_registers["r"]
 
     def computation(view: View, emit) -> dict[str, Any]:
@@ -145,7 +144,7 @@ def attach_infimum(proto: ProtocolDef, op: InfimumOp,
         RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
     )
     return build_ss_ws(
-        proto.meta["topo"], rho, K, sysm.alpha,
+        delta - 1, sysm.period // delta, sysm.alpha,
         decide_hook=initialization, cs1_hook=computation,
         payload_registers=payload)
 
@@ -157,9 +156,6 @@ class InfimumVerdict:
     mismatches: list[tuple[int, int, int, str, Any, Any]]
     # entries: (phase_level, k, process, register, got, expected)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
                         *, max_phases: int | None = None) -> InfimumVerdict:
@@ -168,14 +164,10 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
     of the phase-start v0 snapshot over the (k-1)- and k-balls, and the
     phase-end decide payload must hold the rho-ball infimum.
     """
+    if rho < 1:
+        raise ValueError(f"rho must be >= 1, got {rho}")
     trace = lt.trace
     topo = trace.topo
-    if rho == 0:
-        # Degenerate radius: v2 is v0 itself at every configuration.
-        bad = [(0, 0, p, "v2", c[p]["v2"], c[p]["v0"])
-               for c in trace.configs for p in topo.nodes
-               if c[p]["v2"] != c[p]["v0"]]
-        return InfimumVerdict(not bad, 0, bad)
     delta = rho + 1
     start = lt.first_phase_level(delta)
     top = min(lt.values[-1])
@@ -185,9 +177,8 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
     while k0 + delta <= top:
         if max_phases is not None and phases >= max_phases:
             break
+        # Each column climbs by one from below start to top: no level skipped.
         t_start = {p: lt.level_time(p, k0) for p in topo.nodes}
-        if any(t is None for t in t_start.values()):
-            break
         snapshot = {p: trace.configs[t_start[p]][p]["v0"] for p in topo.nodes}
 
         def oracle(p: int, radius: int) -> Any:
@@ -219,8 +210,6 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
 
 
 def _decide_payload(trace: Trace, p: int, config_index: int):
-    if config_index is None or config_index == 0:
-        return None
     rec = trace.records[config_index - 1]
     for ev in rec.events:
         if ev.process == p and ev.kind == "decide":

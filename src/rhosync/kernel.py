@@ -79,8 +79,8 @@ class ProtocolDef:
     """A named protocol: actions in priority order plus register declarations.
 
     clock_registers maps register name -> the incrementing system driving it
-    (consumed by the unison/layerclock predicates); meta carries
-    protocol-specific parameters (rho, phase modulus, ...).
+    (consumed by the unison/layerclock predicates); meta carries the phase
+    modulus `delta` = rho+1 and, for `ss_dc`, the `plugin`.
     """
 
     name: str
@@ -165,9 +165,6 @@ class Trace:
     configs: list[Configuration]
     records: list[TransitionRecord]
     stop_reason: str = "incomplete"
-
-    def __len__(self) -> int:
-        return len(self.configs)
 
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.
@@ -341,13 +338,9 @@ def make_daemon(policy: DaemonPolicy, topo: Topology) -> _DaemonState:
 # Runs
 
 
-def uniform_configuration(proto: ProtocolDef, topo: Topology,
-                          overrides: dict[str, Any] | None = None) -> Configuration:
-    """All processes at their register defaults (optionally overridden)."""
-    base = proto.default_state()
-    if overrides:
-        base.update(overrides)
-    return tuple(dict(base) for _ in topo.nodes)
+def uniform_configuration(proto: ProtocolDef, topo: Topology) -> Configuration:
+    """All processes at their register defaults."""
+    return tuple(proto.default_state() for _ in topo.nodes)
 
 
 def random_configuration(proto: ProtocolDef, topo: Topology,

@@ -63,8 +63,7 @@ def trivial_plugin() -> CondPlugin:
 
 def build_ss_dc(rho: int, *, K: int, K2: int, alpha1: int, alpha2: int,
                 plugin: CondPlugin, t_g_bound: int | None = None,
-                c_g_bound: int | None = None,
-                allow_undersized: bool = False) -> ProtocolDef:
+                c_g_bound: int | None = None) -> ProtocolDef:
     """Build the layer-clock protocol from two instances of the wave-stream
     clock layer (`unison.clock_layer`): the master r1 (period (rho+1)*K)
     gates the slave r2 (period K2).
@@ -75,16 +74,14 @@ def build_ss_dc(rho: int, *, K: int, K2: int, alpha1: int, alpha2: int,
     the slave's normal step and cond hold.
 
     Sizing: alpha_i >= greatest-hole bound, delta*K > cyclomatic bound,
-    K2 >= max(4*rho+1, cyclomatic bound - 1).  allow_undersized skips the
-    K2 check (negative-control experiments only).
+    K2 >= max(4*rho+1, cyclomatic bound - 1).
     """
     period1 = check_sizing(rho, K, {"alpha1": alpha1, "alpha2": alpha2},
                            t_g_bound, c_g_bound)
     delta = rho + 1
-    if not allow_undersized:
-        floor = max(4 * rho + 1, (c_g_bound - 1) if c_g_bound else 0)
-        if K2 < floor:
-            raise SizingError(f"K2={K2} violates K2 >= {floor}")
+    floor = max(4 * rho + 1, (c_g_bound - 1) if c_g_bound else 0)
+    if K2 < floor:
+        raise SizingError(f"K2={K2} violates K2 >= {floor}")
     sys1 = IncrementingSystem(alpha=alpha1, period=period1)
     sys2 = IncrementingSystem(alpha=alpha2, period=K2)
     ra1, ca1, normal1, _correct1 = clock_layer("r1", sys1)
@@ -159,9 +156,6 @@ class DelayAgreementVerdict:
     pairs_checked: int
     disagreements: list[tuple[int, int, int, int | None, int]]
     # entries: (config_index, p, q, computed, true_delay)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_delay_agreement(lt2: LiftedTrace, rho: int,

@@ -21,9 +21,7 @@ from .topology import Topology
 from .unison import LiftedTrace
 
 __all__ = [
-    "MonitorFault",
     "lra_monitor_start",
-    "lra_order",
     "lra_oplus",
     "greedy_distance_coloring",
     "make_lra_plugin",
@@ -39,37 +37,21 @@ __all__ = [
 ]
 
 
-class MonitorFault(RuntimeError):
-    """Clock components of an election were not 2*rho-comparable (mis-sized
-    slave period)."""
-
-
-def lra_order(x: tuple[int, Any], y: tuple[int, Any], K2: int, rho: int,
-              sigma_leq: Callable[[Any, Any], bool]) -> bool:
-    """x precedes y: strictly smaller clock delay, or equal clocks and
-    sigma-smaller value."""
-    (r, v), (r2, v2) = x, y
-    d = delay_2rho(r, r2, K2, rho)
-    if d is None:
-        raise MonitorFault(
-            f"clock values {r} and {r2} not comparable at 2*rho with K2={K2}")
-    if d > 0:
-        return True
-    if d < 0:
-        return False
-    return sigma_leq(v, v2)
-
-
-def lra_oplus(x, y, K2: int, rho: int, sigma_leq):
+def lra_oplus(x: tuple[int, Any], y: tuple[int, Any], K2: int, rho: int,
+              sigma_leq: Callable[[Any, Any], bool]) -> tuple[int, Any]:
     """The election fold: the order-smaller of two candidates.
 
+    x precedes y when its clock is strictly older (positive 2*rho delay
+    from x to y), or the clocks are equal and its value is sigma-smaller.
     An incomparable clock pair degrades to picking x (pre-stabilization
     garbage must not crash the run).
     """
-    try:
-        return x if lra_order(x, y, K2, rho, sigma_leq) else y
-    except MonitorFault:
+    d = delay_2rho(x[0], y[0], K2, rho)
+    if d is None or d > 0:
         return x
+    if d < 0:
+        return y
+    return x if sigma_leq(x[1], y[1]) else y
 
 
 def greedy_distance_coloring(topo: Topology, radius: int) -> list[int]:
@@ -104,17 +86,14 @@ def _rw_leq(v, v2) -> bool:
 
 def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
                     group_count: int = 3,
-                    request_seed: int = 0,
-                    break_cond: bool = False) -> CondPlugin:
+                    request_seed: int = 0) -> CondPlugin:
     """Build the lme / gme / rw plugin.
 
     lme: values are a greedy 2*rho-distance coloring.  gme: values are
     seeded random group ids under the natural total order.  rw: each
     process draws a request from {N,R,W} per phase (seeded random stream);
     values encode free/writer claims.  The plugin carries the kind's
-    compatibility relation, which the safety monitor checks.  break_cond
-    replaces cond with constant truth (negative control for the safety
-    monitors).
+    compatibility relation, which the safety monitor checks.
     """
 
     def elected(view: View) -> bool:
@@ -196,9 +175,6 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         drawn = draw(view.p, phase)
         cand = (r2_after, drawn["v"])
         return {"u": phase, "res1": cand, "res2": cand, **drawn}
-
-    if break_cond:
-        cond = lambda view: True
 
     def cond1(view: View) -> bool:
         return view.get("r2") == view.get("res2")[0]
@@ -335,11 +311,12 @@ class LivenessReport:
         return min(self.cs_counts.values())
 
 
-def monitor_liveness(lt2: LiftedTrace, records: list[CsRecord], *,
-                     sample_every: int = 10) -> LivenessReport:
+def monitor_liveness(lt2: LiftedTrace,
+                     records: list[CsRecord]) -> LivenessReport:
     """Per-process privilege counts plus the slave-delay potential
-    trajectory witnessing no-starvation (bounded by n*D), over the trace of
-    the lifted slave register `lt2` and its privileges `records`."""
+    trajectory witnessing no-starvation (bounded by n*D), sampled at every
+    tenth configuration, over the trace of the lifted slave register `lt2`
+    and its privileges `records`."""
     topo = lt2.trace.topo
     entries = _entries(records, topo.nodes)
     max_gap = 0
@@ -349,7 +326,7 @@ def monitor_liveness(lt2: LiftedTrace, records: list[CsRecord], *,
     # sum(row[q] - row[p] for q) in O(n) per row
     n = topo.node_count
     potentials = []
-    for row in lt2.values[::sample_every]:
+    for row in lt2.values[::10]:
         tot = sum(row)
         potentials.append([tot - n * row[p] for p in topo.nodes])
     return LivenessReport(

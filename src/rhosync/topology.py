@@ -217,21 +217,21 @@ def ball(t: Topology, p: int, rho: int) -> frozenset[int]:
     return frozenset(q for q in t.nodes if row[q] <= rho)
 
 
-_DEFAULT_NODE_BUDGET = 24
+_NODE_BUDGET = 24
 _EXPANSION_CAP = 500_000
 
 
-def greatest_hole(t: Topology, budget: int = _DEFAULT_NODE_BUDGET) -> tuple[int, bool]:
-    """Length of the longest chordless cycle, exact when n <= budget.
+def greatest_hole(t: Topology) -> tuple[int, bool]:
+    """Length of the longest chordless cycle, exact when n <= 24.
 
-    Returns (2, True) for acyclic graphs. Beyond the node budget (or if the
+    Returns (2, True) for acyclic graphs. Beyond that node budget (or if the
     chordless-path search exceeds an internal work cap on dense graphs)
     returns the safe upper bound n with exact=False.
     """
     n = t.node_count
     if t.edge_count == n - 1:
         return 2, True  # connected with n-1 edges: a tree
-    if n > budget:
+    if n > _NODE_BUDGET:
         return n, False
     adj = t.adjacency
     best = 0
@@ -283,6 +283,6 @@ def cyclomatic_bound(t: Topology) -> int:
     return min(t.node_count, 2 * t.diameter)
 
 
-def graph_params(t: Topology, budget: int = _DEFAULT_NODE_BUDGET) -> GraphParams:
-    t_g, exact = greatest_hole(t, budget)
+def graph_params(t: Topology) -> GraphParams:
+    t_g, exact = greatest_hole(t)
     return GraphParams(t_g=max(t_g, 2), t_g_exact=exact, c_g_bound=cyclomatic_bound(t))

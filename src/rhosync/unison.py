@@ -21,9 +21,7 @@ from .topology import Topology
 __all__ = [
     "IncrementingSystem",
     "d_K",
-    "local_leq",
     "ominus",
-    "path_delay",
     "is_wu",
     "is_wu0",
     "check_sizing",
@@ -78,12 +76,6 @@ class IncrementingSystem:
     def in_ring(self, x: int) -> bool:
         return 0 <= x < self.period
 
-    def in_tail(self, x: int) -> bool:
-        return -self.alpha <= x <= 0
-
-    def in_tail_star(self, x: int) -> bool:
-        return -self.alpha <= x < 0
-
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(-self.alpha, self.period)
 
@@ -99,40 +91,14 @@ def d_K(a: int, b: int, K: int) -> int:
     return min((a - b) % K, (b - a) % K)
 
 
-def local_leq(a: int, b: int, K: int) -> str:
-    """Tri-state local order: 'leq' (a before b), 'geq', 'eq', or
-    'incomparable' when the torus distance exceeds 1."""
-    if d_K(a, b, K) > 1:
-        return "incomparable"
-    if a == b:
-        return "eq"
-    return "leq" if (b - a) % K == 1 else "geq"
-
-
 def ominus(b: int, a: int, K: int) -> int:
-    """Signed unit difference b - a for locally comparable ring values."""
-    rel = local_leq(a, b, K)
-    if rel == "incomparable":
+    """Signed unit difference b - a for locally comparable ring values
+    (torus distance at most 1)."""
+    if d_K(a, b, K) > 1:
         raise IncomparableError(f"{a} and {b} are not locally comparable mod {K}")
-    if rel == "eq":
+    if a == b:
         return 0
-    return 1 if rel == "leq" else -1
-
-
-def path_delay(c: Configuration, path: list[int], topo: Topology,
-               period: int, reg: str = "r") -> int:
-    """Local variation of the clock values along a path (0 for a single node).
-
-    Raises IncomparableError if some consecutive pair is not locally
-    comparable (the configuration is outside WU along that path).
-    """
-    for u, v in zip(path, path[1:]):
-        if v not in topo.adjacency[u]:
-            raise ValueError(f"{u} and {v} are not adjacent")
-    total = 0
-    for u, v in zip(path, path[1:]):
-        total += ominus(c[v][reg], c[u][reg], period)
-    return total
+    return 1 if (b - a) % K == 1 else -1
 
 
 def is_wu(c: Configuration, topo: Topology, sysm: IncrementingSystem,
@@ -150,11 +116,11 @@ def is_wu(c: Configuration, topo: Topology, sysm: IncrementingSystem,
 
 
 def _tree_delays(c: Configuration, topo: Topology, period: int,
-                 reg: str, root: int = 0) -> list[int]:
-    """Delay from `root` to every node along a BFS tree."""
+                 reg: str) -> list[int]:
+    """Delay from process 0 to every node along a BFS tree."""
     delays = [0] * topo.node_count
-    seen = {root}
-    frontier = [root]
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
@@ -168,14 +134,14 @@ def _tree_delays(c: Configuration, topo: Topology, period: int,
 
 
 def intrinsic_delays(c: Configuration, topo: Topology,
-                     sysm: IncrementingSystem, reg: str = "r",
-                     root: int = 0) -> list[int] | None:
-    """Delays from `root` if the delay is path-independent, else None.
+                     sysm: IncrementingSystem, reg: str = "r"
+                     ) -> list[int] | None:
+    """Delays from process 0 if the delay is path-independent, else None.
 
     Path independence holds iff the delay around every fundamental cycle
     (each non-tree edge closing the BFS tree) is zero.
     """
-    delays = _tree_delays(c, topo, sysm.period, reg, root)
+    delays = _tree_delays(c, topo, sysm.period, reg)
     for u, v in topo.edges:
         if delays[v] - delays[u] != ominus(c[v][reg], c[u][reg], sysm.period):
             return None
@@ -299,7 +265,7 @@ def clock_layer(reg: str, sysm: IncrementingSystem
     return ra, ca, normal_step, locally_correct
 
 
-def build_ss_ws(topo: Topology, rho: int, K: int, alpha: int,
+def build_ss_ws(rho: int, K: int, alpha: int,
                 *, decide_hook: Hook | None = None,
                 cs1_hook: Hook | None = None,
                 payload_registers: tuple[RegisterSpec, ...] = (),
@@ -343,7 +309,7 @@ def build_ss_ws(topo: Topology, rho: int, K: int, alpha: int,
         actions=(ra, ca, Action("NA", normal_step, na_body)),
         registers=registers,
         clock_registers={"r": sysm},
-        meta={"rho": rho, "K": K, "delta": delta, "topo": topo},
+        meta={"delta": delta},
     )
 
 
@@ -405,7 +371,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     c0 = trace.configs[0]
     if not is_wu0(c0, topo, sysm, reg):
         raise ValueError("first configuration of the trace is not in WU0")
-    delays = intrinsic_delays(c0, topo, sysm, reg, root=0)
+    delays = intrinsic_delays(c0, topo, sysm, reg)
     assert delays is not None
     # Anchor at a minimal process so the lifted values stay congruent to the
     # concrete ring values modulo the period.

@@ -36,7 +36,7 @@ def grid23():
 
 def make_ws(topo, rho, **kw):
     gp = graph_params(topo)
-    return build_ss_ws(topo, rho, gp.c_g_bound + 1, gp.t_g,
+    return build_ss_ws(rho, gp.c_g_bound + 1, gp.t_g,
                        t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound, **kw)
 
 
@@ -73,7 +73,8 @@ def stabilized_suffix(proto, topo, daemon_kind="synchronous", seed=0,
     init = random_configuration(proto, topo,
                                 random.Random(init_seed if init_seed is not None
                                               else seed))
-    daemon = DaemonPolicy(kind=daemon_kind, seed=seed, rho=proto.meta["rho"])
+    daemon = DaemonPolicy(kind=daemon_kind, seed=seed,
+                          rho=proto.meta["delta"] - 1)
     tr = run(proto, topo, daemon, init, max_steps=max_steps)
     sysm = proto.clock_registers[next(iter(proto.clock_registers))]
     reg = next(iter(proto.clock_registers))

@@ -5,6 +5,7 @@ summary line (shown in the terminal summary).  Session fixtures share the
 expensive run matrices between criteria.
 """
 
+import dataclasses
 import math
 import pathlib
 import random
@@ -46,8 +47,10 @@ def _dc_cell(kind, topo, daemon, seed, rho=1, break_cond=False):
     if kind == "trivial":
         plugin = trivial_plugin()
     else:
-        plugin = make_lra_plugin(kind, topo, rho, k2, request_seed=seed,
-                                 break_cond=break_cond)
+        plugin = make_lra_plugin(kind, topo, rho, k2, request_seed=seed)
+        if break_cond:
+            # negative control for the safety monitor
+            plugin = dataclasses.replace(plugin, cond=lambda view: True)
     proto = make_dc(topo, rho, plugin, K2=k2)
     s1, s2 = proto.clock_registers["r1"], proto.clock_registers["r2"]
     wu_both = lambda c: (is_wu(c, topo, s1, "r1")

@@ -52,6 +52,9 @@ def test_flag_overrides_beat_config():
     {"proto": "gme", "group_count": "0"},
     {"steps": "-5"},
     {"p_select": "1.5"},
+    {"init": "lazy"},
+    {"init": "wu0_uniform:garbage"},  # the mode takes no argument
+    {"init": "random_arbitrary:3"},
 ])
 def test_invalid_scenarios_rejected(config):
     with pytest.raises(ScenarioError):
@@ -375,6 +378,35 @@ def test_main_bad_group_count_exits_2(capsys):
                "--group-count", "0"])
     assert rc == 2
     assert "group_count" in capsys.readouterr().err
+
+
+def test_main_ignored_init_suffix_exits_2(capsys):
+    rc = main(["run", "--topo", "ring:6", "--init", "wu0_uniform:garbage"])
+    assert rc == 2
+    assert "takes no argument" in capsys.readouterr().err
+
+
+def test_run_unwritable_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.jsonl"
+    rc = main(["run", "--topo", "ring:6", "--proto", "trivial",
+               "--trace", str(path)])
+    assert rc == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "s.csv"
+    rc = main(["sweep", "--topo", "ring:6", "--proto", "trivial",
+               "--steps", "20", "--out", str(path)])
+    assert rc == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_nonpositive_jobs_exits_2(capsys, jobs):
+    rc = main(["sweep", "--jobs", jobs])
+    assert rc == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_main_missing_trace_exits_2(tmp_path, capsys):

@@ -135,17 +135,15 @@ def test_verifier_catches_tampering(ring8):
     assert not verify_ball_infimum(lift(bad), op, rho).ok
 
 
-def test_degenerate_radius_checks_v2_equals_v0(ring8):
+def test_degenerate_radius_refused(ring8):
+    # every builder refuses rho < 1, so no trace has a radius-0 pipeline
     op = make_infimum("min_int")
     proto = attach_infimum(make_ws(ring8, 1), op, input_source(6))
     good = Trace(proto, ring8,
                  [tuple({"r": 0, "v0": 5, "v1": 5, "v2": 5, "u": 0}
                         for _ in ring8.nodes)], [])
-    assert verify_ball_infimum(lift(good), op, 0).ok
-    bad = Trace(proto, ring8,
-                [tuple({"r": 0, "v0": 5, "v1": 5, "v2": 4, "u": 0}
-                       for _ in ring8.nodes)], [])
-    assert not verify_ball_infimum(lift(bad), op, 0).ok
+    with pytest.raises(ValueError):
+        verify_ball_infimum(lift(good), op, 0)
 
 
 def test_decide_payload_matches_ball_oracle(ring8):

@@ -72,7 +72,7 @@ def test_step_composite_atomicity(ring8):
 
 def test_step_rejects_empty_and_disabled_selection(ring8):
     proto = countdown_protocol()
-    cfg = uniform_configuration(proto, ring8, {"x": 0})
+    cfg = tuple({"x": 0} for _ in ring8.nodes)
     with pytest.raises(EngineFault):
         step(cfg, [], proto, ring8)
     with pytest.raises(EngineFault):

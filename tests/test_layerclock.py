@@ -43,12 +43,13 @@ def test_build_rejects_small_master_period(ring8):
 
 
 def test_build_rejects_small_k2_unless_allowed(ring8):
-    gp = graph_params(ring8)
+    # rho = 2 on ring:8: the floor is max(4*rho+1, C_G bound - 1) = 9
     with pytest.raises(SizingError):
         make_dc(ring8, 2, trivial_plugin(), K2=2 * 2 + 1)
-    proto = make_dc(ring8, 2, trivial_plugin(), K2=2 * 2 + 1,
-                    allow_undersized=True)
-    assert proto.clock_registers["r2"].period == 5
+    with pytest.raises(SizingError):
+        make_dc(ring8, 2, trivial_plugin(), K2=8)
+    proto = make_dc(ring8, 2, trivial_plugin(), K2=9)
+    assert proto.clock_registers["r2"].period == 9
 
 
 def test_meta_and_registers(ring8):
@@ -103,7 +104,7 @@ def test_delay_agreement_on_stabilized_run(ring8):
     tr, wu = stabilized_dc(proto, ring8, "central", seed=3, max_steps=30000)
     verdict = verify_delay_agreement(lift(tr.suffix(wu), "r2"), rho,
                                      sample_every=5)
-    assert verdict.ok and bool(verdict)
+    assert verdict.ok
     pairs = sum(1 for p in ring8.nodes for q in ring8.nodes
                 if p < q and ring8.dist[p][q] <= 2 * rho)
     cfgs = len(range(0, len(tr.configs) - wu, 5))

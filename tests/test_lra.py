@@ -1,17 +1,20 @@
 """Resource allocation: election order, colorings, privilege extraction,
 and the safety / liveness / cost monitors with their negative controls."""
 
+import dataclasses
 import math
 import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rhosync import (CsRecord, MonitorFault, compat_gme, compat_lme,
-                     compat_rw, extract_cs_records, graph_params,
+from rhosync import (CsRecord, compat_gme, compat_lme, compat_rw,
+                     delay_2rho, extract_cs_records, graph_params,
                      greedy_distance_coloring, lra_monitor_start, lra_oplus,
-                     lift, lra_order, make_lra_plugin, metrics,
-                     monitor_liveness, monitor_safety, trivial_plugin)
+                     lift, make_lra_plugin, metrics, monitor_liveness,
+                     monitor_safety, trivial_plugin)
 from rhosync.lra import _entries, _per_pair_fairness, _rw_leq
 from conftest import make_dc, stabilized_dc
 
@@ -37,19 +40,43 @@ def lifted_from(tr, wu):
 
 def test_order_clock_dominates_value():
     # delay from x's clock to y's clock is +2: x is older, x precedes
-    assert lra_order((0, 9), (2, 0), 9, 2, INT_LEQ)
-    assert not lra_order((2, 0), (0, 9), 9, 2, INT_LEQ)
+    assert lra_oplus((0, 9), (2, 0), 9, 2, INT_LEQ) == (0, 9)
+    assert lra_oplus((2, 0), (0, 9), 9, 2, INT_LEQ) == (0, 9)
 
 
 def test_order_ties_break_on_value():
-    assert lra_order((3, 1), (3, 2), 9, 2, INT_LEQ)
-    assert not lra_order((3, 2), (3, 1), 9, 2, INT_LEQ)
-    assert lra_order((3, 2), (3, 2), 9, 2, INT_LEQ)
+    assert lra_oplus((3, 1), (3, 2), 9, 2, INT_LEQ) == (3, 1)
+    assert lra_oplus((3, 2), (3, 1), 9, 2, INT_LEQ) == (3, 1)
+    assert lra_oplus((3, 2), (3, 2), 9, 2, INT_LEQ) == (3, 2)
 
 
-def test_order_incomparable_raises():
-    with pytest.raises(MonitorFault):
-        lra_order((0, 0), (5, 0), 11, 2, INT_LEQ)
+def _reference_oplus(x, y, K2, rho, sigma_leq):
+    """x precedes y: its clock is strictly older within the 2*rho window,
+    or the clocks are equal and its value is sigma-smaller.  An
+    incomparable clock pair keeps x."""
+    d = delay_2rho(x[0], y[0], K2, rho)
+    if d is None:
+        return x
+    precedes = d > 0 or (d == 0 and sigma_leq(x[1], y[1]))
+    return x if precedes else y
+
+
+_RW_VALUES = st.one_of(st.just(("F",)),
+                       st.tuples(st.just("W"), st.integers(0, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rho=st.integers(1, 3), extra=st.integers(0, 6),
+       rw=st.booleans())
+def test_oplus_matches_reference_order(data, rho, extra, rw):
+    # K2 above 4*rho leaves clock pairs outside both windows: incomparable
+    K2 = 4 * rho + 1 + extra
+    values = _RW_VALUES if rw else st.integers(0, 5)
+    leq = _rw_leq if rw else INT_LEQ
+    x = (data.draw(st.integers(0, K2 - 1)), data.draw(values))
+    y = (data.draw(st.integers(0, K2 - 1)), data.draw(values))
+    assert lra_oplus(x, y, K2, rho, leq) is _reference_oplus(x, y, K2, rho,
+                                                           leq)
 
 
 def test_oplus_picks_smaller_and_degrades():
@@ -87,8 +114,6 @@ def test_plugin_carries_its_compat(ring8):
     for kind, compat in (("lme", compat_lme), ("gme", compat_gme),
                          ("rw", compat_rw)):
         assert make_lra_plugin(kind, ring8, 1, 9).compat is compat
-    assert make_lra_plugin("lme", ring8, 1, 9, break_cond=True).compat \
-        is compat_lme
     anything = trivial_plugin().compat
     for a, b in ((None, None), (0, 1), (("W", 1), ("W", 2)), ("x", ("R",))):
         assert anything(a, b)
@@ -211,7 +236,8 @@ def test_safety_after_stabilization(ring8, kind, daemon):
 def test_break_cond_violates_safety(ring8):
     gp = graph_params(ring8)
     k2 = max(4 * 2 + 1, gp.c_g_bound + 1)
-    plugin = make_lra_plugin("lme", ring8, 2, k2, break_cond=True)
+    plugin = dataclasses.replace(make_lra_plugin("lme", ring8, 2, k2),
+                                 cond=lambda view: True)
     proto = make_dc(ring8, 2, plugin, K2=k2)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=13, max_steps=40000)
     start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))

@@ -175,7 +175,7 @@ def test_greatest_hole_matches_enumeration_oracle(seed):
 
 def test_greatest_hole_budget_falls_back_to_n():
     t = generate("ring", n=30)
-    assert greatest_hole(t, budget=24) == (30, False)
+    assert greatest_hole(t) == (30, False)
 
 
 def test_cyclomatic_bound():
