@@ -16,9 +16,9 @@ from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      TransitionRecord, View, check_attractor, check_closure,
                      enabled, first_enabled_map, random_configuration,
                      round_count, rounds, run, step, uniform_configuration)
-from .unison import (IncomparableError, IncrementingSystem, LiftedTrace,
-                     LiftError, SizingError, build_ss_ws, d_K,
-                     intrinsic_delays, is_wu, is_wu0, lift, ominus)
+from .unison import (IncrementingSystem, LiftedTrace, LiftError,
+                     SizingError, build_ss_ws, d_K, intrinsic_delays, is_wu,
+                     is_wu0, lift, ominus)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cover,
                         cut_for_level, cut_leq, is_coherent)

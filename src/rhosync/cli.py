@@ -190,8 +190,10 @@ def build_protocol(scn: Scenario, topo: Topology):
     """Protocol for a scenario, with 'auto' clock sizing resolved.
 
     Auto sizing: alpha := greatest-hole length, K := cyclomatic bound + 1,
-    K2 := max(4*rho+1, cyclomatic bound + 1).  Explicit values still pass
-    through the builders' sizing checks, so refused scenarios never start.
+    K2 := max(4*rho+1, cyclomatic bound + 1).  Each protocol is built once,
+    an infimum `ss_ws` with its hooks attached, and the builders always
+    check explicit values against the floors of the topology's
+    `graph_params`, so refused scenarios never start.
     """
     gp = graph_params(topo)
     rho = scn.rho
@@ -200,22 +202,19 @@ def build_protocol(scn: Scenario, topo: Topology):
     K2 = max(4 * rho + 1, gp.c_g_bound + 1) if scn.k2 == "auto" else int(scn.k2)
     try:
         if scn.proto == "ss_ws":
-            proto = build_ss_ws(rho, K, alpha,
-                                t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound)
+            hooks = {}
             if scn.infimum:
-                op = make_infimum(scn.infimum)
-                proto = attach_infimum(
-                    proto, op, _infimum_input_source(scn.infimum, scn.seed))
-            return proto
+                hooks = attach_infimum(
+                    make_infimum(scn.infimum),
+                    _infimum_input_source(scn.infimum, scn.seed))
+            return build_ss_ws(rho, K, alpha, gp, **hooks)
         if scn.proto == "trivial":
             plugin = trivial_plugin()
         else:
             plugin = make_lra_plugin(scn.proto, topo, rho, K2,
                                      group_count=scn.group_count,
                                      request_seed=scn.seed)
-        return build_ss_dc(rho, K=K, K2=K2, alpha1=alpha, alpha2=alpha,
-                           plugin=plugin, t_g_bound=gp.t_g,
-                           c_g_bound=gp.c_g_bound)
+        return build_ss_dc(rho, gp, K=K, K2=K2, alpha=alpha, plugin=plugin)
     except SizingError as exc:
         raise ScenarioError(f"refused scenario: {exc}") from exc
 
@@ -583,38 +582,12 @@ def cmd_run(args) -> int:
     return 0 if report["violations"] == 0 else 1
 
 
-_CHECKS = ("wavelet", "infimum", "delay", "safety")
-
-
 def cmd_check(args) -> int:
     scn, trace = read_trace(args.trace)
     print(f"replay ok: {len(trace.records)} steps re-validated")
-    requested = args.checks or list(_CHECKS)
     report = analyze(scn, trace)
-    failed = 0
-    for check in requested:
-        if check == "wavelet" and "wavelet_levels" in report:
-            bad = report["wavelet_failures"]
-            print(f"wavelet: {report['wavelet_levels']} levels, "
-                  f"{len(bad)} failures")
-            failed += len(bad)
-        elif check == "infimum" and "infimum_phases" in report:
-            print(f"infimum: {report['infimum_phases']} phases, "
-                  f"{report['infimum_mismatches']} mismatches")
-            failed += report["infimum_mismatches"]
-        elif check == "delay" and "delay_pairs" in report:
-            print(f"delay: {report['delay_pairs']} pairs, "
-                  f"{report['delay_disagreements']} disagreements")
-            failed += report["delay_disagreements"]
-        elif check == "safety" and "safety_violations" in report:
-            print(f"safety: {report['safety_violations']} violations")
-            failed += report["safety_violations"]
-        else:
-            print(f"{check}: not applicable to proto {scn.proto}")
-    if report.get("stab_index") is None:
-        print("note: trace never stabilizes; checks cover nothing")
-        failed += 1
-    return 0 if failed == 0 else 1
+    print_summary(scn, report)
+    return 0 if report["violations"] == 0 else 1
 
 
 _GRID_KEYS = ("topo", "n", "rho", "daemon", "seed", "proto")
@@ -725,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="replay and re-verify a trace")
     p_check.add_argument("trace", help="trace file from `run --trace`")
-    p_check.add_argument("--checks", nargs="*", choices=_CHECKS)
     p_check.set_defaults(func=cmd_check)
 
     p_sweep = subs.add_parser("sweep", help="run a scenario grid to CSV")

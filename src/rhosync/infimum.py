@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .kernel import ProtocolDef, RegisterSpec, Trace, View
+from .kernel import RegisterSpec, Trace, View
 from .topology import ball
-from .unison import LiftedTrace, build_ss_ws
+from .unison import LiftedTrace
 
 __all__ = [
     "InfimumOp",
@@ -105,19 +105,15 @@ def make_infimum(kind: str, *,
 InputSource = Callable[[int, int], Any]
 
 
-def attach_infimum(proto: ProtocolDef, op: InfimumOp,
-                   input_source: InputSource) -> ProtocolDef:
-    """Wire the rho-ball infimum computation into a wave-stream protocol.
+def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
+    """The rho-ball infimum computation, as `build_ss_ws` keyword arguments.
 
-    input_source(p, phase_counter) supplies the fresh v0 each phase.  The
-    returned protocol replaces `proto`, re-built with the computation hook
-    (every normal step) and the initialization/decide hook (phase
-    boundaries).
+    input_source(p, phase_counter) supplies the fresh v0 each phase.
+    Returns the decide hook (phase boundaries: report, then re-initialize),
+    the computation hook (every other normal step) and the payload
+    registers, so `build_ss_ws(rho, K, alpha, gp, **attach_infimum(...))`
+    builds the wave stream with the infimum attached.
     """
-    if proto.name != "ss_ws":
-        raise ValueError("attach_infimum expects a wave-stream protocol")
-    delta = proto.meta["delta"]
-    sysm = proto.clock_registers["r"]
 
     def computation(view: View, emit) -> dict[str, Any]:
         rp = view.get("r")
@@ -143,10 +139,8 @@ def attach_infimum(proto: ProtocolDef, op: InfimumOp,
         RegisterSpec("v2", op.identity, op.sample),
         RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
     )
-    return build_ss_ws(
-        delta - 1, sysm.period // delta, sysm.alpha,
-        decide_hook=initialization, cs1_hook=computation,
-        payload_registers=payload)
+    return {"decide_hook": initialization, "cs1_hook": computation,
+            "payload_registers": payload}
 
 
 @dataclass

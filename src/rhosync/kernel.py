@@ -24,7 +24,6 @@ __all__ = [
     "ProtocolDef",
     "View",
     "DaemonPolicy",
-    "make_daemon",
     "HookEvent",
     "TransitionRecord",
     "Trace",
@@ -34,6 +33,7 @@ __all__ = [
     "step",
     "run",
     "rounds",
+    "round_count",
     "check_closure",
     "check_attractor",
     "random_configuration",

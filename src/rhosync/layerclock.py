@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
+from .topology import GraphParams
 from .unison import (IncrementingSystem, LiftedTrace, SizingError,
                      check_sizing, clock_layer, is_wu, is_wu0)
 
@@ -61,9 +62,8 @@ def trivial_plugin() -> CondPlugin:
     )
 
 
-def build_ss_dc(rho: int, *, K: int, K2: int, alpha1: int, alpha2: int,
-                plugin: CondPlugin, t_g_bound: int | None = None,
-                c_g_bound: int | None = None) -> ProtocolDef:
+def build_ss_dc(rho: int, gp: GraphParams, *, K: int, K2: int, alpha: int,
+                plugin: CondPlugin) -> ProtocolDef:
     """Build the layer-clock protocol from two instances of the wave-stream
     clock layer (`unison.clock_layer`): the master r1 (period (rho+1)*K)
     gates the slave r2 (period K2).
@@ -73,17 +73,18 @@ def build_ss_dc(rho: int, *, K: int, K2: int, alpha1: int, alpha2: int,
     boundary it runs the plugin's critical section and slave increment when
     the slave's normal step and cond hold.
 
-    Sizing: alpha_i >= greatest-hole bound, delta*K > cyclomatic bound,
-    K2 >= max(4*rho+1, cyclomatic bound - 1).
+    Sizing, always enforced on the topology with parameters `gp`: both
+    clocks share the tail depth alpha >= greatest-hole bound
+    (`check_sizing`), delta*K > cyclomatic bound, and K2 >= max(4*rho+1,
+    cyclomatic bound - 1).
     """
-    period1 = check_sizing(rho, K, {"alpha1": alpha1, "alpha2": alpha2},
-                           t_g_bound, c_g_bound)
+    period1 = check_sizing(rho, K, alpha, gp)
     delta = rho + 1
-    floor = max(4 * rho + 1, (c_g_bound - 1) if c_g_bound else 0)
+    floor = max(4 * rho + 1, gp.c_g_bound - 1)
     if K2 < floor:
         raise SizingError(f"K2={K2} violates K2 >= {floor}")
-    sys1 = IncrementingSystem(alpha=alpha1, period=period1)
-    sys2 = IncrementingSystem(alpha=alpha2, period=K2)
+    sys1 = IncrementingSystem(alpha=alpha, period=period1)
+    sys2 = IncrementingSystem(alpha=alpha, period=K2)
     ra1, ca1, normal1, _correct1 = clock_layer("r1", sys1)
     ra2, ca2, normal2, correct2 = clock_layer("r2", sys2)
 

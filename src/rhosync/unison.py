@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
                      View)
-from .topology import Topology
+from .topology import GraphParams, Topology
 
 __all__ = [
     "IncrementingSystem",
@@ -24,23 +24,17 @@ __all__ = [
     "ominus",
     "is_wu",
     "is_wu0",
-    "check_sizing",
-    "clock_layer",
+    "intrinsic_delays",
     "build_ss_ws",
     "LiftedTrace",
     "lift",
     "SizingError",
-    "IncomparableError",
     "LiftError",
 ]
 
 
 class SizingError(ValueError):
     """A clock parameter constraint does not hold."""
-
-
-class IncomparableError(ValueError):
-    """Two ring values at torus distance > 1 cannot be ordered locally."""
 
 
 class LiftError(RuntimeError):
@@ -91,11 +85,11 @@ def d_K(a: int, b: int, K: int) -> int:
     return min((a - b) % K, (b - a) % K)
 
 
-def ominus(b: int, a: int, K: int) -> int:
-    """Signed unit difference b - a for locally comparable ring values
-    (torus distance at most 1)."""
+def ominus(b: int, a: int, K: int) -> int | None:
+    """Signed unit difference b - a of two ring values, or None when they
+    are not locally comparable (torus distance above 1)."""
     if d_K(a, b, K) > 1:
-        raise IncomparableError(f"{a} and {b} are not locally comparable mod {K}")
+        return None
     if a == b:
         return 0
     return 1 if (b - a) % K == 1 else -1
@@ -115,9 +109,20 @@ def is_wu(c: Configuration, topo: Topology, sysm: IncrementingSystem,
     return True
 
 
-def _tree_delays(c: Configuration, topo: Topology, period: int,
-                 reg: str) -> list[int]:
-    """Delay from process 0 to every node along a BFS tree."""
+def intrinsic_delays(c: Configuration, topo: Topology,
+                     sysm: IncrementingSystem, reg: str = "r"
+                     ) -> list[int] | None:
+    """Delays from process 0 if the configuration is in WU0, else None.
+
+    WU0 holds when every clock is in the ring, every edge is locally
+    comparable, and the delay is path-independent: the delays along a BFS
+    tree from process 0 then agree with `ominus` on every edge, so the
+    delay around every fundamental cycle is zero.
+    """
+    period = sysm.period
+    vals = [c[p][reg] for p in topo.nodes]
+    if not all(0 <= v < period for v in vals):
+        return None
     delays = [0] * topo.node_count
     seen = {0}
     frontier = [0]
@@ -126,24 +131,15 @@ def _tree_delays(c: Configuration, topo: Topology, period: int,
         for u in frontier:
             for v in topo.adjacency[u]:
                 if v not in seen:
+                    d = ominus(vals[v], vals[u], period)
+                    if d is None:
+                        return None
                     seen.add(v)
-                    delays[v] = delays[u] + ominus(c[v][reg], c[u][reg], period)
+                    delays[v] = delays[u] + d
                     nxt.append(v)
         frontier = nxt
-    return delays
-
-
-def intrinsic_delays(c: Configuration, topo: Topology,
-                     sysm: IncrementingSystem, reg: str = "r"
-                     ) -> list[int] | None:
-    """Delays from process 0 if the delay is path-independent, else None.
-
-    Path independence holds iff the delay around every fundamental cycle
-    (each non-tree edge closing the BFS tree) is zero.
-    """
-    delays = _tree_delays(c, topo, sysm.period, reg)
     for u, v in topo.edges:
-        if delays[v] - delays[u] != ominus(c[v][reg], c[u][reg], sysm.period):
+        if delays[v] - delays[u] != ominus(vals[v], vals[u], period):
             return None
     return delays
 
@@ -151,8 +147,6 @@ def intrinsic_delays(c: Configuration, topo: Topology,
 def is_wu0(c: Configuration, topo: Topology, sysm: IncrementingSystem,
            reg: str = "r") -> bool:
     """WU plus an intrinsic (path-independent) delay."""
-    if not is_wu(c, topo, sysm, reg):
-        return False
     return intrinsic_delays(c, topo, sysm, reg) is not None
 
 
@@ -166,25 +160,22 @@ def _no_hook(view: View, emit: Callable[[str, Any], None]) -> dict[str, Any]:
     return {}
 
 
-def check_sizing(rho: int, K: int, alphas: dict[str, int],
-                 t_g_bound: int | None, c_g_bound: int | None) -> int:
-    """Check the clock sizing rules and return the period (rho+1)*K.
+def check_sizing(rho: int, K: int, alpha: int, gp: GraphParams) -> int:
+    """Check the clock sizing rules on a topology with parameters `gp` and
+    return the period (rho+1)*K.
 
-    Each tail depth in `alphas` (name -> value) must reach the
-    greatest-hole bound T_G (convergence), and the period must exceed the
-    cyclomatic bound C_G (liveness); a None bound is not enforced.
+    The tail depth alpha must reach the greatest-hole bound T_G
+    (convergence), and the period must exceed the cyclomatic bound C_G
+    (liveness).
     """
     if rho < 1:
         raise SizingError(f"rho must be >= 1, got {rho}")
     period = (rho + 1) * K
-    if t_g_bound is not None:
-        for name, a in alphas.items():
-            if a < t_g_bound:
-                raise SizingError(
-                    f"{name}={a} violates {name} >= T_G bound ({t_g_bound})")
-    if c_g_bound is not None and period <= c_g_bound:
+    if alpha < gp.t_g:
+        raise SizingError(f"alpha={alpha} violates alpha >= T_G bound ({gp.t_g})")
+    if period <= gp.c_g_bound:
         raise SizingError(
-            f"(rho+1)*K={period} violates (rho+1)*K > C_G bound ({c_g_bound})")
+            f"(rho+1)*K={period} violates (rho+1)*K > C_G bound ({gp.c_g_bound})")
     return period
 
 
@@ -265,12 +256,11 @@ def clock_layer(reg: str, sysm: IncrementingSystem
     return ra, ca, normal_step, locally_correct
 
 
-def build_ss_ws(rho: int, K: int, alpha: int,
+def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
                 *, decide_hook: Hook | None = None,
                 cs1_hook: Hook | None = None,
-                payload_registers: tuple[RegisterSpec, ...] = (),
-                t_g_bound: int | None = None,
-                c_g_bound: int | None = None) -> ProtocolDef:
+                payload_registers: tuple[RegisterSpec, ...] = ()
+                ) -> ProtocolDef:
     """Build the wave-stream protocol with phase modulus delta = rho+1 and
     period delta*K.
 
@@ -284,10 +274,11 @@ def build_ss_ws(rho: int, K: int, alpha: int,
     followed by rho computation steps, so the next boundary observes the
     completed rho-stage pipeline.
 
-    Sizing: alpha >= greatest-hole bound (convergence), delta*K >
-    cyclomatic bound (liveness).  Pass the bounds to have them enforced.
+    Sizing (`check_sizing`, always enforced): alpha >= greatest-hole bound
+    (convergence), delta*K > cyclomatic bound (liveness) of the topology
+    with parameters `gp`.
     """
-    period = check_sizing(rho, K, {"alpha": alpha}, t_g_bound, c_g_bound)
+    period = check_sizing(rho, K, alpha, gp)
     delta = rho + 1
     sysm = IncrementingSystem(alpha=alpha, period=period)
     cs1 = cs1_hook or _no_hook
@@ -369,10 +360,9 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     proto, topo = trace.protocol, trace.topo
     sysm = proto.clock_registers[reg]
     c0 = trace.configs[0]
-    if not is_wu0(c0, topo, sysm, reg):
-        raise ValueError("first configuration of the trace is not in WU0")
     delays = intrinsic_delays(c0, topo, sysm, reg)
-    assert delays is not None
+    if delays is None:
+        raise ValueError("first configuration of the trace is not in WU0")
     # Anchor at a minimal process so the lifted values stay congruent to the
     # concrete ring values modulo the period.
     p_min = min(topo.nodes, key=lambda p: (delays[p], p))

@@ -36,16 +36,14 @@ def grid23():
 
 def make_ws(topo, rho, **kw):
     gp = graph_params(topo)
-    return build_ss_ws(rho, gp.c_g_bound + 1, gp.t_g,
-                       t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound, **kw)
+    return build_ss_ws(rho, gp.c_g_bound + 1, gp.t_g, gp, **kw)
 
 
 def make_dc(topo, rho, plugin, **kw):
     gp = graph_params(topo)
     kw.setdefault("K2", max(4 * rho + 1, gp.c_g_bound + 1))
-    return build_ss_dc(rho, K=gp.c_g_bound + 1,
-                       alpha1=gp.t_g, alpha2=gp.t_g, plugin=plugin,
-                       t_g_bound=gp.t_g, c_g_bound=gp.c_g_bound, **kw)
+    return build_ss_dc(rho, gp, K=gp.c_g_bound + 1, alpha=gp.t_g,
+                       plugin=plugin, **kw)
 
 
 def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,

@@ -226,8 +226,8 @@ def test_criterion_3_infimum(ring8, grid23):
     for kind in kinds:
         op = make_infimum(kind)
         for name, topo, rho in topos:
-            proto = attach_infimum(make_ws(topo, rho), op,
-                                   _acc_source(kind, 3))
+            proto = make_ws(topo, rho,
+                            **attach_infimum(op, _acc_source(kind, 3)))
             for daemon in DAEMONS:
                 steps = 420 if daemon == "synchronous" else 5000
                 suffix, _ = stabilized_suffix(proto, topo, daemon, seed=9,

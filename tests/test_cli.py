@@ -83,10 +83,21 @@ def test_make_topology_rejects(spec):
         make_topology(spec)
 
 
-def test_undersized_clocks_refused():
-    scn = scenario_from({"topo": "ring:8", "k": "1"}, {})
+@pytest.mark.parametrize("config", [
+    {"k": "1"},  # (rho+1)*K = 2 <= C_G bound
+    {"alpha": "1"},  # below T_G = 8
+    {"proto": "lme", "rho": "1", "k2": "4"},  # below max(5, C_G - 1) = 7
+    {"proto": "ss_ws", "infimum": "min_int", "alpha": "1"},
+], ids=["k", "alpha", "k2", "infimum"])
+def test_undersized_clocks_refused(config, capsys):
+    scn = scenario_from({"topo": "ring:8", **config}, {})
     with pytest.raises(ScenarioError):
         run_scenario(scn)
+    argv = ["run", "--topo", "ring:8"]
+    for key, val in config.items():
+        argv += [f"--{key}", val]
+    assert main(argv) == 2
+    assert "refused scenario" in capsys.readouterr().err
 
 
 # -- run / check round trip ------------------------------------------------
@@ -107,7 +118,8 @@ def test_run_ss_ws_with_trace_then_check(tmp_path, capsys):
     rc = run_cli(["check", trace_file])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "replay ok" in out and "infimum:" in out
+    assert "replay ok" in out and "infimum_mismatches = 0" in out
+    assert "violations = 0" in out
 
 
 def test_run_lra_and_check(tmp_path, capsys):
@@ -117,10 +129,10 @@ def test_run_lra_and_check(tmp_path, capsys):
                   "--trace", trace_file])
     assert rc == 0
     capsys.readouterr()
-    rc = run_cli(["check", trace_file, "--checks", "delay", "safety"])
+    rc = run_cli(["check", trace_file])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "delay:" in out and "safety:" in out
+    assert "safety_violations = 0" in out and "delay_disagreements = 0" in out
 
 
 def test_run_nonstabilizing_budget_fails(capsys):

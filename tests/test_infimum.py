@@ -6,10 +6,9 @@ from functools import reduce
 
 import pytest
 
-from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, ProtocolDef,
-                     Trace, attach_infimum, ball, generate, lift,
-                     make_infimum, run, uniform_configuration,
-                     verify_ball_infimum)
+from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, Trace,
+                     attach_infimum, ball, generate, lift, make_infimum, run,
+                     uniform_configuration, verify_ball_infimum)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -75,13 +74,6 @@ def test_axiom_violations_refused():
     assert make_infimum("custom", custom=gcd).name == "gcd"
 
 
-def test_attach_requires_wave_stream(ring8):
-    op = make_infimum("min_int")
-    other = ProtocolDef(name="other", actions=(), registers=())
-    with pytest.raises(ValueError):
-        attach_infimum(other, op, input_source(0))
-
-
 # -- pipeline exactness ----------------------------------------------------
 
 
@@ -92,7 +84,7 @@ def test_attach_requires_wave_stream(ring8):
 def test_pipeline_exact_on_ring(ring8, daemon, kind):
     op = make_infimum(kind)
     rho = 2
-    proto = attach_infimum(make_ws(ring8, rho), op, SOURCES[kind](7))
+    proto = make_ws(ring8, rho, **attach_infimum(op, SOURCES[kind](7)))
     suffix, _ = stabilized_suffix(proto, ring8, daemon, seed=8,
                                   max_steps=12000)
     verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=8)
@@ -104,7 +96,7 @@ def test_pipeline_exact_wave_case():
     topo = generate("path", n=5)
     rho = 4  # >= D: each decide sees the whole graph
     op = make_infimum("min_int")
-    proto = attach_infimum(make_ws(topo, rho), op, input_source(2))
+    proto = make_ws(topo, rho, **attach_infimum(op, input_source(2)))
     suffix, _ = stabilized_suffix(proto, topo, "central", seed=3,
                                   max_steps=15000)
     verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=5)
@@ -114,7 +106,7 @@ def test_pipeline_exact_wave_case():
 def test_verifier_catches_tampering(ring8):
     op = make_infimum("min_int")
     rho = 1
-    proto = attach_infimum(make_ws(ring8, rho), op, input_source(4))
+    proto = make_ws(ring8, rho, **attach_infimum(op, input_source(4)))
     suffix, _ = stabilized_suffix(proto, ring8, "synchronous", seed=5,
                                   max_steps=2000)
     lt = lift(suffix)
@@ -138,7 +130,7 @@ def test_verifier_catches_tampering(ring8):
 def test_degenerate_radius_refused(ring8):
     # every builder refuses rho < 1, so no trace has a radius-0 pipeline
     op = make_infimum("min_int")
-    proto = attach_infimum(make_ws(ring8, 1), op, input_source(6))
+    proto = make_ws(ring8, 1, **attach_infimum(op, input_source(6)))
     good = Trace(proto, ring8,
                  [tuple({"r": 0, "v0": 5, "v1": 5, "v2": 5, "u": 0}
                         for _ in ring8.nodes)], [])
@@ -152,7 +144,7 @@ def test_decide_payload_matches_ball_oracle(ring8):
     op = make_infimum("min_int")
     rho = 2
     src = input_source(9)
-    proto = attach_infimum(make_ws(ring8, rho), op, src)
+    proto = make_ws(ring8, rho, **attach_infimum(op, src))
     tr = run(proto, ring8, DaemonPolicy(kind="synchronous"),
              uniform_configuration(proto, ring8), max_steps=400)
     seen = 0

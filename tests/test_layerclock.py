@@ -2,6 +2,7 @@
 and delay agreement."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,21 +26,19 @@ def test_build_rejects_bad_rho(ring8):
 def test_build_rejects_small_alpha(ring8):
     gp = graph_params(ring8)
     with pytest.raises(SizingError):
-        build_ss_dc(2, K=gp.c_g_bound + 1, K2=9,
-                    alpha1=gp.t_g - 1, alpha2=gp.t_g,
-                    plugin=trivial_plugin(), t_g_bound=gp.t_g)
-    with pytest.raises(SizingError):
-        build_ss_dc(2, K=gp.c_g_bound + 1, K2=9,
-                    alpha1=gp.t_g, alpha2=gp.t_g - 1,
-                    plugin=trivial_plugin(), t_g_bound=gp.t_g)
+        build_ss_dc(2, gp, K=gp.c_g_bound + 1, K2=9, alpha=gp.t_g - 1,
+                    plugin=trivial_plugin())
+    # a topology with a lower T_G bound admits the same tail depth
+    proto = build_ss_dc(2, replace(gp, t_g=gp.t_g - 1), K=gp.c_g_bound + 1,
+                        K2=9, alpha=gp.t_g - 1, plugin=trivial_plugin())
+    assert proto.clock_registers["r2"].alpha == gp.t_g - 1
 
 
 def test_build_rejects_small_master_period(ring8):
     gp = graph_params(ring8)
     with pytest.raises(SizingError):
-        build_ss_dc(1, K=gp.c_g_bound // 2, K2=9,
-                    alpha1=gp.t_g, alpha2=gp.t_g,
-                    plugin=trivial_plugin(), c_g_bound=gp.c_g_bound)
+        build_ss_dc(1, gp, K=gp.c_g_bound // 2, K2=9, alpha=gp.t_g,
+                    plugin=trivial_plugin())
 
 
 def test_build_rejects_small_k2_unless_allowed(ring8):

@@ -1,15 +1,16 @@
 """Clock system, wave-stream protocol, legitimacy predicates, and lifting."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (DaemonPolicy, IncomparableError, IncrementingSystem,
-                     LiftError, SizingError, build_ss_ws, d_K, generate,
-                     graph_params, intrinsic_delays, is_wu, is_wu0, lift,
-                     ominus, random_configuration, run, uniform_configuration)
+from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
+                     SizingError, build_ss_ws, d_K, generate, graph_params,
+                     intrinsic_delays, is_wu, is_wu0, lift, ominus,
+                     random_configuration, run, uniform_configuration)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -64,8 +65,7 @@ def test_local_order_consistent_with_phi(a, b):
         assert ominus(b, a, K) == -1
     else:
         assert d_K(a, b, K) > 1
-        with pytest.raises(IncomparableError):
-            ominus(b, a, K)
+        assert ominus(b, a, K) is None
 
 
 # -- delays and legitimacy -------------------------------------------------
@@ -99,16 +99,86 @@ def test_intrinsic_delays_values(path6):
     assert intrinsic_delays(c, topo=path6, sysm=s) == [0, 1, 1, 2, 3, 3]
 
 
+def _reference_delays(c, topo, sysm, reg="r"):
+    """WU0 decided the long way: `is_wu`, then the delays along a BFS tree
+    from process 0, then the unit difference checked on every edge."""
+    if not is_wu(c, topo, sysm, reg):
+        return None
+    K = sysm.period
+
+    def unit(b, a):  # the values are locally comparable here
+        return 0 if a == b else (1 if (b - a) % K == 1 else -1)
+
+    delays = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in sorted(topo.adjacency[u]):
+                if v not in delays:
+                    delays[v] = delays[u] + unit(c[v][reg], c[u][reg])
+                    nxt.append(v)
+        frontier = nxt
+    for u, v in topo.edges:
+        if delays[v] - delays[u] != unit(c[v][reg], c[u][reg]):
+            return None
+    return [delays[p] for p in topo.nodes]
+
+
+_WU0_TOPOS = [generate("ring", n=n) for n in range(3, 7)] + [
+    generate("path", n=4), generate("grid", rows=2, cols=3)]
+
+
+@st.composite
+def clock_configurations(draw):
+    """A topology, a clock system of period 3-9, and register values that
+    cluster around one ring value, spread over chi, or mix the two."""
+    topo = draw(st.sampled_from(_WU0_TOPOS))
+    period = draw(st.integers(3, 9))
+    sysm = IncrementingSystem(alpha=draw(st.integers(0, 3)), period=period)
+    base = draw(st.integers(0, period - 1))
+    near = st.integers(-1, 1).map(lambda d: (base + d) % period)
+    anywhere = st.integers(-sysm.alpha, period - 1)
+    cell = draw(st.sampled_from([near, anywhere, st.one_of(near, anywhere)]))
+    c = tuple({"r": draw(cell)} for _ in topo.nodes)
+    return c, topo, sysm
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock_configurations())
+def test_intrinsic_delays_match_reference(case):
+    c, topo, sysm = case
+    expect = _reference_delays(c, topo, sysm)
+    assert intrinsic_delays(c, topo, sysm) == expect
+    assert is_wu0(c, topo, sysm) == (expect is not None)
+
+
+@pytest.mark.parametrize("kind,n,period", [("ring", 3, 3), ("ring", 4, 4),
+                                           ("path", 3, 5)])
+def test_intrinsic_delays_match_reference_exhaustively(kind, n, period):
+    topo = generate(kind, n=n)
+    sysm = IncrementingSystem(alpha=1, period=period)
+    legit = 0
+    for vals in itertools.product(range(-1, period), repeat=topo.node_count):
+        c = tuple({"r": v} for v in vals)
+        expect = _reference_delays(c, topo, sysm)
+        assert intrinsic_delays(c, topo, sysm) == expect, vals
+        legit += expect is not None
+    assert legit > 0
+
+
 # -- wave-stream protocol --------------------------------------------------
 
 
 def test_build_ss_ws_sizing_enforced():
+    gp = GraphParams(t_g=8, t_g_exact=True, c_g_bound=8)
     with pytest.raises(SizingError):
-        build_ss_ws(0, 5, 4)
+        build_ss_ws(0, 5, 8, gp)
     with pytest.raises(SizingError):
-        build_ss_ws(2, 5, 4, t_g_bound=8)  # alpha below T_G
+        build_ss_ws(2, 5, 4, gp)  # alpha below T_G
     with pytest.raises(SizingError):
-        build_ss_ws(1, 4, 8, c_g_bound=8)  # period 8 not > C_G
+        build_ss_ws(1, 4, 8, gp)  # period 8 not > C_G
+    assert build_ss_ws(1, 5, 8, gp).clock_registers["r"].period == 10
 
 
 def test_ss_ws_period_and_meta(ring8):
