@@ -10,11 +10,14 @@ line per transition, footer.  Exit codes: 0 pass, 1 violation found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -568,15 +571,45 @@ def _scenario_from_args(args) -> Scenario:
     return scenario_from(config, overrides)
 
 
+@contextlib.contextmanager
+def _output_file(path: str | None, what: str):
+    """Yield a temporary file beside `path`, created before the work that
+    fills it, and move it onto `path` when the block succeeds.
+
+    An unwritable location thus fails before any work, and a failed
+    command removes the temporary file and leaves an existing `path` as it
+    was.  An OSError inside the block is a write failure (exit 2).  Yields
+    None when there is no `path`.
+    """
+    if not path:
+        yield None
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=f".{os.path.basename(path)}.")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {what} {path}: {exc}") from exc
+    try:
+        mask = os.umask(0)
+        os.umask(mask)
+        os.fchmod(fd, 0o666 & ~mask)  # the mode `open(path, "w")` would give
+        os.close(fd)
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ScenarioError(f"cannot write {what} {path}: {exc}") from exc
+        raise
+
+
 def cmd_run(args) -> int:
     scn = _scenario_from_args(args)
-    trace = run_scenario(scn)
-    if args.trace:
-        try:
-            write_trace(args.trace, scn, trace)
-        except OSError as exc:
-            raise ScenarioError(f"cannot write trace {args.trace}: "
-                                f"{exc}") from exc
+    with _output_file(args.trace, "trace") as tmp:
+        trace = run_scenario(scn)
+        if tmp:
+            write_trace(tmp, scn, trace)
     report = analyze(scn, trace)
     print_summary(scn, report)
     return 0 if report["violations"] == 0 else 1
@@ -662,24 +695,17 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     cells = expand_grid(config) if config else []
-    if args.jobs > 1 and cells:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(scn) for scn in cells]
-    try:
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-            else sys.stdout
-    except OSError as exc:
-        raise ScenarioError(f"cannot write sweep output {args.out}: "
-                            f"{exc}") from exc
-    try:
-        writer = csv.writer(out)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    with _output_file(args.out, "sweep output") as tmp:
+        if args.jobs > 1 and cells:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_sweep_cell, cells))
+        else:
+            rows = [_sweep_cell(scn) for scn in cells]
+        with open(tmp, "w", newline="", encoding="utf-8") if tmp \
+                else contextlib.nullcontext(sys.stdout) as out:
+            writer = csv.writer(out)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rows)
     bad = sum(1 for row in rows if row[7] != 0)
     return 0 if bad == 0 else 1
 

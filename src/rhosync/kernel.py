@@ -104,9 +104,10 @@ class View:
     must go through a View so the engine can enforce the locality contract.
 
     `memo` maps a register name to a result derived from this view (the
-    clock layer's status of that register).  A View is built per
-    (configuration, process), so a memoized result never meets another
-    state.
+    clock layer's status of that register).  A memoized result stays valid
+    for any configuration in which the states of `p` and of its neighbors
+    are the very same objects as in `cfg`: the engine never mutates a
+    state, it replaces it.
     """
 
     __slots__ = ("cfg", "topo", "p", "reads", "memo")
@@ -150,10 +151,10 @@ class TransitionRecord:
     """One step.  `fired` maps every selected process, in ascending order,
     to the label of the action it fired; a record's step number is its
     position in a trace.  The state the step writes lives only in the
-    trace's next configuration."""
+    trace's next configuration, and what a fired action read follows from
+    the trace's previous one."""
 
     fired: dict[int, str]
-    reads: dict[int, tuple[tuple[int, str], ...]]
     neutralized: tuple[int, ...]
     events: tuple[HookEvent, ...] = ()
 
@@ -189,24 +190,24 @@ def enabled(c: Configuration, p: int, proto: ProtocolDef,
 
 
 def _first_enabled(c: Configuration, p: int, proto: ProtocolDef,
-                   topo: Topology) -> Action | None:
+                   topo: Topology) -> tuple[Action, View] | None:
     view = View(c, topo, p)
     for a in proto.actions:
         if a.guard(view):
-            return a
+            return a, view
     return None
 
 
 def first_enabled_map(c: Configuration, proto: ProtocolDef,
-                      topo: Topology) -> dict[int, Action]:
-    """Each enabled process's first (highest-priority) enabled action."""
-    return {p: a for p in topo.nodes
-            if (a := _first_enabled(c, p, proto, topo)) is not None}
+                      topo: Topology) -> dict[int, tuple[Action, View]]:
+    """Each enabled process's first (highest-priority) enabled action, with
+    the View its guard held on."""
+    return {p: hit for p in topo.nodes
+            if (hit := _first_enabled(c, p, proto, topo)) is not None}
 
 
 def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
-         topo: Topology,
-         first_enabled: dict[int, Action] | None = None,
+         topo: Topology, first_enabled: dict[int, tuple[Action, View]],
          ) -> tuple[Configuration, TransitionRecord]:
     """Fire the highest-priority enabled action of every selected process.
 
@@ -214,33 +215,38 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
     Selecting a non-enabled process is an engine fault.
 
     `first_enabled` maps each process enabled in `c` to its first enabled
-    action (see `first_enabled_map`); the step updates it in place for the
-    new configuration.  Without one, a map is computed fresh.
+    action and the View that action's guard held on (see
+    `first_enabled_map`); the step updates it in place for the new
+    configuration.  Each statement runs on its process's held View, so no
+    guard of a selected process is evaluated again.  The held View must
+    see the very states of `c` in the process's closed neighborhood, which
+    is when both the guard's verdict and the View's memo still hold;
+    otherwise the map is stale and the step raises EngineFault.
 
     The update is exact by the locality contract (a guard reads only its
     own and its neighbors' registers, through a View): only the closed
     neighborhood of the fired processes can change status, so only it is
     re-evaluated, stopping at the first guard that holds.  Neutralized =
-    (enabled before & that neighborhood) - fired - enabled after.  Each
-    firing guard is evaluated once more, with read tracking.
+    (enabled before & that neighborhood) - fired - enabled after.
     """
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
-    if first_enabled is None:
-        first_enabled = first_enabled_map(c, proto, topo)
     fired: dict[int, str] = {}
-    reads: dict[int, tuple[tuple[int, str], ...]] = {}
     events: list[HookEvent] = []
     new_states = list(c)
 
     for p in selection:
-        action = first_enabled.get(p)
-        if action is None:
+        hit = first_enabled.get(p)
+        if hit is None:
             raise EngineFault(f"selected process {p} has no enabled action")
-        view = View(c, topo, p, track=True)
-        if not action.guard(view):
-            raise EngineFault(f"guard of {action.label} no longer holds at {p}")
+        action, view = hit
+        held = view.cfg
+        if held is not c and (held[p] is not c[p] or any(
+                held[q] is not c[q] for q in topo.adjacency[p])):
+            raise EngineFault(
+                f"stale enabled map: {action.label} at {p} was enabled on "
+                f"other neighborhood states")
 
         def emit(kind: str, payload: Any, _p: int = p) -> None:
             events.append(HookEvent(process=_p, kind=kind, payload=payload))
@@ -250,7 +256,6 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
             if reg not in c[p]:
                 raise EngineFault(f"{action.label} at {p} wrote unknown register {reg!r}")
         fired[p] = action.label
-        reads[p] = tuple(sorted(view.reads or ()))
         if updates:
             new_states[p] = {**c[p], **updates}
     c_next = tuple(new_states)
@@ -260,13 +265,13 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
         dirty |= topo.adjacency[p]
     neutralized = []
     for p in dirty:
-        action = _first_enabled(c_next, p, proto, topo)
-        if action is not None:
-            first_enabled[p] = action
+        hit = _first_enabled(c_next, p, proto, topo)
+        if hit is not None:
+            first_enabled[p] = hit
         elif first_enabled.pop(p, None) is not None and p not in fired:
             neutralized.append(p)
 
-    rec = TransitionRecord(fired=fired, reads=reads,
+    rec = TransitionRecord(fired=fired,
                            neutralized=tuple(sorted(neutralized)),
                            events=tuple(events))
     return c_next, rec

@@ -374,22 +374,34 @@ def metrics(lt1: LiftedTrace, records: list[CsRecord]) -> Metrics:
 
 
 def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
-    """Unique (actor, neighbor) register reads per complete master phase.
+    """Distinct neighbors read per complete master phase.
 
-    Each actor's reads are attributed to its own master phase; a phase total
-    is reported once every process has completed that phase.
+    Each fired action's reads are attributed to its actor's own master
+    phase; a phase total is reported once every process has completed that
+    phase.  The reads are derived, not recorded: the action runs again on a
+    tracking View of its step's pre-state, which gives the reads of the
+    original firing because actions are deterministic.  Only steps of a
+    reported phase are re-run, and the statement only while the guard has
+    read fewer than all neighbors (reads reach neighbors only, so it could
+    add none).
     """
-    delta = lt1.trace.protocol.meta["delta"]
-    counts: dict[int, int] = {}
-    complete_top = min(lt1.values[-1])
-    for row, rec in zip(lt1.values, lt1.trace.records):
-        for p in rec.fired:
-            level = row[p]  # lifted value before this step
-            phase = level // delta
-            counts[phase] = counts.get(phase, 0) + len({q for q, _ in rec.reads[p]})
-    out = []
-    phase = lt1.first_phase_level(delta) // delta
-    while (phase + 1) * delta <= complete_top:
-        out.append(counts.get(phase, 0))
-        phase += 1
-    return out
+    trace = lt1.trace
+    topo = trace.topo
+    delta = trace.protocol.meta["delta"]
+    first = lt1.first_phase_level(delta) // delta
+    counts = [0] * max(min(lt1.values[-1]) // delta - first, 0)
+    actions = {a.label: a for a in trace.protocol.actions}
+    for row, rec, cfg in zip(lt1.values, trace.records, trace.configs):
+        for p, label in rec.fired.items():
+            i = row[p] // delta - first  # row[p]: lifted value before the step
+            if not 0 <= i < len(counts):
+                continue
+            view = View(cfg, topo, p, track=True)
+            action = actions[label]
+            action.guard(view)
+            read = {q for q, _ in view.reads}
+            if len(read) < len(topo.adjacency[p]):
+                action.statement(view, lambda kind, payload: None)
+                read = {q for q, _ in view.reads}
+            counts[i] += len(read)
+    return counts

@@ -4,11 +4,12 @@ sweep subcommands, trace round-trips, and exit codes."""
 import csv
 import io
 import json
+import os
 import sys
 
 import pytest
 
-from rhosync import causality, lra, unison
+from rhosync import causality, cli, lra, unison
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -398,20 +399,63 @@ def test_main_ignored_init_suffix_exits_2(capsys):
     assert "takes no argument" in capsys.readouterr().err
 
 
-def test_run_unwritable_trace_exits_2(tmp_path, capsys):
+def _record_calls(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def test_run_unwritable_trace_exits_2(tmp_path, capsys, monkeypatch):
+    runs = _record_calls(monkeypatch, "run_scenario")
     path = tmp_path / "missing" / "t.jsonl"
     rc = main(["run", "--topo", "ring:6", "--proto", "trivial",
                "--trace", str(path)])
     assert rc == 2
     assert "cannot write" in capsys.readouterr().err
+    assert runs == []
 
 
-def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    cells = _record_calls(monkeypatch, "_sweep_cell")
     path = tmp_path / "missing" / "s.csv"
     rc = main(["sweep", "--topo", "ring:6", "--proto", "trivial",
                "--steps", "20", "--out", str(path)])
     assert rc == 2
     assert "cannot write" in capsys.readouterr().err
+    assert cells == []
+
+
+def test_refused_run_keeps_existing_trace(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"earlier trace\n")
+    assert main(["run", "--topo", "ring:8", "--k", "1",
+                 "--trace", str(path)]) == 2
+    assert "refused scenario" in capsys.readouterr().err
+    assert path.read_bytes() == b"earlier trace\n"
+    assert os.listdir(tmp_path) == ["t.jsonl"]
+
+
+def test_outputs_are_replaced_whole(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    out = tmp_path / "s.csv"
+    trace.write_text("x" * 100_000)
+    out.write_text("y" * 100_000)
+    assert main(["run", "--topo", "ring:6", "--proto", "trivial",
+                 "--trace", str(trace)]) == 0
+    assert main(["sweep", "--topo", "ring:6", "--proto", "trivial",
+                 "--steps", "20", "--out", str(out)]) == 0
+    assert read_trace(str(trace))[1].records
+    assert out.read_text().startswith(",".join(CSV_HEADER))
+    assert sorted(os.listdir(tmp_path)) == ["s.csv", "t.jsonl"]
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert trace.stat().st_mode == out.stat().st_mode == plain.stat().st_mode
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -5,7 +5,9 @@ every step, evaluates every guard of every process, and scans every process
 for neutralization.  `kernel.step` instead keeps a map of first enabled
 actions and re-evaluates only the closed neighborhood of the fired
 processes; both must produce the same configurations and records, live and
-in trace replay, and the same round boundaries.
+in trace replay, and the same round boundaries.  The reference also tracks
+what each fired action reads while it fires, which `lra.metrics` derives
+afterwards from the trace.
 """
 
 import dataclasses
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
                      ProtocolDef, RegisterSpec, TransitionRecord, View,
-                     enabled, random_configuration, rounds, run)
+                     enabled, lift, metrics, random_configuration, rounds,
+                     run, stabilization_indices)
 from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
                          make_init, make_topology, read_trace, scenario_from,
                          write_trace)
@@ -31,7 +34,18 @@ def enabled_map(c, proto, topo):
             if (labs := enabled(c, p, proto, topo))}
 
 
+@dataclasses.dataclass
+class ReferenceRecord:
+    """A reference step's record and its tracked reads: process ->
+    set of (neighbor, register)."""
+
+    record: TransitionRecord
+    reads: dict
+
+
 def reference_step(c, selection, proto, topo):
+    """One step, plus the reads each fired action made while firing: its
+    guard and statement run on one tracking View."""
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
@@ -48,15 +62,15 @@ def reference_step(c, selection, proto, topo):
                 HookEvent(process=_p, kind=kind, payload=payload)))
         assert set(updates) <= set(c[p])
         fired[p] = action.label
-        reads[p] = tuple(sorted(view.reads))
+        reads[p] = frozenset(view.reads)
         writes[p] = updates
     c_next = tuple({**c[p], **writes.get(p, {})} for p in topo.nodes)
     after = enabled_map(c_next, proto, topo)
     neutralized = tuple(p for p in topo.nodes
                         if p in before and p not in fired and p not in after)
-    rec = TransitionRecord(fired=fired, reads=reads, neutralized=neutralized,
+    rec = TransitionRecord(fired=fired, neutralized=neutralized,
                            events=tuple(events))
-    return c_next, rec
+    return c_next, ReferenceRecord(rec, reads)
 
 
 def reference_run(proto, topo, daemon, init, max_steps):
@@ -72,6 +86,21 @@ def reference_run(proto, topo, daemon, init, max_steps):
         configs.append(cfg)
         records.append(rec)
     return configs, records, "budget"
+
+
+def reference_comms(lt1, reads):
+    """Per-phase totals of the tracked reads: the distinct neighbors each
+    fired process read, by the master phase it fired in (its lifted value
+    before the step), over the phases every process has completed."""
+    delta = lt1.trace.protocol.meta["delta"]
+    totals = {}
+    for row, step_reads in zip(lt1.values, reads):
+        for p, rs in step_reads.items():
+            phase = row[p] // delta
+            totals[phase] = totals.get(phase, 0) + len({q for q, _ in rs})
+    first = lt1.first_phase_level(delta) // delta
+    return [totals.get(phase, 0)
+            for phase in range(first, min(lt1.values[-1]) // delta)]
 
 
 def reference_rounds(configs, records, proto, topo):
@@ -120,12 +149,18 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     policy = make_daemon_policy(scn)
 
     trace = run(protocol, graph, policy, start, max_steps=steps)
-    configs, records, stop = reference_run(protocol, graph, policy, start,
-                                           steps)
+    configs, ref, stop = reference_run(protocol, graph, policy, start, steps)
+    records = [r.record for r in ref]
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
     assert rounds(trace) == reference_rounds(configs, records, protocol, graph)
+    if proto != "ss_ws":
+        _wu1, stab = stabilization_indices(trace)
+        if stab is not None:
+            lt1 = lift(trace.suffix(stab), "r1")
+            assert metrics(lt1, []).comms_per_phase == reference_comms(
+                lt1, [r.reads for r in ref[stab:]])
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
@@ -174,7 +209,8 @@ def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
     policy = DaemonPolicy(kind=kind, seed=seed, rho=rho)
     start = random_configuration(proto, graph, random.Random(seed))
     trace = run(proto, graph, policy, start, max_steps=steps)
-    configs, records, stop = reference_run(proto, graph, policy, start, steps)
+    configs, ref, stop = reference_run(proto, graph, policy, start, steps)
+    records = [r.record for r in ref]
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
@@ -182,9 +218,11 @@ def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
 
 
 def test_guard_evaluations_stay_in_the_fired_neighborhood():
-    """Central daemon on grid:4x4 (rho=2, 8,352 steps): each step may
-    evaluate the firing guard of every selected process once, plus every
-    guard of the closed neighborhood of the selection."""
+    """Central daemon on grid:4x4 (rho=2, 8,352 steps): each step evaluates,
+    at every process of the closed neighborhood of the selection, the
+    guards up to the first that holds on the new configuration, or all of
+    them when none holds, and nothing else.  In particular the guard of a
+    selected process is not evaluated again before its statement runs."""
     scn = scenario_from({}, {"topo": "grid:4x4", "proto": "ss_ws", "rho": 2,
                              "daemon": "central", "seed": 0})
     topo = make_topology(scn.topo)
@@ -197,7 +235,7 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
             return guard(view)
         return wrapper
 
-    proto = dataclasses.replace(proto, actions=tuple(
+    counted_proto = dataclasses.replace(proto, actions=tuple(
         dataclasses.replace(a, guard=counted(a.guard))
         for a in proto.actions))
     per_step = []  # snapshots before the first step and after each step
@@ -206,14 +244,24 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
         per_step.append(evals[0])
         return False
 
+    def scanned(cfg, p):
+        """Guards evaluated at p on cfg, stopping at the first that holds."""
+        view = View(cfg, topo, p)
+        for n, a in enumerate(proto.actions, start=1):
+            if a.guard(view):
+                return n
+        return len(proto.actions)
+
     steps = auto_steps(scn, topo, proto)
-    trace = run(proto, topo, make_daemon_policy(scn), make_init(scn, proto, topo),
-                max_steps=steps, stop_predicate=snapshot)
+    trace = run(counted_proto, topo, make_daemon_policy(scn),
+                make_init(scn, proto, topo), max_steps=steps,
+                stop_predicate=snapshot)
     assert len(trace.records) == steps == 8352
     for i, (rec, lo, hi) in enumerate(zip(trace.records, per_step,
                                           per_step[1:])):
         ball = set(rec.fired)
         for p in rec.fired:
             ball |= topo.adjacency[p]
-        assert hi - lo <= len(rec.fired) + len(proto.actions) * len(ball), \
+        nxt = trace.configs[i + 1]
+        assert hi - lo == sum(scanned(nxt, q) for q in ball), \
             f"step {i} evaluated {hi - lo} guards"

@@ -64,7 +64,8 @@ def test_step_composite_atomicity(ring8):
     # it does not cascade
     proto = swap_protocol()
     cfg = tuple({"x": p} for p in ring8.nodes)
-    nxt, rec = step(cfg, list(ring8.nodes), proto, ring8)
+    nxt, rec = step(cfg, list(ring8.nodes), proto, ring8,
+                    first_enabled_map(cfg, proto, ring8))
     for p in ring8.nodes:
         assert nxt[p]["x"] == cfg[min(ring8.adjacency[p])]["x"]
     assert set(rec.fired) == set(ring8.nodes)
@@ -73,10 +74,11 @@ def test_step_composite_atomicity(ring8):
 def test_step_rejects_empty_and_disabled_selection(ring8):
     proto = countdown_protocol()
     cfg = tuple({"x": 0} for _ in ring8.nodes)
+    first = first_enabled_map(cfg, proto, ring8)
     with pytest.raises(EngineFault):
-        step(cfg, [], proto, ring8)
+        step(cfg, [], proto, ring8, first)
     with pytest.raises(EngineFault):
-        step(cfg, [0], proto, ring8)
+        step(cfg, [0], proto, ring8, first)
 
 
 def test_step_rejects_unknown_register_write(ring8):
@@ -87,7 +89,7 @@ def test_step_rejects_unknown_register_write(ring8):
     )
     cfg = uniform_configuration(proto, ring8)
     with pytest.raises(EngineFault):
-        step(cfg, [0], proto, ring8)
+        step(cfg, [0], proto, ring8, first_enabled_map(cfg, proto, ring8))
 
 
 def test_priority_first_enabled_action_fires(ring8):
@@ -97,7 +99,8 @@ def test_priority_first_enabled_action_fires(ring8):
                         registers=(RegisterSpec("x", 1, lambda rng: 0),))
     cfg = uniform_configuration(proto, ring8)
     assert enabled(cfg, 0, proto, ring8) == ["HI", "LO"]
-    nxt, rec = step(cfg, [0], proto, ring8)
+    nxt, rec = step(cfg, [0], proto, ring8,
+                    first_enabled_map(cfg, proto, ring8))
     assert rec.fired[0] == "HI" and nxt[0]["x"] == 10
 
 
@@ -113,9 +116,27 @@ def test_neutralization(path6):
         registers=(RegisterSpec("x", 0, lambda rng: 0),),
     )
     cfg = tuple({"x": [5, 5, 0, 1, 2, 3][p]} for p in path6.nodes)
-    assert sorted(first_enabled_map(cfg, proto, path6)) == [0, 1]
-    _, rec = step(cfg, [0], proto, path6)
+    first = first_enabled_map(cfg, proto, path6)
+    assert sorted(first) == [0, 1]
+    _, rec = step(cfg, [0], proto, path6, first)
     assert rec.neutralized == (1,)
+
+
+def test_step_rejects_a_stale_enabled_map(path6):
+    # The map's view of process 1 holds an old state of its neighbor 2:
+    # its guard's verdict no longer stands for the configuration stepped.
+    proto = countdown_protocol()
+    old = tuple({"x": 1} for _ in path6.nodes)
+    first = first_enabled_map(old, proto, path6)
+    cfg = old[:2] + ({"x": 0},) + old[3:]
+    with pytest.raises(EngineFault, match="stale"):
+        step(cfg, [1], proto, path6, first)
+    # Equal values in new objects do not count as the same states either.
+    with pytest.raises(EngineFault, match="stale"):
+        step(tuple(dict(st) for st in old), [1], proto, path6, first)
+    # Process 4's closed neighborhood still holds the very states of `old`.
+    nxt, rec = step(cfg, [4], proto, path6, first)
+    assert rec.fired == {4: "DEC"} and nxt[4]["x"] == 0
 
 
 # -- daemons ---------------------------------------------------------------
@@ -254,7 +275,8 @@ def test_step_changes_only_selected(data):
     vals = data.draw(st.lists(st.integers(0, 99), min_size=8, max_size=8))
     cfg = tuple({"x": v} for v in vals)
     sel = data.draw(st.sets(st.integers(0, 7), min_size=1))
-    nxt, rec = step(cfg, sorted(sel), proto, topo)
+    nxt, rec = step(cfg, sorted(sel), proto, topo,
+                    first_enabled_map(cfg, proto, topo))
     for p in topo.nodes:
         if p not in sel:
             assert nxt[p] == cfg[p]
