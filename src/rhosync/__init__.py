@@ -14,14 +14,15 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
 from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      HookEvent, ProtocolDef, RegisterSpec, Trace,
                      TransitionRecord, View, check_attractor, check_closure,
-                     enabled, first_enabled_map, random_configuration,
-                     round_count, rounds, run, step, uniform_configuration)
+                     enabled, first_enabled_map, int_range,
+                     random_configuration, round_count, rounds, run, step,
+                     uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
                      SizingError, build_ss_ws, d_K, intrinsic_delays, is_wu,
                      is_wu0, lift, ominus)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
-                        build_event_graph, check_wavelet, cover,
-                        cut_for_level, cut_leq, is_coherent)
+                        build_event_graph, check_wavelet, cut_for_level,
+                        cut_leq, is_coherent)
 from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
                       attach_infimum, make_infimum, verify_ball_infimum)
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,

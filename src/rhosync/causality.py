@@ -1,5 +1,5 @@
-"""Causal DAG reconstruction from traces, cuts and coherence, cover
-computation, and the wavelet checker.
+"""Causal DAG reconstruction from traces, cuts and coherence, and the
+wavelet checker.
 
 Events are (process, time) pairs: (p, 0) for every process, plus (p, t+1)
 for every action p fires in the transition config[t] -> config[t+1].
@@ -21,7 +21,6 @@ __all__ = [
     "EventGraph",
     "Cut",
     "build_event_graph",
-    "cover",
     "cut_for_level",
     "is_coherent",
     "cut_leq",
@@ -79,13 +78,6 @@ def build_event_graph(trace: Trace) -> EventGraph:
             preds[(p, t)] = tuple(ps)
     return EventGraph(topo=topo, events_by_process=events_by_process,
                       preds=preds)
-
-
-def cover(g: EventGraph, e: Event) -> frozenset[int]:
-    """Processes with an event in e's past cone."""
-    if not g.has_event(e):
-        raise ValueError(f"{e} is not an event of the graph")
-    return frozenset(p for p, _ in g.ancestors(e))
 
 
 Cut = dict[int, int]

@@ -19,7 +19,6 @@ import random
 import sys
 import tempfile
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
@@ -250,20 +249,23 @@ def make_init(scn: Scenario, proto, topo: Topology):
 def _load_configuration(states, proto, topo: Topology):
     """The configuration listed by `states` (one register dict per process,
     as JSON gives it).  Raises ValueError unless every process has exactly
-    the protocol's registers, each clock register holds an int of its
-    system's domain, and every guard evaluates on the result."""
+    the protocol's registers, each holding a value of its register's
+    domain, and every guard evaluates on the result."""
     if not isinstance(states, list) or len(states) != topo.node_count:
         raise ValueError(f"expected a list of {topo.node_count} register dicts")
     known = {r.name for r in proto.registers}
+    cfg = []
     for p, st in enumerate(states):
         if not isinstance(st, dict) or set(st) != known:
             raise ValueError(f"process {p}: expected registers {sorted(known)}, "
                              f"got {st!r}")
-        for reg, sysm in proto.clock_registers.items():
-            if type(st[reg]) is not int or not sysm.contains(st[reg]):
-                raise ValueError(f"process {p}: {reg}={st[reg]!r} is not an "
-                                 f"int in [{-sysm.alpha}, {sysm.period - 1}]")
-    cfg = tuple(_freeze(st) for st in states)
+        st = _freeze(st)
+        for r in proto.registers:
+            if not r.contains(st[r.name]):
+                raise ValueError(f"process {p}: register {r.name} = "
+                                 f"{st[r.name]!r} is outside its domain")
+        cfg.append(st)
+    cfg = tuple(cfg)
     try:
         first_enabled_map(cfg, proto, topo)
     except Exception as exc:  # noqa: BLE001 - any guard failure is bad input
@@ -697,6 +699,9 @@ def cmd_sweep(args) -> int:
     cells = expand_grid(config) if config else []
     with _output_file(args.out, "sweep output") as tmp:
         if args.jobs > 1 and cells:
+            # Only a parallel sweep pays for loading the process pool
+            # (multiprocessing, pickle, logging, socket).
+            from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_sweep_cell, cells))
         else:

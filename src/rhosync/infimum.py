@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .kernel import RegisterSpec, Trace, View
+from .kernel import RegisterSpec, Trace, View, int_range
 from .topology import ball
 from .unison import LiftedTrace
 
@@ -36,12 +36,13 @@ class InfimumAxiomError(ValueError):
 @dataclass(frozen=True)
 class InfimumOp:
     """Associative, commutative, idempotent binary operator with a greatest
-    identity element."""
+    identity element, over the domain that `contains` decides."""
 
     name: str
     op: Callable[[Any, Any], Any]
     identity: Any
     sample: Callable[[random.Random], Any]
+    contains: Callable[[Any], bool]
 
     def fold(self, values) -> Any:
         acc = self.identity
@@ -53,8 +54,14 @@ class InfimumOp:
 def _check_axioms(cand: InfimumOp, *, trials: int = 200, seed: int = 7) -> None:
     rng = random.Random(seed)
     op = cand.op
+    if not cand.contains(cand.identity):
+        raise InfimumAxiomError(
+            f"{cand.name}: identity {cand.identity!r} outside the domain")
     for _ in range(trials):
         x, y, z = cand.sample(rng), cand.sample(rng), cand.sample(rng)
+        if not cand.contains(x):
+            raise InfimumAxiomError(f"{cand.name}: sample {x!r} outside the "
+                                    f"domain")
         if op(x, x) != x:
             raise InfimumAxiomError(f"{cand.name}: not idempotent at {x!r}")
         if op(x, y) != op(y, x):
@@ -67,6 +74,9 @@ def _check_axioms(cand: InfimumOp, *, trials: int = 200, seed: int = 7) -> None:
 
 
 _SET_UNIVERSE = frozenset(range(8))
+_INTS = int_range(-1000, 1000)
+_PAIR_PART = int_range(-50, 50)
+_PAIR_TOP = (math.inf, math.inf)
 
 
 def make_infimum(kind: str, *,
@@ -76,22 +86,28 @@ def make_infimum(kind: str, *,
     Kinds: min_int, max_int, set_intersection (over subsets of a small
     universe), lex_pair (componentwise-lexicographic pair minimum), or
     'custom' with a caller-supplied candidate.  Axioms are probed with
-    random triples at construction; violators are refused.
+    random triples at construction; violators are refused.  Each kind's
+    domain holds its identity and what its sampler draws.
     """
     if kind == "min_int":
         cand = InfimumOp("min_int", min, math.inf,
-                         lambda rng: rng.randrange(-1000, 1000))
+                         lambda rng: rng.randrange(-1000, 1000),
+                         lambda x: x == math.inf or _INTS(x))
     elif kind == "max_int":
         cand = InfimumOp("max_int", max, -math.inf,
-                         lambda rng: rng.randrange(-1000, 1000))
+                         lambda rng: rng.randrange(-1000, 1000),
+                         lambda x: x == -math.inf or _INTS(x))
     elif kind == "set_intersection":
         cand = InfimumOp(
             "set_intersection", lambda a, b: a & b, _SET_UNIVERSE,
-            lambda rng: frozenset(x for x in _SET_UNIVERSE if rng.random() < 0.5))
+            lambda rng: frozenset(x for x in _SET_UNIVERSE if rng.random() < 0.5),
+            lambda x: isinstance(x, frozenset) and x <= _SET_UNIVERSE)
     elif kind == "lex_pair":
         cand = InfimumOp(
-            "lex_pair", min, (math.inf, math.inf),
-            lambda rng: (rng.randrange(-50, 50), rng.randrange(-50, 50)))
+            "lex_pair", min, _PAIR_TOP,
+            lambda rng: (rng.randrange(-50, 50), rng.randrange(-50, 50)),
+            lambda x: x == _PAIR_TOP or (type(x) is tuple and len(x) == 2
+                                         and all(map(_PAIR_PART, x))))
     elif kind == "custom":
         if custom is None:
             raise ValueError("kind 'custom' requires a candidate operator")
@@ -134,10 +150,10 @@ def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
         return {"u": phase, "v0": v0, "v1": v0, "v2": v0}
 
     payload = (
-        RegisterSpec("v0", op.identity, op.sample),
-        RegisterSpec("v1", op.identity, op.sample),
-        RegisterSpec("v2", op.identity, op.sample),
-        RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
+        RegisterSpec("v0", op.identity, op.sample, op.contains),
+        RegisterSpec("v1", op.identity, op.sample, op.contains),
+        RegisterSpec("v2", op.identity, op.sample, op.contains),
+        RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4), int_range(0)),
     )
     return {"decide_hook": initialization, "cs1_hook": computation,
             "payload_registers": payload}
@@ -166,6 +182,9 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
     start = lt.first_phase_level(delta)
     top = min(lt.values[-1])
     mismatches: list[tuple[int, int, int, str, Any, Any]] = []
+    # balls[radius][p]: the same for every phase, so built once.
+    balls = [[ball(topo, p, radius) for p in topo.nodes]
+             for radius in range(rho + 1)]
     phases = 0
     k0 = start
     while k0 + delta <= top:
@@ -176,7 +195,7 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp, rho: int,
         snapshot = {p: trace.configs[t_start[p]][p]["v0"] for p in topo.nodes}
 
         def oracle(p: int, radius: int) -> Any:
-            return op.fold(snapshot[q] for q in ball(topo, p, radius))
+            return op.fold(snapshot[q] for q in balls[radius][p])
 
         for k in range(1, rho + 1):
             for p in topo.nodes:

@@ -20,6 +20,7 @@ from .topology import Topology
 __all__ = [
     "Configuration",
     "RegisterSpec",
+    "int_range",
     "Action",
     "ProtocolDef",
     "View",
@@ -50,15 +51,28 @@ Configuration = tuple[dict[str, Any], ...]
 
 @dataclass(frozen=True)
 class RegisterSpec:
-    """Declares one per-process register: its default and a corruption sampler.
+    """Declares one per-process register: its default, a corruption sampler
+    and its domain.
 
     The sampler draws an arbitrary in-domain value; it is what a transient
-    fault (random initial configuration) may write.
+    fault (random initial configuration) may write.  `contains` is the
+    domain's membership predicate: it holds for the default and for every
+    sampled value, and a configuration loaded from a file must satisfy it
+    at every register.
     """
 
     name: str
     default: Any
     sampler: Callable[[random.Random], Any]
+    contains: Callable[[Any], bool]
+
+
+def int_range(lo: int, hi: int | None = None) -> Callable[[Any], bool]:
+    """Membership in the ints of [lo, hi), unbounded above when `hi` is
+    None.  A bool is not an int here."""
+    def contains(x: Any) -> bool:
+        return type(x) is int and lo <= x and (hi is None or x < hi)
+    return contains
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def build_ss_dc(rho: int, gp: GraphParams, *, K: int, K2: int, alpha: int,
         return updates
 
     registers = (
-        RegisterSpec("r1", 0, sys1.sample),
-        RegisterSpec("r2", 0, sys2.sample),
+        RegisterSpec("r1", 0, sys1.sample, sys1.contains),
+        RegisterSpec("r2", 0, sys2.sample, sys2.contains),
     ) + plugin.registers
     return ProtocolDef(
         name="ss_dc",

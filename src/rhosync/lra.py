@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .kernel import RegisterSpec, Trace, View
+from .kernel import RegisterSpec, Trace, View, int_range
 from .layerclock import CondPlugin, delay_2rho
 from .topology import Topology
 from .unison import LiftedTrace
@@ -105,7 +105,9 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         compat = compat_lme
         sigma_leq = lambda a, b: a <= b
         draw = lambda p, phase: {"v": cols[p]}
-        sampler = lambda rng: rng.randrange(0, max(cols) + 1)
+        top = max(cols) + 1
+        values = int_range(0, top)
+        sampler = lambda rng: rng.randrange(0, top)
         cond = elected
         critical_section = lambda view, emit: emit("cs", {"v": view.p})
     elif kind == "gme":
@@ -114,7 +116,9 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         compat = compat_gme
         sigma_leq = lambda a, b: a <= b
         draw = lambda p, phase: {"v": grp[p]}
-        sampler = lambda rng: rng.randrange(0, max(max(grp), 1) + 1)
+        top = max(max(grp), 1) + 1
+        values = int_range(0, top)
+        sampler = lambda rng: rng.randrange(0, top)
         # group match alone is unsafe while slave offsets persist: two
         # overlapping balls may crown different groups.  Requiring the
         # clock component too makes concurrent winners provably share a
@@ -132,6 +136,9 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
         sigma_leq = _rw_leq
         sampler = lambda rng: _rw_encode(rng.choice("NRW"),
                                          rng.randrange(topo.node_count))
+        ids = int_range(0, topo.node_count)
+        values = lambda v: v == _FREE or (type(v) is tuple and len(v) == 2
+                                          and v[0] == "W" and ids(v[1]))
 
         def cond(view: View) -> bool:
             # match on the elected candidate
@@ -152,7 +159,8 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
                 emit("cs", {"v": view.get("v")})
             # req == "N": no resource use; the barrier still advances
 
-        extra = (RegisterSpec("req", "N", lambda rng: rng.choice("NRW")),)
+        extra = (RegisterSpec("req", "N", lambda rng: rng.choice("NRW"),
+                              lambda x: x in ("N", "R", "W")),)
     else:
         raise ValueError(f"unknown lra kind {kind!r}")
 
@@ -179,14 +187,19 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     def cond1(view: View) -> bool:
         return view.get("r2") == view.get("res2")[0]
 
+    # A candidate pairs a slave clock with a value; NA draws and folds
+    # candidates only while the slave is locally correct, on its ring.
+    slave = int_range(0, K2)
+    candidates = lambda x: (type(x) is tuple and len(x) == 2
+                            and slave(x[0]) and values(x[1]))
     v0 = draw(0, 0)["v"]
     regs = (
-        RegisterSpec("v", v0, sampler),
+        RegisterSpec("v", v0, sampler, values),
         RegisterSpec("res1", (0, v0),
-                     lambda rng: (rng.randrange(K2), sampler(rng))),
+                     lambda rng: (rng.randrange(K2), sampler(rng)), candidates),
         RegisterSpec("res2", (0, v0),
-                     lambda rng: (rng.randrange(K2), sampler(rng))),
-        RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4)),
+                     lambda rng: (rng.randrange(K2), sampler(rng)), candidates),
+        RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4), int_range(0)),
     ) + extra
     return CondPlugin(
         name=kind,

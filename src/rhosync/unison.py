@@ -64,8 +64,9 @@ class IncrementingSystem:
             return (x + 1) % self.period
         return x + 1
 
-    def contains(self, x: int) -> bool:
-        return -self.alpha <= x < self.period
+    def contains(self, x: Any) -> bool:
+        """The register domain chi: an int in [-alpha, period)."""
+        return type(x) is int and -self.alpha <= x < self.period
 
     def in_ring(self, x: int) -> bool:
         return 0 <= x < self.period
@@ -294,7 +295,8 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
         updates["r"] = sysm.phi(rp)
         return updates
 
-    registers = (RegisterSpec("r", 0, sysm.sample),) + payload_registers
+    registers = ((RegisterSpec("r", 0, sysm.sample, sysm.contains),)
+                 + payload_registers)
     return ProtocolDef(
         name="ss_ws",
         actions=(ra, ca, Action("NA", normal_step, na_body)),

@@ -1,4 +1,4 @@
-"""Causal DAG reconstruction, cuts, covers, and the wavelet checker."""
+"""Causal DAG reconstruction, cuts, past cones, and the wavelet checker."""
 
 import functools
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (WaveletVerdict, ball, build_event_graph, check_wavelet,
-                     cover, cut_for_level, cut_leq, generate, is_coherent,
-                     lift)
+                     cut_for_level, cut_leq, generate, is_coherent, lift)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -58,20 +57,14 @@ def test_same_step_events_not_linked(ring8):
 
 
 def test_cover_grows_one_hop_per_synchronous_step(ring8):
+    # the cover of an event: the processes of its past cone
     suffix, _ = sync_suffix(ring8, 1, steps=300)
     g = build_event_graph(suffix)
     p = 0
     for k in range(0, ring8.diameter + 2):
-        c = cover(g, (p, k))
+        c = frozenset(q for q, _ in g.ancestors((p, k)))
         expect = ball(ring8, p, min(k, ring8.diameter))
         assert c == expect
-
-
-def test_cover_rejects_non_event(ring8):
-    suffix, _ = sync_suffix(ring8, 1, steps=300)
-    g = build_event_graph(suffix)
-    with pytest.raises(ValueError):
-        cover(g, (0, 10 ** 9))
 
 
 def test_leq_and_ancestors(ring8):

@@ -5,11 +5,15 @@ import csv
 import io
 import json
 import os
+import pathlib
+import random
+import subprocess
 import sys
 
 import pytest
 
-from rhosync import causality, cli, lra, unison
+from rhosync import (causality, cli, lra, random_configuration, unison,
+                     uniform_configuration)
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -160,17 +164,50 @@ def test_slave_wound_around_cycle_does_not_stabilize(tmp_path, capsys):
     assert "violations = 1" in out
 
 
-@pytest.mark.parametrize("states", [
-    [1, 2, 3, 4, 5, 6],  # entries are not register dicts
-    [{"r": "x"}] * 6,  # clock value outside the clock domain
-])
-def test_malformed_init_file_exits_2(tmp_path, capsys, states):
+@pytest.mark.parametrize("flags, states, register", [
+    # entries are not register dicts
+    ([], [1, 2, 3, 4, 5, 6], None),
+    # clock value outside the clock domain
+    ([], [{"r": "x"}] * 6, "r"),
+    # election candidates that are not (slave clock, value) pairs
+    (["--proto", "lme", "--rho", "1"],
+     [{"r1": 0, "r2": 0, "v": 0, "res1": 5, "res2": 5, "u": 0}] * 6, "res1"),
+    # an int where lex_pair holds pairs
+    (["--infimum", "lex_pair"],
+     [{"r": 0, "v0": 5, "v1": [1, 2], "v2": [1, 2], "u": 0}] * 6, "v0"),
+], ids=[f"states{i}" for i in range(4)])
+def test_malformed_init_file_exits_2(tmp_path, capsys, flags, states,
+                                     register):
     init = tmp_path / "init.json"
     init.write_text(json.dumps(states))
-    rc = run_cli(["run", "--topo", "ring:6",
+    rc = run_cli(["run", "--topo", "ring:6", *flags,
                   "--init", f"adversarial_file:{init}"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if register is not None:
+        assert f"process 0: register {register} = " in err
+
+
+@pytest.mark.parametrize("params", [
+    {"proto": "ss_ws"}, {"proto": "ss_ws", "infimum": "min_int"},
+    {"proto": "ss_ws", "infimum": "max_int"},
+    {"proto": "ss_ws", "infimum": "lex_pair"},
+    {"proto": "trivial"}, {"proto": "lme"}, {"proto": "gme"}, {"proto": "rw"},
+], ids=lambda params: "-".join(params.values()))
+def test_default_and_sampled_configurations_load(params):
+    # what a trace's config line holds: JSON of a default or sampled
+    # configuration
+    for topo_spec in ("ring:6", "grid:2x3"):
+        scn = scenario_from({"topo": topo_spec, "rho": "2", **params}, {})
+        topo = make_topology(scn.topo)
+        proto = cli.build_protocol(scn, topo)
+        rng = random.Random(0)
+        configs = [uniform_configuration(proto, topo)] + [
+            random_configuration(proto, topo, rng) for _ in range(20)]
+        for cfg in configs:
+            states = json.loads(json.dumps(list(cfg)))
+            assert cli._load_configuration(states, proto, topo) == cfg
 
 
 def _count_calls(monkeypatch, original, record):
@@ -313,6 +350,27 @@ def test_trace_roundtrip_preserves_run(tmp_path):
     scn2, replayed = read_trace(trace_file)
     assert scn2 == scn
     assert replayed.configs == trace.configs
+
+
+_POOL_PROBE = """
+import sys
+from rhosync.cli import main
+trace = sys.argv[1]
+codes = (main(["run", "--topo", "ring:6", "--proto", "lme", "--trace", trace]),
+         main(["check", trace]))
+loaded = sorted({"multiprocessing", "concurrent.futures"} & sys.modules.keys())
+print("probe", codes, loaded)
+"""
+
+
+def test_run_and_check_never_load_the_process_pool(tmp_path):
+    # A fresh interpreter: this test process may have loaded the pool.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, str(tmp_path / "t.jsonl")],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "probe (0, 0) []"
 
 
 # -- sweep -----------------------------------------------------------------

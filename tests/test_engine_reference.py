@@ -28,6 +28,11 @@ from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
 from rhosync.kernel import make_daemon
 
 
+def any_int(x):
+    """The domain of the toy protocols' register x."""
+    return type(x) is int
+
+
 def enabled_map(c, proto, topo):
     """Each enabled process, mapped to all its enabled labels."""
     return {p: labs for p in topo.nodes
@@ -193,7 +198,8 @@ def churn_protocol():
             Action("PEAK", peak, lambda v, e: {"x": v.get("x") - 1}),
             Action("ZERO", lambda v: v.get("x") == 0, restart),
         ),
-        registers=(RegisterSpec("x", 0, lambda rng: rng.randrange(5)),),
+        registers=(RegisterSpec("x", 0,
+                                lambda rng: rng.randrange(5), any_int),),
     )
 
 

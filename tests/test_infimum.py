@@ -1,5 +1,6 @@
 """Infimum operators and the rho-ball aggregation pipeline."""
 
+import dataclasses
 import math
 import random
 from functools import reduce
@@ -7,8 +8,9 @@ from functools import reduce
 import pytest
 
 from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, Trace,
-                     attach_infimum, ball, generate, lift, make_infimum, run,
-                     uniform_configuration, verify_ball_infimum)
+                     attach_infimum, ball, generate, int_range, lift,
+                     make_infimum, run, uniform_configuration,
+                     verify_ball_infimum)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -61,17 +63,24 @@ def test_unknown_kind_and_missing_custom():
 
 
 def test_axiom_violations_refused():
+    naturals = int_range(0)
     sub = InfimumOp("sub", lambda a, b: a - b, 0,
-                    lambda rng: rng.randrange(10))
+                    lambda rng: rng.randrange(10), naturals)
     with pytest.raises(InfimumAxiomError):
         make_infimum("custom", custom=sub)
     add = InfimumOp("add", lambda a, b: a + b, 0,
-                    lambda rng: rng.randrange(1, 10))  # not idempotent
+                    lambda rng: rng.randrange(1, 10), naturals)  # not idempotent
     with pytest.raises(InfimumAxiomError):
         make_infimum("custom", custom=add)
     # gcd is a genuine infimum (divisibility order)
-    gcd = InfimumOp("gcd", math.gcd, 0, lambda rng: rng.randrange(1, 600))
+    gcd = InfimumOp("gcd", math.gcd, 0, lambda rng: rng.randrange(1, 600),
+                    naturals)
     assert make_infimum("custom", custom=gcd).name == "gcd"
+    # ... but not over a domain that misses its identity or its samples
+    for domain in (int_range(1), int_range(0, 10)):
+        with pytest.raises(InfimumAxiomError, match="outside the domain"):
+            make_infimum("custom", custom=dataclasses.replace(
+                gcd, contains=domain))
 
 
 # -- pipeline exactness ----------------------------------------------------

@@ -15,6 +15,11 @@ from rhosync import (Action, DaemonPolicy, EngineFault, ProtocolDef,
 from rhosync.kernel import make_daemon
 
 
+def any_int(x):
+    """The domain of the toy protocols' register x."""
+    return type(x) is int
+
+
 def swap_protocol():
     """Two-register toy: every process copies its left ring neighbor's x.
     Always enabled, so it exercises daemons and atomicity cleanly."""
@@ -28,7 +33,8 @@ def swap_protocol():
     return ProtocolDef(
         name="copy_min_neighbor",
         actions=(Action("CP", guard, body),),
-        registers=(RegisterSpec("x", 0, lambda rng: rng.randrange(100)),),
+        registers=(RegisterSpec("x", 0,
+                                lambda rng: rng.randrange(100), any_int),),
     )
 
 
@@ -38,7 +44,8 @@ def countdown_protocol():
         name="countdown",
         actions=(Action("DEC", lambda v: v.get("x") > 0,
                         lambda v, emit: {"x": v.get("x") - 1}),),
-        registers=(RegisterSpec("x", 3, lambda rng: rng.randrange(5)),),
+        registers=(RegisterSpec("x", 3,
+                                lambda rng: rng.randrange(5), any_int),),
     )
 
 
@@ -85,7 +92,7 @@ def test_step_rejects_unknown_register_write(ring8):
     proto = ProtocolDef(
         name="bad",
         actions=(Action("B", lambda v: True, lambda v, e: {"nope": 1}),),
-        registers=(RegisterSpec("x", 0, lambda rng: 0),),
+        registers=(RegisterSpec("x", 0, lambda rng: 0, any_int),),
     )
     cfg = uniform_configuration(proto, ring8)
     with pytest.raises(EngineFault):
@@ -96,7 +103,8 @@ def test_priority_first_enabled_action_fires(ring8):
     hi = Action("HI", lambda v: v.get("x") >= 1, lambda v, e: {"x": 10})
     lo = Action("LO", lambda v: True, lambda v, e: {"x": -10})
     proto = ProtocolDef(name="prio", actions=(hi, lo),
-                        registers=(RegisterSpec("x", 1, lambda rng: 0),))
+                        registers=(RegisterSpec("x", 1,
+                                                lambda rng: 0, any_int),))
     cfg = uniform_configuration(proto, ring8)
     assert enabled(cfg, 0, proto, ring8) == ["HI", "LO"]
     nxt, rec = step(cfg, [0], proto, ring8,
@@ -113,7 +121,7 @@ def test_neutralization(path6):
             "M",
             lambda v: any(v.nget(q, "x") == v.get("x") for q in v.neighbors),
             lambda v, e: {"x": v.get("x") + 10}),),
-        registers=(RegisterSpec("x", 0, lambda rng: 0),),
+        registers=(RegisterSpec("x", 0, lambda rng: 0, any_int),),
     )
     cfg = tuple({"x": [5, 5, 0, 1, 2, 3][p]} for p in path6.nodes)
     first = first_enabled_map(cfg, proto, path6)
@@ -291,7 +299,8 @@ def test_check_closure_flags_non_closed_predicate(ring8):
         name="inc",
         actions=(Action("I", lambda v: True,
                         lambda v, e: {"x": v.get("x") + 1}),),
-        registers=(RegisterSpec("x", 0, lambda rng: rng.randrange(100)),),
+        registers=(RegisterSpec("x", 0,
+                                lambda rng: rng.randrange(100), any_int),),
     )
 
     def all_equal(c):
