@@ -102,22 +102,17 @@ def is_coherent(g: EventGraph, cut: Cut) -> bool:
     cut's past: (q,t') <= (p, t_p) implies t' <= t_q.
 
     Raises ValueError if some (p, cut[p]) is not an event.  The test is
-    edge-local (no message crosses the cut backwards): for each p and each
-    neighbour q, the latest q-event strictly before cut[p] must be at or
-    before cut[q].  Those are the neighbour predecessors of (p, cut[p]); by
-    induction over the predecessors, the events at or before the cut are
-    then closed under the causal order.
+    edge-local (no message crosses the cut backwards): every predecessor
+    (q, t) of a cut event (p, cut[p]) must have t <= cut[q].  The own
+    predecessor always does; by induction over the predecessors, the events
+    at or before the cut are then closed under the causal order.
     """
     for p, tp in cut.items():
         if not g.has_event((p, tp)):
             raise ValueError(f"({p},{tp}) is not an event")
-    ebp = g.events_by_process
     for p, tp in cut.items():
-        if tp == 0:
-            continue
-        for q in g.topo.adjacency[p]:
-            qtimes = ebp[q]
-            if qtimes[bisect_left(qtimes, tp) - 1] > cut[q]:
+        for q, t in g.preds.get((p, tp), ()):
+            if t > cut[q]:
                 return False
     return True
 

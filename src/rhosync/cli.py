@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -49,7 +50,9 @@ class CorruptTraceError(Exception):
 
 @dataclass
 class Scenario:
-    """One simulation cell.  String fields keep 'auto' as a sentinel."""
+    """One simulation cell.  Each field is a CLI flag and a config key,
+    and its default's type is the type its values must have.  String
+    fields keep 'auto' as a sentinel."""
 
     topo: str = "ring:8"
     proto: str = "ss_ws"  # ss_ws | trivial | lme | gme | rw
@@ -69,12 +72,13 @@ class Scenario:
         return (self.topo, self.proto, self.rho, self.daemon, self.seed)
 
 
-_INT_FIELDS = {"rho", "seed", "group_count"}
-_FLOAT_FIELDS = {"p_select"}
 _DAEMONS = {"synchronous", "central", "rho_central", "distributed_random",
             "adversarial"}
 _PROTOS = {"ss_ws", "trivial", "lme", "gme", "rw"}
 _INIT_MODES = {"wu0_uniform", "random_arbitrary", "adversarial_file"}
+# The values a field may hold, by the type of its default, and how to say so.
+_FIELD_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                str: (str, "a string")}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -95,34 +99,35 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def scenario_from(config: dict[str, str],
+def scenario_from(config: dict[str, object],
                   overrides: dict[str, object]) -> Scenario:
-    """Merge defaults, config-file entries, then explicit flag overrides."""
-    values: dict[str, object] = {}
-    names = {f.name for f in fields(Scenario)}
-    for key, raw in config.items():
-        if key not in names:
+    """Merge defaults, config-file entries, then explicit flag overrides
+    (None means unset).  A string given for a numeric field is parsed as
+    the type of that field's default."""
+    values = {**config,
+              **{k: v for k, v in overrides.items() if v is not None}}
+    kinds = {f.name: type(f.default) for f in fields(Scenario)}
+    for key, val in values.items():
+        if key not in kinds:
             raise ScenarioError(f"unknown config key {key!r}")
-        values[key] = raw
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    for key in _INT_FIELDS & values.keys():
-        try:
-            values[key] = int(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{key} must be an integer") from exc
-    for key in _FLOAT_FIELDS & values.keys():
-        try:
-            values[key] = float(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{key} must be a number") from exc
-    scn = Scenario(**{k: v for k, v in values.items()})
+        if kinds[key] is not str and isinstance(val, str):
+            try:
+                values[key] = kinds[key](val)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"{key} must be {_FIELD_TYPES[kinds[key]][1]}") from exc
+    scn = Scenario(**values)
     validate_scenario(scn)
     return scn
 
 
 def validate_scenario(scn: Scenario) -> None:
+    """Check each field's type against its default's, then its value."""
+    for f in fields(Scenario):
+        val = getattr(scn, f.name)
+        accepted, what = _FIELD_TYPES[type(f.default)]
+        if isinstance(val, bool) or not isinstance(val, accepted):
+            raise ScenarioError(f"{f.name} must be {what}, got {val!r}")
     if scn.proto not in _PROTOS:
         raise ScenarioError(f"unknown proto {scn.proto!r}")
     if scn.daemon not in _DAEMONS:
@@ -142,7 +147,7 @@ def validate_scenario(scn: Scenario) -> None:
         if val != "auto":
             try:
                 int(val)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ScenarioError(f"{name} must be 'auto' or an integer") from exc
     if scn.steps != "auto" and int(scn.steps) < 0:
         raise ScenarioError("steps must be >= 0")
@@ -221,12 +226,6 @@ def build_protocol(scn: Scenario, topo: Topology):
         raise ScenarioError(f"refused scenario: {exc}") from exc
 
 
-def make_daemon_policy(scn: Scenario) -> DaemonPolicy:
-    kind = "adversarial_unfair" if scn.daemon == "adversarial" else scn.daemon
-    return DaemonPolicy(kind=kind, seed=scn.seed, rho=scn.rho,
-                        p_select=scn.p_select)
-
-
 def make_init(scn: Scenario, proto, topo: Topology):
     mode, _, rest = scn.init.partition(":")
     if mode == "wu0_uniform":
@@ -291,7 +290,7 @@ def run_scenario(scn: Scenario) -> Trace:
     topo = make_topology(scn.topo)
     proto = build_protocol(scn, topo)
     init = make_init(scn, proto, topo)
-    daemon = make_daemon_policy(scn)
+    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     budget = auto_steps(scn, topo, proto)
     return run(proto, topo, daemon, init, max_steps=budget)
 
@@ -360,7 +359,7 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         violations += len(bad)
         if scn.infimum:
             op = make_infimum(scn.infimum)
-            verdict = verify_ball_infimum(lt, op, rho, max_phases=20)
+            verdict = verify_ball_infimum(lt, op, rho)
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
@@ -472,6 +471,11 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[tuple], tuple]:
     header, config_line, footer = lines[0], lines[1], lines[-1]
     try:
         scn = Scenario(**header["scenario"])
+        # a missing key would silently take its default
+        missing = [f.name for f in fields(Scenario)
+                   if f.name not in header["scenario"]]
+        if missing:
+            raise ScenarioError(f"{missing[0]} is missing")
         validate_scenario(scn)
     except (TypeError, KeyError, ScenarioError) as exc:
         raise CorruptTraceError(f"bad scenario in header: {exc}") from exc
@@ -545,32 +549,14 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
 # Subcommands
 
 
-_SCENARIO_FLAGS = ("topo", "proto", "rho", "alpha", "k", "k2", "daemon",
-                   "p_select", "seed", "init", "steps", "infimum",
-                   "group_count")
-
-
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value scenario file")
-    sub.add_argument("--topo")
-    sub.add_argument("--proto", choices=sorted(_PROTOS))
-    sub.add_argument("--rho", type=int)
-    sub.add_argument("--alpha")
-    sub.add_argument("--k")
-    sub.add_argument("--k2")
-    sub.add_argument("--daemon", choices=sorted(_DAEMONS))
-    sub.add_argument("--p-select", dest="p_select", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--init")
-    sub.add_argument("--steps")
-    sub.add_argument("--infimum")
-    sub.add_argument("--group-count", dest="group_count", type=int)
+    """One string flag per `Scenario` field: --p-select sets p_select."""
+    for f in fields(Scenario):
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
 
-def _scenario_from_args(args) -> Scenario:
-    config = parse_config_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in _SCENARIO_FLAGS}
-    return scenario_from(config, overrides)
+def _scenario_flags(args) -> dict[str, str | None]:
+    return {f.name: getattr(args, f.name) for f in fields(Scenario)}
 
 
 @contextlib.contextmanager
@@ -607,7 +593,8 @@ def _output_file(path: str | None, what: str):
 
 
 def cmd_run(args) -> int:
-    scn = _scenario_from_args(args)
+    config = parse_config_file(args.config) if args.config else {}
+    scn = scenario_from(config, _scenario_flags(args))
     with _output_file(args.trace, "trace") as tmp:
         trace = run_scenario(scn)
         if tmp:
@@ -633,18 +620,19 @@ def expand_grid(config: dict[str, str]) -> list[Scenario]:
 
     A 'topo' entry without ':' names a generator kind and combines with the
     'n' axis; entries with ':' are used verbatim (then 'n' must be absent).
+    A missing axis takes the `Scenario` default, except proto, which
+    defaults to lme.
     """
     axes: dict[str, list[str]] = {}
-    base: dict[str, str] = {}
+    base: dict[str, str] = {"proto": "lme"}
     for key, raw in config.items():
         if key in _GRID_KEYS:
             axes[key] = [v.strip() for v in raw.split(",") if v.strip()]
         else:
             base[key] = raw
-    topos = axes.pop("topo", ["ring:8"])
     ns = axes.pop("n", [])
     specs: list[str] = []
-    for t in topos:
+    for t in axes.get("topo", [Scenario.topo]):
         if ":" in t:
             if ns:
                 raise ScenarioError(
@@ -654,20 +642,9 @@ def expand_grid(config: dict[str, str]) -> list[Scenario]:
             if not ns:
                 raise ScenarioError(f"generator topo {t!r} needs an n axis")
             specs.extend(f"{t}:{n}" for n in ns)
-    cells: list[Scenario] = []
-    rhos = axes.get("rho", ["1"])
-    daemons = axes.get("daemon", ["synchronous"])
-    seeds = axes.get("seed", ["0"])
-    protos = axes.get("proto", ["lme"])
-    for spec in specs:
-        for proto in protos:
-            for rho in rhos:
-                for daemon in daemons:
-                    for seed in seeds:
-                        overrides = {"topo": spec, "proto": proto,
-                                     "rho": rho, "daemon": daemon,
-                                     "seed": seed}
-                        cells.append(scenario_from(dict(base), overrides))
+    axes["topo"] = specs
+    cells = [scenario_from(base, dict(zip(axes, values)))
+             for values in itertools.product(*axes.values())]
     cells.sort(key=Scenario.key)
     return cells
 
@@ -690,10 +667,8 @@ def _sweep_cell(scn: Scenario) -> list:
 
 def cmd_sweep(args) -> int:
     config = parse_config_file(args.grid) if args.grid else {}
-    overrides = {name: getattr(args, name) for name in _SCENARIO_FLAGS}
-    for key, val in overrides.items():
-        if val is not None:
-            config[key] = str(val)
+    config.update((key, val) for key, val in _scenario_flags(args).items()
+                  if val is not None)
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     cells = expand_grid(config) if config else []
@@ -723,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_run = subs.add_parser("run", help="execute one scenario")
+    p_run.add_argument("--config", help="key=value scenario file")
     _add_scenario_flags(p_run)
     p_run.add_argument("--trace", help="write a JSON-lines trace here")
     p_run.set_defaults(func=cmd_run)

@@ -300,7 +300,7 @@ class DaemonPolicy:
     """A scheduling adversary: picks a non-empty subset of enabled processes.
 
     kinds: synchronous | central | rho_central | distributed_random |
-    adversarial_unfair.
+    adversarial.
     """
 
     kind: str
@@ -338,7 +338,7 @@ class _DaemonState:
             if not chosen:
                 chosen = [self.rng.choice(enabled_procs)]
             return chosen
-        if kind == "adversarial_unfair":
+        if kind == "adversarial":
             # Greedily starve the most recently active process: never select
             # it while any other process is enabled.
             victim = max(enabled_procs, key=lambda p: self.last_acted[p])

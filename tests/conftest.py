@@ -11,6 +11,10 @@ from rhosync import (DaemonPolicy, build_ss_dc, build_ss_ws, generate,
 
 ACCEPTANCE_LINES = []
 
+# The adversarial daemon as a test parameter.  Its id names the daemon as
+# the paper does, an unfair adversary, and keeps the test names stable.
+ADVERSARIAL = pytest.param("adversarial", id="adversarial_unfair")
+
 
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:

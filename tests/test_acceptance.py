@@ -23,8 +23,7 @@ from rhosync.infimum import attach_infimum
 from conftest import (ACCEPTANCE_LINES, make_dc, make_ws, stabilized_dc,
                       stabilized_suffix)
 
-DAEMONS = ["synchronous", "central", "distributed_random",
-           "adversarial_unfair"]
+DAEMONS = ["synchronous", "central", "distributed_random", "adversarial"]
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -128,8 +127,7 @@ def test_criterion_1_convergence():
     for topo in topos:
         proto = make_ws(topo, 1)
         sysm = proto.clock_registers["r"]
-        for daemon in ("synchronous", "distributed_random",
-                       "adversarial_unfair"):
+        for daemon in ("synchronous", "distributed_random", "adversarial"):
             runs += 1
             init = random_configuration(proto, topo,
                                         random.Random(runs))
@@ -232,8 +230,7 @@ def test_criterion_3_infimum(ring8, grid23):
                 steps = 420 if daemon == "synchronous" else 5000
                 suffix, _ = stabilized_suffix(proto, topo, daemon, seed=9,
                                               max_steps=steps)
-                verdict = verify_ball_infimum(lift(suffix), op, rho,
-                                              max_phases=20)
+                verdict = verify_ball_infimum(lift(suffix), op, rho)
                 assert verdict.phases_checked >= 20, (kind, name, daemon)
                 checked += verdict.phases_checked
                 mismatches += len(verdict.mismatches)

@@ -2,9 +2,10 @@
 
 `perfbench/reference.json` holds, per workload and seed, the digest of
 every report, final configuration and trace or CSV byte a workload
-iteration produces.  This test runs one iteration of each workload at seed
-0 through `perfbench/bench.py` and compares, so a change that alters any
-output fails here, before the benchmark refuses it.  It only reads
+iteration produces.  This test runs the set-up and one iteration of each
+workload at seed 0 through `perfbench/bench.py` and compares, so a change
+that alters any output, or a `rhosync.cli` name either mode calls, fails
+here, before the benchmark refuses it.  It only reads
 `perfbench/`: the worker is compiled from its source, not imported, so no
 bytecode cache is written there.
 """
@@ -36,8 +37,9 @@ def test_workload_outputs_match_reference(tmp_path, name):
     bench = _load_bench()
     reference = json.loads((PERFBENCH / "reference.json").read_text(
         encoding="utf-8"))
-    _wall, attempted, failed, digests = bench.Workload(
-        cli, name, 0, str(tmp_path)).iterate()
+    workload = bench.Workload(cli, name, 0, str(tmp_path))
+    workload.setup()  # the set-up mode calls rhosync.cli names of its own
+    _wall, attempted, failed, digests = workload.iterate()
     assert attempted > 0 and failed == 0
     digest = hashlib.sha256("\n".join(digests).encode()).hexdigest()
     assert digest == reference[name]["0"]

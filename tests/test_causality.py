@@ -173,7 +173,7 @@ TOPOLOGIES = {
     "random": lambda n, seed: generate("random_connected", n=n, seed=seed),
 }
 DAEMONS = ("synchronous", "central", "rho_central", "distributed_random",
-           "adversarial_unfair")
+           "adversarial")
 
 run_params = dict(kind=st.sampled_from(sorted(TOPOLOGIES)),
                   n=st.integers(4, 6), seed=st.integers(0, 2),

@@ -2,7 +2,7 @@
 sweep subcommands, trace round-trips, and exit codes."""
 
 import csv
-import io
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,8 +12,8 @@ import sys
 
 import pytest
 
-from rhosync import (causality, cli, lra, random_configuration, unison,
-                     uniform_configuration)
+from rhosync import (causality, cli, graph_params, lra, random_configuration,
+                     unison, uniform_configuration)
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -60,10 +60,34 @@ def test_flag_overrides_beat_config():
     {"init": "lazy"},
     {"init": "wu0_uniform:garbage"},  # the mode takes no argument
     {"init": "random_arbitrary:3"},
+    {"rho": True},  # typed values, as a trace header or a caller gives them
+    {"seed": 1.5},
+    {"p_select": "half"},
+    {"topo": 5},
+    {"steps": 40},
 ])
 def test_invalid_scenarios_rejected(config):
     with pytest.raises(ScenarioError):
         scenario_from(config, {})
+
+
+def test_every_field_is_a_string_flag():
+    names = [f.name for f in dataclasses.fields(Scenario)]
+    flags = [x for n in names for x in ("--" + n.replace("_", "-"), n)]
+    args = cli.build_parser().parse_args(["run", *flags])
+    assert {n: getattr(args, n) for n in names} == {n: n for n in names}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--proto", "nope", "unknown proto 'nope'"),
+    ("--daemon", "lazy", "unknown daemon 'lazy'"),
+    ("--rho", "x", "rho must be an integer"),
+    ("--p-select", "x", "p_select must be a number"),
+    ("--group-count", "2.5", "group_count must be an integer"),
+])
+def test_bad_flag_values_exit_2(capsys, flag, value, message):
+    assert main(["run", "--topo", "ring:6", flag, value]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # -- topology specs --------------------------------------------------------
@@ -287,6 +311,44 @@ def _drop_event_process(lines):
     del step["events"][0]["process"]
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}={json.dumps(value)}")
+    for field, value in [("group_count", 2.5), ("seed", None), ("seed", [1]),
+                         ("rho", 2.0), ("rho", True), ("topo", 5),
+                         ("k", 1e9), ("p_select", "0.5")]])
+def test_check_mistyped_header_exits_2(tmp_path, capsys, field, value):
+    # a header is typed JSON: its values are checked, never parsed
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "gme", "seed": "3",
+                         "steps": "40"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    lines[0]["scenario"][field] = value
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert main(["check", trace_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario in header: ") and field in err
+
+
+# infimum attaches to the default proto only: two scenarios cover the fields
+@pytest.mark.parametrize("params, left_default", [
+    ({"proto": "gme"}, "infimum"), ({"infimum": "lex_pair"}, "proto"),
+], ids=["gme", "infimum"])
+def test_header_roundtrip_keeps_every_field(tmp_path, params, left_default):
+    gp = graph_params(make_topology("ring:6"))
+    scn = scenario_from({
+        "topo": "ring:6", "rho": "2", "alpha": str(gp.t_g + 1),
+        "k": str(gp.c_g_bound + 2), "k2": str(gp.c_g_bound + 10),
+        "daemon": "distributed_random", "p_select": "0.25", "seed": "5",
+        "init": "wu0_uniform", "steps": "30", "group_count": "2",
+        **params}, {})
+    for f in dataclasses.fields(Scenario):
+        assert (getattr(scn, f.name) == f.default) == (f.name == left_default)
+    trace_file = str(tmp_path / "t.jsonl")
+    write_trace(trace_file, scn, run_scenario(scn))
+    assert cli.parse_trace(trace_file)[0] == scn
+
+
 MALFORMED_FIELDS = {
     "footer_final_states": lambda lines: lines[-1].pop("final_states"),
     "config_states": lambda lines: lines[1].pop("states"),
@@ -295,6 +357,7 @@ MALFORMED_FIELDS = {
     "edge_one_endpoint": lambda lines: lines[0]["edges"][0].pop(),
     "header_group_count": lambda lines: lines[0]["scenario"].update(
         group_count=0),
+    "header_rho_missing": lambda lines: lines[0]["scenario"].pop("rho"),
 }
 
 
@@ -384,6 +447,11 @@ def test_expand_grid_product_and_order():
     assert all(c.steps == "50" for c in cells)
 
 
+def test_expand_grid_missing_axes_take_defaults():
+    (cell,) = expand_grid({"topo": "ring:6", "steps": "50"})
+    assert cell == Scenario(topo="ring:6", proto="lme", steps="50")
+
+
 def test_expand_grid_rejects_conflicting_axes():
     with pytest.raises(ScenarioError):
         expand_grid({"topo": "ring:8", "n": "6,8"})
@@ -426,6 +494,17 @@ def test_sweep_cell_error_reported_as_row(tmp_path):
     assert rc == 1
     rows = list(csv.reader(open(out)))
     assert rows[1][CSV_HEADER.index("violations")].startswith("error:")
+
+
+def test_sweep_has_no_config_flag(tmp_path, capsys):
+    # its scenario file is --grid; --config would be ignored
+    cfg = tmp_path / "scn.cfg"
+    cfg.write_text("proto=trivial\nrho=2\n")
+    for path in (str(cfg), "/nonexistent"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path, "--topo", "ring:4"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_empty_grid_header_only(capsys):

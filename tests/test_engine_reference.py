@@ -22,9 +22,8 @@ from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
                      ProtocolDef, RegisterSpec, TransitionRecord, View,
                      enabled, lift, metrics, random_configuration, rounds,
                      run, stabilization_indices)
-from rhosync.cli import (auto_steps, build_protocol, make_daemon_policy,
-                         make_init, make_topology, read_trace, scenario_from,
-                         write_trace)
+from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
+                         read_trace, scenario_from, write_trace)
 from rhosync.kernel import make_daemon
 
 
@@ -151,7 +150,7 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     graph = make_topology(scn.topo)
     protocol = build_protocol(scn, graph)
     start = make_init(scn, protocol, graph)
-    policy = make_daemon_policy(scn)
+    policy = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
 
     trace = run(protocol, graph, policy, start, max_steps=steps)
     configs, ref, stop = reference_run(protocol, graph, policy, start, steps)
@@ -211,8 +210,7 @@ def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
                                                     steps):
     graph = make_topology(topo)
     proto = churn_protocol()
-    kind = "adversarial_unfair" if daemon == "adversarial" else daemon
-    policy = DaemonPolicy(kind=kind, seed=seed, rho=rho)
+    policy = DaemonPolicy(kind=daemon, seed=seed, rho=rho)
     start = random_configuration(proto, graph, random.Random(seed))
     trace = run(proto, graph, policy, start, max_steps=steps)
     configs, ref, stop = reference_run(proto, graph, policy, start, steps)
@@ -259,7 +257,8 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
         return len(proto.actions)
 
     steps = auto_steps(scn, topo, proto)
-    trace = run(counted_proto, topo, make_daemon_policy(scn),
+    trace = run(counted_proto, topo,
+                DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select),
                 make_init(scn, proto, topo), max_steps=steps,
                 stop_predicate=snapshot)
     assert len(trace.records) == steps == 8352

@@ -11,7 +11,7 @@ from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, Trace,
                      attach_infimum, ball, generate, int_range, lift,
                      make_infimum, run, uniform_configuration,
                      verify_ball_infimum)
-from conftest import make_ws, stabilized_suffix
+from conftest import ADVERSARIAL, make_ws, stabilized_suffix
 
 
 def input_source(seed):
@@ -87,8 +87,7 @@ def test_axiom_violations_refused():
 
 
 @pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                    "distributed_random",
-                                    "adversarial_unfair"])
+                                    "distributed_random", ADVERSARIAL])
 @pytest.mark.parametrize("kind", ["min_int", "set_intersection"])
 def test_pipeline_exact_on_ring(ring8, daemon, kind):
     op = make_infimum(kind)
@@ -96,7 +95,7 @@ def test_pipeline_exact_on_ring(ring8, daemon, kind):
     proto = make_ws(ring8, rho, **attach_infimum(op, SOURCES[kind](7)))
     suffix, _ = stabilized_suffix(proto, ring8, daemon, seed=8,
                                   max_steps=12000)
-    verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=8)
+    verdict = verify_ball_infimum(lift(suffix), op, rho)
     assert verdict.ok, verdict.mismatches[:5]
     assert verdict.phases_checked >= 4
 
@@ -108,7 +107,7 @@ def test_pipeline_exact_wave_case():
     proto = make_ws(topo, rho, **attach_infimum(op, input_source(2)))
     suffix, _ = stabilized_suffix(proto, topo, "central", seed=3,
                                   max_steps=15000)
-    verdict = verify_ball_infimum(lift(suffix), op, rho, max_phases=5)
+    verdict = verify_ball_infimum(lift(suffix), op, rho)
     assert verdict.ok and verdict.phases_checked >= 3
 
 
@@ -119,7 +118,7 @@ def test_verifier_catches_tampering(ring8):
     suffix, _ = stabilized_suffix(proto, ring8, "synchronous", seed=5,
                                   max_steps=2000)
     lt = lift(suffix)
-    verdict = verify_ball_infimum(lt, op, rho, max_phases=4)
+    verdict = verify_ball_infimum(lt, op, rho)
     assert verdict.ok
     # corrupt process 3's v2 at a mid-phase level the verifier samples
     delta = rho + 1

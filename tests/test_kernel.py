@@ -180,7 +180,7 @@ def test_daemon_distributed_random_nonempty(ring8):
 
 
 def test_daemon_adversarial_starves_most_recent(ring8):
-    d = make_daemon(DaemonPolicy(kind="adversarial_unfair", seed=4), ring8)
+    d = make_daemon(DaemonPolicy(kind="adversarial", seed=4), ring8)
     picked = d.select([0, 1], 0)[0]
     other = 1 - picked
     # as long as anything else is enabled, the last actor is never selected

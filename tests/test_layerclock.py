@@ -12,7 +12,7 @@ from rhosync import (DaemonPolicy, SizingError, build_ss_dc, delay_2rho,
                      graph_params, lift, run, stabilization_indices,
                      trivial_plugin, uniform_configuration,
                      verify_delay_agreement)
-from conftest import make_dc, stabilized_dc
+from conftest import ADVERSARIAL, make_dc, stabilized_dc
 
 
 # -- sizing ----------------------------------------------------------------
@@ -87,8 +87,7 @@ def test_delay_2rho_window_edges():
 # -- stabilization and agreement -------------------------------------------
 
 
-@pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                    "adversarial_unfair"])
+@pytest.mark.parametrize("daemon", ["synchronous", "central", ADVERSARIAL])
 def test_staircase_master_before_slave(ring8, daemon):
     proto = make_dc(ring8, 2, trivial_plugin())
     tr, wu = stabilized_dc(proto, ring8, daemon, seed=11, max_steps=30000)

@@ -16,7 +16,7 @@ from rhosync import (CsRecord, compat_gme, compat_lme, compat_rw,
                      lift, make_lra_plugin, metrics, monitor_liveness,
                      monitor_safety, trivial_plugin)
 from rhosync.lra import _entries, _per_pair_fairness, _rw_leq
-from conftest import make_dc, stabilized_dc
+from conftest import ADVERSARIAL, make_dc, stabilized_dc
 
 
 def make_lra(topo, rho, kind, **kw):
@@ -221,8 +221,7 @@ COMPAT = {"lme": compat_lme, "gme": compat_gme, "rw": compat_rw}
 
 
 @pytest.mark.parametrize("kind", ["lme", "gme", "rw"])
-@pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                    "adversarial_unfair"])
+@pytest.mark.parametrize("daemon", ["synchronous", "central", ADVERSARIAL])
 def test_safety_after_stabilization(ring8, kind, daemon):
     proto, _ = make_lra(ring8, 2, kind)
     tr, wu = stabilized_dc(proto, ring8, daemon, seed=13, max_steps=40000)

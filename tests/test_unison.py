@@ -11,7 +11,7 @@ from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
                      SizingError, build_ss_ws, d_K, generate, graph_params,
                      intrinsic_delays, is_wu, is_wu0, lift, ominus,
                      random_configuration, run, uniform_configuration)
-from conftest import make_ws, stabilized_suffix
+from conftest import ADVERSARIAL, make_ws, stabilized_suffix
 
 
 # -- incrementing system ---------------------------------------------------
@@ -189,8 +189,7 @@ def test_ss_ws_period_and_meta(ring8):
 
 
 @pytest.mark.parametrize("daemon", ["synchronous", "central",
-                                    "distributed_random",
-                                    "adversarial_unfair"])
+                                    "distributed_random", ADVERSARIAL])
 def test_ss_ws_converges_from_arbitrary_init(ring8, daemon):
     proto = make_ws(ring8, 2)
     suffix, idx = stabilized_suffix(proto, ring8, daemon, seed=3,
