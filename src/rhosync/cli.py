@@ -447,28 +447,34 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
             "final_states": list(trace.configs[-1])}) + "\n")
 
 
-def parse_trace(path: str) -> tuple[Scenario, Trace, list[tuple], tuple]:
-    """Parse and check a trace file without replaying it.
+def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
+    """Parse and check a trace file's header, initial configuration and
+    footer, without decoding its step lines.
 
-    Returns (scenario, trace, steps, final): `trace` holds the protocol,
-    topology, stop reason and initial configuration only; each entry of
-    `steps` is a step line's (selection, fired labels, events); `final` is
-    the footer's configuration.  Raises CorruptTraceError on malformed
-    input.
+    Returns (scenario, trace, step_lines, final): `trace` holds the
+    protocol, topology, stop reason and initial configuration only;
+    `step_lines` are the undecoded text of the step lines, as many as the
+    footer declares (see `_decode_step`); `final` is the footer's
+    configuration.  Raises CorruptTraceError on malformed input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
+            lines = [line for line in fh if line.strip()]
     except OSError as exc:
         raise CorruptTraceError(f"cannot read trace {path}: {exc}") from exc
+    if len(lines) < 3:
+        raise CorruptTraceError("trace is truncated or missing header/footer")
+    try:
+        header, config_line, footer = (json.loads(lines[0]),
+                                       json.loads(lines[1]),
+                                       json.loads(lines[-1]))
     except json.JSONDecodeError as exc:
         raise CorruptTraceError(f"malformed trace line: {exc}") from exc
-    if len(lines) < 3 or not all(isinstance(x, dict) for x in lines) \
-            or lines[0].get("type") != "header" \
-            or lines[1].get("type") != "config" \
-            or lines[-1].get("type") != "footer":
+    if not all(isinstance(x, dict) for x in (header, config_line, footer)) \
+            or header.get("type") != "header" \
+            or config_line.get("type") != "config" \
+            or footer.get("type") != "footer":
         raise CorruptTraceError("trace is truncated or missing header/footer")
-    header, config_line, footer = lines[0], lines[1], lines[-1]
     try:
         scn = Scenario(**header["scenario"])
         # a missing key would silently take its default
@@ -493,27 +499,51 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[tuple], tuple]:
         raise CorruptTraceError(f"bad config line: {exc}") from exc
     trace = Trace(proto, topo, [cfg], [],
                   stop_reason=header.get("stop_reason", "incomplete"))
-    step_lines = lines[2:-1]
-    if footer.get("steps") != len(step_lines):
+    del lines[-1], lines[:2]  # the step lines remain
+    if footer.get("steps") != len(lines):
         raise CorruptTraceError("trace is truncated: step count mismatch")
-    steps = []
-    for i, line in enumerate(step_lines):
-        if line.get("type") != "step" or line.get("step") != i:
-            raise CorruptTraceError(f"unexpected record at step {i}")
-        try:
-            steps.append((
-                line["selected"],
-                {int(p): lab for p, lab in line["fired"].items()},
-                tuple(HookEvent(ev["process"], ev["kind"],
-                                _freeze(ev["payload"]))
-                      for ev in line["events"])))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
     try:
         final = tuple(_freeze(st) for st in footer["final_states"])
     except (KeyError, TypeError) as exc:
         raise CorruptTraceError(f"malformed footer: {exc!r}") from exc
-    return scn, trace, steps, final
+    return scn, trace, lines, final
+
+
+def _decode_step(text: str, i: int, n: int,
+                ) -> tuple[list[int], dict[int, str], tuple[HookEvent, ...]]:
+    """Decode step line `i` of a trace over `n` processes into its
+    selection, fired labels and events.
+
+    The selection must be a non-empty, strictly ascending list of process
+    ids (ints in range(n), not bools), and the keys of `fired` exactly
+    their decimal strings.  Raises CorruptTraceError otherwise.
+    """
+    try:
+        line = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptTraceError(f"malformed step {i}: {exc}") from exc
+    if not isinstance(line, dict) or line.get("type") != "step" \
+            or line.get("step") != i:
+        raise CorruptTraceError(f"unexpected record at step {i}")
+    try:
+        selected, fired = line["selected"], line["fired"]
+        if type(selected) is not list or not selected \
+                or any(type(p) is not int for p in selected) \
+                or not 0 <= selected[0] \
+                or any(p >= q for p, q in zip(selected, selected[1:])) \
+                or selected[-1] >= n:
+            raise ValueError(f"selected {selected!r} is not an ascending "
+                             f"list of process ids")
+        if type(fired) is not dict \
+                or fired.keys() != {str(p) for p in selected}:
+            raise ValueError(f"fired keys {list(fired)!r} are not the "
+                             f"selected ids")
+        events = tuple(HookEvent(ev["process"], ev["kind"],
+                                 _freeze(ev["payload"]))
+                       for ev in line["events"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
+    return selected, {p: fired[str(p)] for p in selected}, events
 
 
 def read_trace(path: str) -> tuple[Scenario, Trace]:
@@ -521,15 +551,21 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
 
     Replay re-executes every recorded selection through the engine and
     cross-checks the fired labels, emitted events, and final configuration;
-    any divergence, truncation or malformed line raises CorruptTraceError.
+    any divergence, truncation or malformed line raises CorruptTraceError,
+    the first in file order.  Each step line is decoded only when the
+    replay reaches it, and each step evaluates the guards of the selected
+    processes only.
     """
-    scn, trace, steps, final = parse_trace(path)
+    scn, trace, step_lines, final = parse_trace(path)
     proto, topo = trace.protocol, trace.topo
+    n = topo.node_count
     cfg = trace.configs[0]
-    first = first_enabled_map(cfg, proto, topo)
-    for i, (selected, recorded_fired, recorded_events) in enumerate(steps):
+    step_lines.reverse()  # popped from the end: the replay frees each line
+    for i in range(len(step_lines)):
+        selected, recorded_fired, recorded_events = _decode_step(
+            step_lines.pop(), i, n)
         try:
-            cfg, rec = step(cfg, selected, proto, topo, first_enabled=first)
+            cfg, rec = step(cfg, selected, proto, topo)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
         if rec.fired != recorded_fired:

@@ -150,7 +150,7 @@ class View:
         return self.cfg[q][reg]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HookEvent:
     """An event emitted by a protocol hook during a statement (e.g. a decide
     or critical-section entry), with an arbitrary payload snapshot."""
@@ -160,16 +160,16 @@ class HookEvent:
     payload: Any
 
 
-@dataclass
+@dataclass(slots=True)
 class TransitionRecord:
     """One step.  `fired` maps every selected process, in ascending order,
     to the label of the action it fired; a record's step number is its
     position in a trace.  The state the step writes lives only in the
-    trace's next configuration, and what a fired action read follows from
-    the trace's previous one."""
+    trace's next configuration, what a fired action read follows from the
+    trace's previous one, and which processes the step neutralized follows
+    from both (see `rounds`)."""
 
     fired: dict[int, str]
-    neutralized: tuple[int, ...]
     events: tuple[HookEvent, ...] = ()
 
 
@@ -221,39 +221,39 @@ def first_enabled_map(c: Configuration, proto: ProtocolDef,
 
 
 def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
-         topo: Topology, first_enabled: dict[int, tuple[Action, View]],
+         topo: Topology,
+         first_enabled: dict[int, tuple[Action, View]] | None = None,
          ) -> tuple[Configuration, TransitionRecord]:
     """Fire the highest-priority enabled action of every selected process.
 
     All statements read the shared pre-state; updates apply atomically.
     Selecting a non-enabled process is an engine fault.
 
-    `first_enabled` maps each process enabled in `c` to its first enabled
-    action and the View that action's guard held on (see
-    `first_enabled_map`); the step updates it in place for the new
-    configuration.  Each statement runs on its process's held View, so no
-    guard of a selected process is evaluated again.  The held View must
+    `first_enabled` holds the caller's cached hits: a process's first
+    enabled action in `c` and the View its guard held on (see
+    `first_enabled_map`).  A cached statement runs on its held View, so
+    its guard is not evaluated again; a selected process without a hit
+    has its guards evaluated up to the first that holds.  A held View must
     see the very states of `c` in the process's closed neighborhood, which
     is when both the guard's verdict and the View's memo still hold;
-    otherwise the map is stale and the step raises EngineFault.
-
-    The update is exact by the locality contract (a guard reads only its
-    own and its neighbors' registers, through a View): only the closed
-    neighborhood of the fired processes can change status, so only it is
-    re-evaluated, stopping at the first guard that holds.  Neutralized =
-    (enabled before & that neighborhood) - fired - enabled after.
+    otherwise the cache is stale and the step raises EngineFault.  The
+    step leaves the cache as it was; the schedulers (`run`,
+    `check_closure`) refresh it over the fired neighborhood.
     """
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
+    cached = first_enabled or {}
     fired: dict[int, str] = {}
     events: list[HookEvent] = []
     new_states = list(c)
 
     for p in selection:
-        hit = first_enabled.get(p)
+        hit = cached.get(p)
         if hit is None:
-            raise EngineFault(f"selected process {p} has no enabled action")
+            hit = _first_enabled(c, p, proto, topo)
+            if hit is None:
+                raise EngineFault(f"selected process {p} has no enabled action")
         action, view = hit
         held = view.cfg
         if held is not c and (held[p] is not c[p] or any(
@@ -272,23 +272,34 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
         fired[p] = action.label
         if updates:
             new_states[p] = {**c[p], **updates}
-    c_next = tuple(new_states)
+    return tuple(new_states), TransitionRecord(fired=fired,
+                                               events=tuple(events))
 
-    dirty = set(fired)
+
+def _fired_neighborhood(fired: dict[int, str], topo: Topology) -> set[int]:
+    ball = set(fired)
     for p in fired:
-        dirty |= topo.adjacency[p]
-    neutralized = []
-    for p in dirty:
+        ball |= topo.adjacency[p]
+    return ball
+
+
+def _refresh_enabled(first_enabled: dict[int, tuple[Action, View]],
+                    c_next: Configuration, fired: dict[int, str],
+                    proto: ProtocolDef, topo: Topology) -> None:
+    """Update a first-enabled map in place for the configuration a step
+    with these fired processes produced.
+
+    The update is exact by the locality contract (a guard reads only its
+    own and its neighbors' registers, through a View): only the closed
+    neighborhood of the fired processes can change status, so only it is
+    re-evaluated, stopping at the first guard that holds.
+    """
+    for p in _fired_neighborhood(fired, topo):
         hit = _first_enabled(c_next, p, proto, topo)
         if hit is not None:
             first_enabled[p] = hit
-        elif first_enabled.pop(p, None) is not None and p not in fired:
-            neutralized.append(p)
-
-    rec = TransitionRecord(fired=fired,
-                           neutralized=tuple(sorted(neutralized)),
-                           events=tuple(events))
-    return c_next, rec
+        else:
+            first_enabled.pop(p, None)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +400,8 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
             trace.stop_reason = "quiescence"
             return trace
         selection = dstate.select(sorted(first), i)
-        cfg, rec = step(cfg, selection, proto, topo, first_enabled=first)
+        cfg, rec = step(cfg, selection, proto, topo, first)
+        _refresh_enabled(first, cfg, rec.fired, proto, topo)
         trace.configs.append(cfg)
         trace.records.append(rec)
         if stop_predicate is not None and stop_predicate(cfg):
@@ -404,20 +416,29 @@ def rounds(t: Trace) -> list[int]:
 
     Returns indices i such that configuration i ends a round: every process
     enabled at the round start has acted or been neutralized by step i.
+
+    A process still pending at step j is enabled in configuration j, so
+    the step neutralizes it iff it did not fire and is disabled in
+    configuration j+1.  By the locality contract only the closed
+    neighborhood of the fired processes can change status, so only the
+    pending processes in it are evaluated.
     """
+    proto, topo, configs = t.protocol, t.topo, t.configs
     boundaries: list[int] = []
     i = 0
     total = len(t.records)
     while i < total:
-        remaining = set(first_enabled_map(t.configs[i], t.protocol, t.topo))
+        remaining = set(first_enabled_map(configs[i], proto, topo))
         if not remaining:
             break
         j = i
         while remaining and j < total:
-            rec = t.records[j]
-            remaining -= set(rec.fired)
-            remaining -= set(rec.neutralized)
+            fired = t.records[j].fired
             j += 1
+            remaining.difference_update(fired)
+            for p in remaining & _fired_neighborhood(fired, topo):
+                if _first_enabled(configs[j], p, proto, topo) is None:
+                    remaining.discard(p)
         if remaining:
             break  # trace ends mid-round
         boundaries.append(j)
@@ -462,10 +483,11 @@ def check_closure(pred: Callable[[Configuration], bool],
             pool = sorted(first)
             k = rng.randrange(1, len(pool) + 1)
             selection = tuple(sorted(rng.sample(pool, k)))
-            nxt, _rec = step(cfg, selection, proto, topo, first_enabled=first)
+            nxt, rec = step(cfg, selection, proto, topo, first)
             checked += 1
             if not pred(nxt):
                 return ClosureVerdict(False, checked, (cfg, selection, nxt))
+            _refresh_enabled(first, nxt, rec.fired, proto, topo)
             cfg = nxt
     return ClosureVerdict(True, checked, None)
 

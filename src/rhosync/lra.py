@@ -235,7 +235,7 @@ def lra_monitor_start(lt1: LiftedTrace) -> int:
     return len(lt1.trace.records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CsRecord:
     process: int
     resource: Any

@@ -314,7 +314,9 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
 class LiftedTrace:
     """Virtual integer clock registers over a trace whose first configuration
     is in WU0.  values[t][p] is the lifted register of p in configuration t;
-    base is the minimal initial lifted value (bottom_0)."""
+    base is the minimal initial lifted value (bottom_0).  Consecutive rows
+    are one list object when no clock moved between them, so no row may be
+    mutated."""
 
     trace: Trace
     reg: str
@@ -369,8 +371,8 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     # concrete ring values modulo the period.
     p_min = min(topo.nodes, key=lambda p: (delays[p], p))
     base = c0[p_min][reg]
-    current = [base + delays[p] - delays[p_min] for p in topo.nodes]
-    values = [list(current)]
+    row = [base + delays[p] - delays[p_min] for p in topo.nodes]
+    values = [row]
     configs = trace.configs
     for i, rec in enumerate(trace.records):
         cfg, nxt = configs[i], configs[i + 1]
@@ -378,11 +380,12 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
             old, new = cfg[p][reg], nxt[p][reg]
             if new == old:
                 continue
-            if sysm.in_ring(old) and new == sysm.phi(old):
-                current[p] += 1
-            else:
+            if not (sysm.in_ring(old) and new == sysm.phi(old)):
                 raise LiftError(
                     f"step {i}: process {p} changed {reg} from "
                     f"{old} to {new}, not by one increment")
-        values.append(list(current))
+            if row is values[-1]:  # the first clock to move at this step
+                row = list(row)
+            row[p] += 1
+        values.append(row)
     return LiftedTrace(trace=trace, reg=reg, base=base, values=values)

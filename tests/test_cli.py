@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -349,6 +350,22 @@ def test_header_roundtrip_keeps_every_field(tmp_path, params, left_default):
     assert cli.parse_trace(trace_file)[0] == scn
 
 
+def _edit_selection(edit):
+    """Replace the selection of step 0 by edit(selection)."""
+    return lambda lines: lines[2].update(selected=edit(lines[2]["selected"]))
+
+
+def _shifted_ids(shift):
+    """Shift every id of step 0, in `selected` and `fired` alike."""
+    def edit(lines):
+        step = lines[2]
+        step["selected"] = [p + shift for p in step["selected"]]
+        step["fired"] = {str(int(p) + shift): lab
+                         for p, lab in step["fired"].items()}
+    return edit
+
+
+# Step 0 of the trace below selects all six processes.
 MALFORMED_FIELDS = {
     "footer_final_states": lambda lines: lines[-1].pop("final_states"),
     "config_states": lambda lines: lines[1].pop("states"),
@@ -358,6 +375,19 @@ MALFORMED_FIELDS = {
     "header_group_count": lambda lines: lines[0]["scenario"].update(
         group_count=0),
     "header_rho_missing": lambda lines: lines[0]["scenario"].pop("rho"),
+    "step_selected_bool": _edit_selection(
+        lambda sel: [True if p == 1 else p for p in sel]),
+    "step_selected_twice": _edit_selection(lambda sel: sel + sel),
+    "step_selected_float": _edit_selection(
+        lambda sel: [float(p) for p in sel]),
+    "step_selected_descending": _edit_selection(lambda sel: sel[::-1]),
+    # ids in range(-6, 0) would alias processes through Python indexing
+    "step_selected_negative": _shifted_ids(-6),
+    "step_selected_past_n": _shifted_ids(1),
+    "step_selected_empty": lambda lines: lines[2].update(selected=[],
+                                                         fired={}),
+    "step_fired_key_padded": lambda lines: lines[2]["fired"].update(
+        {"01": lines[2]["fired"].pop("1")}),
 }
 
 
@@ -368,11 +398,49 @@ def test_check_malformed_trace_field_exits_2(tmp_path, capsys, field):
                          "daemon": "synchronous", "steps": "40"}, {})
     write_trace(trace_file, scn, run_scenario(scn))
     lines = [json.loads(x) for x in open(trace_file)]
+    assert lines[2]["selected"] == [0, 1, 2, 3, 4, 5]
     MALFORMED_FIELDS[field](lines)
     open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     rc = run_cli(["check", trace_file])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if field.startswith("step_"):
+        assert "malformed step 0" in err
+
+
+def test_check_reports_the_first_fault_in_file_order(tmp_path, capsys):
+    # steps are decoded as the replay reaches them: a divergence at step 3
+    # is reported before a malformed step 8
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "central", "steps": "60", "seed": "2"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    diverged = lines[2 + 3]["fired"]
+    diverged[next(iter(diverged))] = "NOPE"
+    del lines[2 + 8]["selected"]
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    err = capsys.readouterr().err
+    assert "at step 3" in err and "step 8" not in err
+
+
+def test_read_trace_holds_one_copy_of_the_trace(tmp_path):
+    # the step lines are decoded one at a time, so reading peaks barely
+    # above the trace it returns
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:16", "proto": "lme",
+                         "daemon": "central", "rho": "1", "seed": "5"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    tracemalloc.start()
+    try:
+        _scn, trace = read_trace(trace_file)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) > 5000
+    assert peak <= 1.3 * held
 
 
 def test_check_tampered_state_detected(tmp_path):

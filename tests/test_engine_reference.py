@@ -2,10 +2,12 @@
 
 The reference engine below recomputes the full enabled map before and after
 every step, evaluates every guard of every process, and scans every process
-for neutralization.  `kernel.step` instead keeps a map of first enabled
+for neutralization.  `kernel.run` instead keeps a map of first enabled
 actions and re-evaluates only the closed neighborhood of the fired
-processes; both must produce the same configurations and records, live and
-in trace replay, and the same round boundaries.  The reference also tracks
+processes, the trace replay evaluates only the selected processes, and
+`kernel.rounds` derives neutralization from consecutive configurations;
+all must produce the same configurations and records, live and in trace
+replay, and the same round boundaries.  The reference also tracks
 what each fired action reads while it fires, which `lra.metrics` derives
 afterwards from the trace.
 """
@@ -22,9 +24,10 @@ from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
                      ProtocolDef, RegisterSpec, TransitionRecord, View,
                      enabled, lift, metrics, random_configuration, rounds,
                      run, stabilization_indices)
+from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
-                         read_trace, scenario_from, write_trace)
-from rhosync.kernel import make_daemon
+                         read_trace, run_scenario, scenario_from, write_trace)
+from rhosync.kernel import make_daemon, step
 
 
 def any_int(x):
@@ -40,10 +43,11 @@ def enabled_map(c, proto, topo):
 
 @dataclasses.dataclass
 class ReferenceRecord:
-    """A reference step's record and its tracked reads: process ->
-    set of (neighbor, register)."""
+    """A reference step's record, the processes it neutralized, and its
+    tracked reads: process -> set of (neighbor, register)."""
 
     record: TransitionRecord
+    neutralized: tuple
     reads: dict
 
 
@@ -72,9 +76,8 @@ def reference_step(c, selection, proto, topo):
     after = enabled_map(c_next, proto, topo)
     neutralized = tuple(p for p in topo.nodes
                         if p in before and p not in fired and p not in after)
-    rec = TransitionRecord(fired=fired, neutralized=neutralized,
-                           events=tuple(events))
-    return c_next, ReferenceRecord(rec, reads)
+    rec = TransitionRecord(fired=fired, events=tuple(events))
+    return c_next, ReferenceRecord(rec, neutralized, reads)
 
 
 def reference_run(proto, topo, daemon, init, max_steps):
@@ -107,18 +110,18 @@ def reference_comms(lt1, reads):
             for phase in range(first, min(lt1.values[-1]) // delta)]
 
 
-def reference_rounds(configs, records, proto, topo):
+def reference_rounds(configs, ref, proto, topo):
     """Round boundaries: from each round start, recompute the all-guard
-    enabled set and walk the records until every one of those processes
-    has fired or been neutralized."""
+    enabled set and walk the reference records until every one of those
+    processes has fired or been neutralized."""
     boundaries, i = [], 0
-    while i < len(records):
+    while i < len(ref):
         remaining = set(enabled_map(configs[i], proto, topo))
         if not remaining:
             break
         j = i
-        while remaining and j < len(records):
-            remaining -= set(records[j].fired) | set(records[j].neutralized)
+        while remaining and j < len(ref):
+            remaining -= set(ref[j].record.fired) | set(ref[j].neutralized)
             j += 1
         if remaining:
             break
@@ -158,7 +161,7 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
-    assert rounds(trace) == reference_rounds(configs, records, protocol, graph)
+    assert rounds(trace) == reference_rounds(configs, ref, protocol, graph)
     if proto != "ss_ws":
         _wu1, stab = stabilization_indices(trace)
         if stab is not None:
@@ -218,7 +221,32 @@ def test_run_matches_reference_under_neutralization(topo, daemon, rho, seed,
     assert trace.stop_reason == stop
     assert trace.configs == configs
     assert trace.records == records
-    assert rounds(trace) == reference_rounds(configs, records, proto, graph)
+    assert rounds(trace) == reference_rounds(configs, ref, proto, graph)
+
+
+def counting(proto):
+    """`proto` with every guard counting its evaluations into the
+    returned one-element list."""
+    evals = [0]
+
+    def counted(guard):
+        def wrapper(view):
+            evals[0] += 1
+            return guard(view)
+        return wrapper
+
+    return dataclasses.replace(proto, actions=tuple(
+        dataclasses.replace(a, guard=counted(a.guard))
+        for a in proto.actions)), evals
+
+
+def scanned(cfg, p, proto, topo):
+    """Guards evaluated at p on cfg, stopping at the first that holds."""
+    view = View(cfg, topo, p)
+    for n, a in enumerate(proto.actions, start=1):
+        if a.guard(view):
+            return n
+    return len(proto.actions)
 
 
 def test_guard_evaluations_stay_in_the_fired_neighborhood():
@@ -231,30 +259,12 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
                              "daemon": "central", "seed": 0})
     topo = make_topology(scn.topo)
     proto = build_protocol(scn, topo)
-    evals = [0]
-
-    def counted(guard):
-        def wrapper(view):
-            evals[0] += 1
-            return guard(view)
-        return wrapper
-
-    counted_proto = dataclasses.replace(proto, actions=tuple(
-        dataclasses.replace(a, guard=counted(a.guard))
-        for a in proto.actions))
+    counted_proto, evals = counting(proto)
     per_step = []  # snapshots before the first step and after each step
 
     def snapshot(_cfg):
         per_step.append(evals[0])
         return False
-
-    def scanned(cfg, p):
-        """Guards evaluated at p on cfg, stopping at the first that holds."""
-        view = View(cfg, topo, p)
-        for n, a in enumerate(proto.actions, start=1):
-            if a.guard(view):
-                return n
-        return len(proto.actions)
 
     steps = auto_steps(scn, topo, proto)
     trace = run(counted_proto, topo,
@@ -268,5 +278,40 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
         for p in rec.fired:
             ball |= topo.adjacency[p]
         nxt = trace.configs[i + 1]
-        assert hi - lo == sum(scanned(nxt, q) for q in ball), \
+        assert hi - lo == sum(scanned(nxt, q, proto, topo) for q in ball), \
             f"step {i} evaluated {hi - lo} guards"
+
+
+def test_replay_evaluates_only_the_selected_guards(tmp_path, monkeypatch):
+    """rho_central daemon on grid:3x4 (rw, rho=2): each replayed step
+    evaluates, at each selected process only, the guards up to its first
+    enabled one; the replay keeps no enabled map of the other processes."""
+    scn = scenario_from({}, {"topo": "grid:3x4", "proto": "rw", "rho": 2,
+                             "daemon": "rho_central", "seed": 0})
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, scn, run_scenario(scn))
+    counters = []
+
+    def counted_build(*args):
+        proto, evals = counting(build_protocol(*args))
+        counters.append(evals)
+        return proto
+
+    per_step = []
+
+    def counted_step(*args, **kwargs):
+        before = counters[-1][0]
+        result = step(*args, **kwargs)
+        per_step.append(counters[-1][0] - before)
+        return result
+
+    monkeypatch.setattr(cli, "build_protocol", counted_build)
+    monkeypatch.setattr(cli, "step", counted_step)
+    _scn, trace = read_trace(path)
+    proto, topo = build_protocol(scn, trace.topo), trace.topo
+    expected = [sum(scanned(trace.configs[i], p, proto, topo)
+                    for p in rec.fired)
+                for i, rec in enumerate(trace.records)]
+    assert len(per_step) == len(trace.records) > 1000
+    assert per_step == expected
+    assert sum(len(rec.fired) for rec in trace.records) > len(trace.records)

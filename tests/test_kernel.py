@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, ProtocolDef,
-                     RegisterSpec, View, check_attractor, check_closure,
+                     RegisterSpec, Trace, View, check_attractor, check_closure,
                      enabled, first_enabled_map, generate,
                      random_configuration, rounds, run, step,
                      uniform_configuration)
@@ -126,8 +126,9 @@ def test_neutralization(path6):
     cfg = tuple({"x": [5, 5, 0, 1, 2, 3][p]} for p in path6.nodes)
     first = first_enabled_map(cfg, proto, path6)
     assert sorted(first) == [0, 1]
-    _, rec = step(cfg, [0], proto, path6, first)
-    assert rec.neutralized == (1,)
+    nxt, rec = step(cfg, [0], proto, path6, first)
+    # process 1 never acts, yet the round ends: the step neutralized it
+    assert rounds(Trace(proto, path6, [cfg, nxt], [rec])) == [1]
 
 
 def test_step_rejects_a_stale_enabled_map(path6):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
                      SizingError, build_ss_ws, d_K, generate, graph_params,
                      intrinsic_delays, is_wu, is_wu0, lift, ominus,
-                     random_configuration, run, uniform_configuration)
-from conftest import ADVERSARIAL, make_ws, stabilized_suffix
+                     random_configuration, run, trivial_plugin,
+                     uniform_configuration)
+from conftest import (ADVERSARIAL, make_dc, make_ws, stabilized_dc,
+                      stabilized_suffix)
 
 
 # -- incrementing system ---------------------------------------------------
@@ -256,6 +258,25 @@ def test_lift_invariants(ring8, daemon):
     for p in ring8.nodes:
         col = [lt.values[t][p] for t in range(len(lt.values))]
         assert all(0 <= b - a <= 1 for a, b in zip(col, col[1:]))
+
+
+def test_lift_shares_a_row_exactly_when_no_clock_moved(ring8):
+    # the slave layer of a layer-clock trace stays still at some steps
+    proto = make_dc(ring8, 1, trivial_plugin())
+    tr, wu = stabilized_dc(proto, ring8, "central", seed=3)
+    suffix, reg = tr.suffix(wu), "r2"
+    lt = lift(suffix, reg)
+    rows = [list(lt.values[0])]  # the reference copies every row
+    for i, rec in enumerate(suffix.records):
+        row = list(rows[-1])
+        for p in rec.fired:
+            if suffix.configs[i + 1][p][reg] != suffix.configs[i][p][reg]:
+                row[p] += 1
+        rows.append(row)
+    assert lt.values == rows
+    shared = [lt.values[t + 1] is lt.values[t] for t in range(len(rows) - 1)]
+    assert shared == [rows[t + 1] == rows[t] for t in range(len(rows) - 1)]
+    assert any(shared) and not all(shared)
 
 
 def test_level_time_earliest(ring8):
