@@ -14,9 +14,8 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
 from .kernel import (Action, Configuration, DaemonPolicy, EngineFault,
                      HookEvent, ProtocolDef, RegisterSpec, Trace,
                      TransitionRecord, View, check_attractor, check_closure,
-                     enabled, first_enabled_map, int_range,
-                     random_configuration, round_count, rounds, run, step,
-                     uniform_configuration)
+                     first_enabled_map, int_range, random_configuration,
+                     round_count, rounds, run, step, uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
                      SizingError, build_ss_ws, d_K, intrinsic_delays, is_wu,
                      is_wu0, lift, ominus)

@@ -183,13 +183,10 @@ def make_topology(spec: str) -> Topology:
     raise ScenarioError(f"unknown topology kind {kind!r} in {spec!r}")
 
 
-def _infimum_input_source(kind: str, seed: int):
+def _infimum_input_source(op, seed: int):
     def source(p: int, phase: int):
         # string seed: stable across processes, unlike tuple hashing
-        rng = random.Random(f"inf-input:{seed}:{p}:{phase}")
-        if kind == "lex_pair":
-            return (rng.randrange(-50, 50), rng.randrange(-50, 50))
-        return rng.randrange(-1000, 1000)
+        return op.sample(random.Random(f"inf-input:{seed}:{p}:{phase}"))
     return source
 
 
@@ -211,9 +208,8 @@ def build_protocol(scn: Scenario, topo: Topology):
         if scn.proto == "ss_ws":
             hooks = {}
             if scn.infimum:
-                hooks = attach_infimum(
-                    make_infimum(scn.infimum),
-                    _infimum_input_source(scn.infimum, scn.seed))
+                op = make_infimum(scn.infimum)
+                hooks = attach_infimum(op, _infimum_input_source(op, scn.seed))
             return build_ss_ws(rho, K, alpha, gp, **hooks)
         if scn.proto == "trivial":
             plugin = trivial_plugin()
@@ -546,15 +542,51 @@ def _decode_step(text: str, i: int, n: int,
     return selected, {p: fired[str(p)] for p in selected}, events
 
 
+def _check_selection(scn: Scenario, topo: Topology, selected: list[int],
+                     i: int) -> None:
+    """Raise CorruptTraceError unless the scenario's daemon can make the
+    selection of step `i`: one process for `central` and `adversarial`,
+    processes pairwise more than rho apart for `rho_central`."""
+    if scn.daemon in ("central", "adversarial") and len(selected) != 1:
+        raise CorruptTraceError(
+            f"step {i} selects {len(selected)} processes; the {scn.daemon} "
+            f"daemon selects one")
+    if scn.daemon == "rho_central":
+        for p, q in itertools.combinations(selected, 2):
+            if topo.dist[p][q] <= scn.rho:
+                raise CorruptTraceError(
+                    f"step {i} selects processes {p} and {q} at distance "
+                    f"{topo.dist[p][q]}, within rho={scn.rho}")
+
+
+def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
+    """The stop reason `run` gives these steps: `budget` iff they are the
+    scenario's step budget, else `quiescence` iff no process is enabled at
+    the end.  Raises CorruptTraceError for any other trace."""
+    budget = auto_steps(scn, trace.topo, trace.protocol)
+    steps = len(trace.records)
+    if steps == budget:
+        return "budget"
+    if steps > budget:
+        raise CorruptTraceError(
+            f"trace has {steps} steps, above the step budget {budget}")
+    if first_enabled_map(trace.configs[-1], trace.protocol, trace.topo):
+        raise CorruptTraceError(
+            f"trace stops after {steps} steps, below the step budget "
+            f"{budget}, with processes still enabled")
+    return "quiescence"
+
+
 def read_trace(path: str) -> tuple[Scenario, Trace]:
     """Load and replay a trace file.
 
     Replay re-executes every recorded selection through the engine and
-    cross-checks the fired labels, emitted events, and final configuration;
-    any divergence, truncation or malformed line raises CorruptTraceError,
-    the first in file order.  Each step line is decoded only when the
-    replay reaches it, and each step evaluates the guards of the selected
-    processes only.
+    cross-checks the fired labels, emitted events, final configuration,
+    the header's daemon (`_check_selection`) and its stop reason
+    (`_replayed_stop_reason`); any divergence, truncation or malformed
+    line raises CorruptTraceError, the first in file order.  Each step line
+    is decoded only when the replay reaches it, and each step evaluates
+    the guards of the selected processes only.
     """
     scn, trace, step_lines, final = parse_trace(path)
     proto, topo = trace.protocol, trace.topo
@@ -564,6 +596,7 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
     for i in range(len(step_lines)):
         selected, recorded_fired, recorded_events = _decode_step(
             step_lines.pop(), i, n)
+        _check_selection(scn, topo, selected, i)
         try:
             cfg, rec = step(cfg, selected, proto, topo)
         except Exception as exc:
@@ -578,6 +611,11 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         trace.records.append(rec)
     if trace.configs[-1] != final:
         raise CorruptTraceError("replayed final configuration diverges")
+    stop = _replayed_stop_reason(scn, trace)
+    if trace.stop_reason != stop:
+        raise CorruptTraceError(
+            f"header says stop_reason {trace.stop_reason!r}, the replay "
+            f"stops on {stop!r}")
     return scn, trace
 
 

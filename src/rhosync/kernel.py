@@ -29,7 +29,6 @@ __all__ = [
     "TransitionRecord",
     "Trace",
     "EngineFault",
-    "enabled",
     "first_enabled_map",
     "step",
     "run",
@@ -113,9 +112,9 @@ class ProtocolDef:
 class View:
     """Read access to the pre-state as seen by one process.
 
-    `get` reads an own register; `nget` reads a neighbor's register and,
-    when tracking is on, records the (neighbor, register) access.  Guards
-    must go through a View so the engine can enforce the locality contract.
+    `get` reads an own register; `nget` reads a neighbor's register and
+    refuses any other process.  Guards must go through a View so the
+    engine can enforce the locality contract.
 
     `memo` maps a register name to a result derived from this view (the
     clock layer's status of that register).  A memoized result stays valid
@@ -124,14 +123,12 @@ class View:
     state, it replaces it.
     """
 
-    __slots__ = ("cfg", "topo", "p", "reads", "memo")
+    __slots__ = ("cfg", "topo", "p", "memo")
 
-    def __init__(self, cfg: Configuration, topo: Topology, p: int,
-                 track: bool = False):
+    def __init__(self, cfg: Configuration, topo: Topology, p: int):
         self.cfg = cfg
         self.topo = topo
         self.p = p
-        self.reads: set[tuple[int, str]] | None = set() if track else None
         self.memo: dict[str, Any] = {}
 
     @property
@@ -145,8 +142,6 @@ class View:
         if q not in self.topo.adjacency[self.p]:
             raise EngineFault(
                 f"process {self.p} read register {reg!r} of non-neighbor {q}")
-        if self.reads is not None:
-            self.reads.add((q, reg))
         return self.cfg[q][reg]
 
 
@@ -194,13 +189,6 @@ class Trace:
         """The first `end` transitions: configurations 0 to `end`."""
         return Trace(self.protocol, self.topo, self.configs[:end + 1],
                      self.records[:end])
-
-
-def enabled(c: Configuration, p: int, proto: ProtocolDef,
-            topo: Topology) -> list[str]:
-    """Labels of actions whose guards hold at p, in priority order."""
-    view = View(c, topo, p)
-    return [a.label for a in proto.actions if a.guard(view)]
 
 
 def _first_enabled(c: Configuration, p: int, proto: ProtocolDef,

@@ -316,8 +316,6 @@ def _entries(records: list[CsRecord], nodes) -> dict[int, list[int]]:
 class LivenessReport:
     cs_counts: dict[int, int]
     max_gap: int
-    potentials: list[list[int]]  # sampled Pot_p trajectories
-    potential_bound: int
 
     @property
     def min_count(self) -> int:
@@ -326,25 +324,17 @@ class LivenessReport:
 
 def monitor_liveness(lt2: LiftedTrace,
                      records: list[CsRecord]) -> LivenessReport:
-    """Per-process privilege counts plus the slave-delay potential
-    trajectory witnessing no-starvation (bounded by n*D), sampled at every
-    tenth configuration, over the trace of the lifted slave register `lt2`
-    and its privileges `records`."""
+    """Per-process privilege counts and the longest gap between a
+    process's consecutive entries, over the trace of the lifted slave
+    register `lt2` and its privileges `records`."""
     topo = lt2.trace.topo
     entries = _entries(records, topo.nodes)
     max_gap = 0
     for es in entries.values():
         for a, b in zip(es, es[1:]):
             max_gap = max(max_gap, b - a)
-    # sum(row[q] - row[p] for q) in O(n) per row
-    n = topo.node_count
-    potentials = []
-    for row in lt2.values[::10]:
-        tot = sum(row)
-        potentials.append([tot - n * row[p] for p in topo.nodes])
     return LivenessReport(
-        cs_counts={p: len(es) for p, es in entries.items()}, max_gap=max_gap,
-        potentials=potentials, potential_bound=n * topo.diameter)
+        cs_counts={p: len(es) for p, es in entries.items()}, max_gap=max_gap)
 
 
 @dataclass
@@ -353,7 +343,6 @@ class Metrics:
     service_time: int | None
     comms_per_phase: list[int]
     cs_total: int
-    partial: bool = False
 
 
 def _per_pair_fairness(entries: dict[int, list[int]]
@@ -379,11 +368,9 @@ def metrics(lt1: LiftedTrace, records: list[CsRecord]) -> Metrics:
     `records`."""
     fairness, service = _per_pair_fairness(
         _entries(records, lt1.trace.topo.nodes))
-    comms = _comms_per_phase(lt1)
     return Metrics(
         fairness_index=fairness, service_time=service,
-        comms_per_phase=comms, cs_total=len(records),
-        partial=fairness is None or len(comms) == 0)
+        comms_per_phase=_comms_per_phase(lt1), cs_total=len(records))
 
 
 def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
@@ -391,30 +378,21 @@ def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
 
     Each fired action's reads are attributed to its actor's own master
     phase; a phase total is reported once every process has completed that
-    phase.  The reads are derived, not recorded: the action runs again on a
-    tracking View of its step's pre-state, which gives the reads of the
-    original firing because actions are deterministic.  Only steps of a
-    reported phase are re-run, and the statement only while the guard has
-    read fewer than all neighbors (reads reach neighbors only, so it could
-    add none).
+    phase.  The count is the actor's degree: `cli.analyze` lifts r1 and r2
+    from WU0 before it calls `metrics`, and `lift` raises LiftError on any
+    clock change other than one increment, so only NA fires (RA resets a
+    clock, CA climbs the tail); NA's guard holds only on the _NORMAL status
+    of r1, which the clock layer's classifier gives only after it has read
+    every neighbor.
     """
     trace = lt1.trace
-    topo = trace.topo
+    adjacency = trace.topo.adjacency
     delta = trace.protocol.meta["delta"]
     first = lt1.first_phase_level(delta) // delta
     counts = [0] * max(min(lt1.values[-1]) // delta - first, 0)
-    actions = {a.label: a for a in trace.protocol.actions}
-    for row, rec, cfg in zip(lt1.values, trace.records, trace.configs):
-        for p, label in rec.fired.items():
+    for row, rec in zip(lt1.values, trace.records):
+        for p in rec.fired:
             i = row[p] // delta - first  # row[p]: lifted value before the step
-            if not 0 <= i < len(counts):
-                continue
-            view = View(cfg, topo, p, track=True)
-            action = actions[label]
-            action.guard(view)
-            read = {q for q, _ in view.reads}
-            if len(read) < len(topo.adjacency[p]):
-                action.statement(view, lambda kind, payload: None)
-                read = {q for q, _ in view.reads}
-            counts[i] += len(read)
+            if 0 <= i < len(counts):
+                counts[i] += len(adjacency[p])
     return counts

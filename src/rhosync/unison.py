@@ -203,22 +203,20 @@ def clock_layer(reg: str, sysm: IncrementingSystem
       outside chi: _RESET.
     The pass stops at the first neighbor that breaks local correctness
     (ring) or convergence (tail), where each guard stated alone would
-    stop, so a tracking View records the reads of the firing guard alone.
+    stop, so it reads only the neighbors the firing guard needs.
     """
     alpha, period = sysm.alpha, sysm.period
 
     def classify(view: View) -> int:
         # Walks the View's own adjacency: local by construction, so the
         # reads skip `nget`'s neighbor check.
-        cfg, reads = view.cfg, view.reads
+        cfg = view.cfg
         rp = cfg[view.p][reg]
         nbrs = view.topo.adjacency[view.p]
         if 0 <= rp < period:
             nxt, prv = (rp + 1) % period, (rp - 1) % period
             status = _NORMAL
             for q in nbrs:
-                if reads is not None:
-                    reads.add((q, reg))
                 rq = cfg[q][reg]
                 if rq == rp or rq == nxt:
                     continue
@@ -229,8 +227,6 @@ def clock_layer(reg: str, sysm: IncrementingSystem
         elif -alpha <= rp < 0:
             status = _CONVERGE
             for q in nbrs:
-                if reads is not None:
-                    reads.add((q, reg))
                 if not rp <= cfg[q][reg] <= 0:
                     status = _WAIT
                     break

@@ -1,12 +1,13 @@
-"""Shared helpers: small topologies and run-to-stabilization utilities."""
+"""Shared helpers: small topologies, run-to-stabilization utilities, and
+observers of guards and of the reads they make."""
 
 import random
 
 import pytest
 
-from rhosync import (DaemonPolicy, build_ss_dc, build_ss_ws, generate,
-                     graph_params, is_wu0, random_configuration, run,
-                     stabilization_indices)
+from rhosync import (DaemonPolicy, View, build_ss_dc, build_ss_ws,
+                     generate, graph_params, is_wu0, random_configuration,
+                     run, stabilization_indices)
 
 
 ACCEPTANCE_LINES = []
@@ -85,3 +86,35 @@ def stabilized_suffix(proto, topo, daemon_kind="synchronous", seed=0,
             return tr.suffix(i), i
     raise AssertionError(
         f"no WU0 configuration within {max_steps} steps ({daemon_kind})")
+
+
+def enabled_labels(c, p, proto, topo):
+    """Labels of the actions whose guards hold at p in c, in priority
+    order."""
+    view = View(c, topo, p)
+    return [a.label for a in proto.actions if a.guard(view)]
+
+
+class _LoggedState(dict):
+    """A process state that logs (process, register) for each register
+    read from it."""
+
+    def __init__(self, state, q, log):
+        super().__init__(state)
+        self.q, self.log = q, log
+
+    def __getitem__(self, reg):
+        self.log.add((self.q, reg))
+        return super().__getitem__(reg)
+
+
+def neighbor_reads(fn, c, topo, p):
+    """Run fn on a View of process p over configuration c whose states log
+    every register read.  Returns fn's result and the set of (q, register)
+    reads of processes other than p.  The log sees every read, whether it
+    goes through `View.get`/`View.nget` or walks `view.cfg` directly, as
+    the clock layer's classifier does."""
+    log = set()
+    result = fn(View(tuple(_LoggedState(st, q, log) for q, st in enumerate(c)),
+                     topo, p))
+    return result, {(q, reg) for q, reg in log if q != p}

@@ -409,6 +409,53 @@ def test_check_malformed_trace_field_exits_2(tmp_path, capsys, field):
         assert "malformed step 0" in err
 
 
+def _header(**changes):
+    return lambda lines: lines[0].update(changes)
+
+
+def _header_scenario(**changes):
+    return lambda lines: lines[0]["scenario"].update(changes)
+
+
+# Lies about how the trace below came about: it is a synchronous run that
+# stopped on its 40-step budget, and its step 0 selects all six processes.
+HEADER_LIES = {
+    "daemon_central": (_header_scenario(daemon="central"),
+                       "step 0 selects 6 processes"),
+    "daemon_adversarial": (_header_scenario(daemon="adversarial"),
+                           "step 0 selects 6 processes"),
+    "daemon_rho_central": (_header_scenario(daemon="rho_central"),
+                           "step 0 selects processes 0 and 1 at distance 1"),
+    "stop_reason_quiescence": (_header(stop_reason="quiescence"),
+                               "stop_reason 'quiescence'"),
+    "stop_reason_list": (_header(stop_reason=[1]), "stop_reason [1]"),
+    "stop_reason_missing": (lambda lines: lines[0].pop("stop_reason"),
+                            "stop_reason 'incomplete'"),
+    "steps_above_budget": (_header_scenario(steps="30"),
+                           "40 steps, above the step budget 30"),
+    "steps_below_budget": (_header_scenario(steps="50"),
+                           "below the step budget 50, with processes still "
+                           "enabled"),
+}
+
+
+@pytest.mark.parametrize("lie", sorted(HEADER_LIES))
+def test_check_refuses_a_header_the_steps_contradict(tmp_path, capsys, lie):
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "synchronous", "steps": "40"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    assert lines[0]["stop_reason"] == "budget"
+    assert lines[2]["selected"] == [0, 1, 2, 3, 4, 5]
+    edit, message = HEADER_LIES[lie]
+    edit(lines)
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_check_reports_the_first_fault_in_file_order(tmp_path, capsys):
     # steps are decoded as the replay reaches them: a divergence at step 3
     # is reported before a malformed step 8

@@ -1,16 +1,17 @@
-"""Exhaustive guard check: on tiny instances, `enabled` must list exactly
-the actions that a reference statement of the RA/CA/NA guards allows, in
-priority order, for every configuration of the clock registers; and the
-first enabled guard, evaluated on a tracking View as `step` does, must
-record exactly the neighbor reads that guard needs on its own."""
+"""Exhaustive guard check: on tiny instances, the guards that hold must be
+exactly the actions that a reference statement of the RA/CA/NA guards
+allows, in priority order, for every configuration of the clock
+registers; and the first enabled guard, evaluated alone on a fresh View as
+`step` does, must read exactly the neighbor registers that guard needs on
+its own."""
 
 import itertools
 from types import SimpleNamespace
 
 import pytest
 
-from rhosync import View, enabled, generate, trivial_plugin
-from conftest import make_dc, make_ws
+from rhosync import generate, trivial_plugin
+from conftest import enabled_labels, make_dc, make_ws, neighbor_reads
 
 
 def reference_clock(sysm):
@@ -62,9 +63,9 @@ def reset_reads(ref, reg, rp, nbrs, value_of):
 
 def first_guard_reads(proto, c, p, topo, label):
     action = next(a for a in proto.actions if a.label == label)
-    view = View(c, topo, p, track=True)
-    assert action.guard(view)
-    return view.reads
+    holds, reads = neighbor_reads(action.guard, c, topo, p)
+    assert holds
+    return reads
 
 
 @pytest.mark.parametrize("kind,n,count", [("path", 3, 1000),
@@ -87,7 +88,7 @@ def test_ss_ws_guards_exhaustive(kind, n, count):
                 ("RA", ref.reset(rp, rqs)),
                 ("CA", ref.converge(rp, rqs)),
                 ("NA", ref.normal(rp, rqs))) if holds]
-            assert enabled(c, p, proto, topo) == expect, (values, p)
+            assert enabled_labels(c, p, proto, topo) == expect, (values, p)
             seen.update(expect)
             if not expect:
                 continue
@@ -127,7 +128,7 @@ def test_ss_dc_guards_exhaustive():
                 ("CA1", ref1.converge(a1, r1s)),
                 ("NA", ref1.normal(a1, r1s) and ref2.correct(a2, r2s)))
                 if holds]
-            assert enabled(c, p, proto, topo) == expect, (pair, p)
+            assert enabled_labels(c, p, proto, topo) == expect, (pair, p)
             seen.update(expect)
             if not expect:
                 continue

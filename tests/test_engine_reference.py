@@ -7,9 +7,9 @@ actions and re-evaluates only the closed neighborhood of the fired
 processes, the trace replay evaluates only the selected processes, and
 `kernel.rounds` derives neutralization from consecutive configurations;
 all must produce the same configurations and records, live and in trace
-replay, and the same round boundaries.  The reference also tracks
-what each fired action reads while it fires, which `lra.metrics` derives
-afterwards from the trace.
+replay, and the same round boundaries.  The reference also logs what each
+fired action reads while it fires (`conftest.neighbor_reads`), which
+`lra.metrics` derives afterwards from the trace.
 """
 
 import dataclasses
@@ -17,17 +17,19 @@ import os
 import random
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
-                     ProtocolDef, RegisterSpec, TransitionRecord, View,
-                     enabled, lift, metrics, random_configuration, rounds,
-                     run, stabilization_indices)
+                     ProtocolDef, RegisterSpec, TransitionRecord, View, lift,
+                     metrics, random_configuration, rounds, run,
+                     stabilization_indices)
 from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
                          read_trace, run_scenario, scenario_from, write_trace)
 from rhosync.kernel import make_daemon, step
+from conftest import enabled_labels, neighbor_reads
 
 
 def any_int(x):
@@ -38,22 +40,31 @@ def any_int(x):
 def enabled_map(c, proto, topo):
     """Each enabled process, mapped to all its enabled labels."""
     return {p: labs for p in topo.nodes
-            if (labs := enabled(c, p, proto, topo))}
+            if (labs := enabled_labels(c, p, proto, topo))}
 
 
 @dataclasses.dataclass
 class ReferenceRecord:
     """A reference step's record, the processes it neutralized, and its
-    tracked reads: process -> set of (neighbor, register)."""
+    logged reads: process -> set of (neighbor, register)."""
 
     record: TransitionRecord
     neutralized: tuple
     reads: dict
 
 
+def firing(action, emit):
+    """For `neighbor_reads`: the action's guard, which must hold, then its
+    statement."""
+    def fire(view):
+        assert action.guard(view)
+        return action.statement(view, emit)
+    return fire
+
+
 def reference_step(c, selection, proto, topo):
-    """One step, plus the reads each fired action made while firing: its
-    guard and statement run on one tracking View."""
+    """One step, plus the neighbor reads each fired action made while
+    firing: its guard and statement run on one View over logged states."""
     selection = sorted(set(selection))
     if not selection:
         raise EngineFault("empty selection")
@@ -63,14 +74,13 @@ def reference_step(c, selection, proto, topo):
         if p not in before:
             raise EngineFault(f"selected process {p} has no enabled action")
         action = next(a for a in proto.actions if a.guard(View(c, topo, p)))
-        view = View(c, topo, p, track=True)
-        assert action.guard(view)
-        updates = action.statement(
-            view, lambda kind, payload, _p=p: events.append(
-                HookEvent(process=_p, kind=kind, payload=payload)))
+        updates, p_reads = neighbor_reads(firing(
+            action, lambda kind, payload, _p=p: events.append(
+                HookEvent(process=_p, kind=kind, payload=payload))),
+            c, topo, p)
         assert set(updates) <= set(c[p])
         fired[p] = action.label
-        reads[p] = frozenset(view.reads)
+        reads[p] = frozenset(p_reads)
         writes[p] = updates
     c_next = tuple({**c[p], **writes.get(p, {})} for p in topo.nodes)
     after = enabled_map(c_next, proto, topo)
@@ -96,7 +106,7 @@ def reference_run(proto, topo, daemon, init, max_steps):
 
 
 def reference_comms(lt1, reads):
-    """Per-phase totals of the tracked reads: the distinct neighbors each
+    """Per-phase totals of the logged reads: the distinct neighbors each
     fired process read, by the master phase it fired in (its lifted value
     before the step), over the phases every process has completed."""
     delta = lt1.trace.protocol.meta["delta"]
@@ -175,6 +185,32 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
         _scn, replayed = read_trace(path)
     assert replayed.configs == configs
     assert replayed.records == records
+
+
+@pytest.mark.parametrize("daemon", ["central", "rho_central",
+                                    "adversarial"])
+@pytest.mark.parametrize("proto", ["trivial", "lme", "gme", "rw"])
+def test_comms_count_matches_logged_reads(proto, daemon):
+    """Each case runs to WU0 and lifts both clock registers, as
+    `cli.analyze` does; the derived per-phase count must equal the
+    neighbor reads logged while each fired guard and statement run again
+    on the step's pre-state.  grid:2x3 mixes degrees 2 and 3."""
+    scn = scenario_from({}, {"topo": "grid:2x3", "proto": proto, "rho": 1,
+                             "daemon": daemon, "seed": 4})
+    trace = run_scenario(scn)
+    _wu1, stab = stabilization_indices(trace)
+    suffix = trace.suffix(stab)
+    lt1 = lift(suffix, "r1")
+    lift(suffix, "r2")
+    actions = {a.label: a for a in trace.protocol.actions}
+    ignore = lambda kind, payload: None
+    reads = [{p: neighbor_reads(firing(actions[label], ignore), cfg,
+                                trace.topo, p)[1]
+              for p, label in rec.fired.items()}
+             for rec, cfg in zip(suffix.records, suffix.configs)]
+    counts = metrics(lt1, []).comms_per_phase
+    assert len(counts) >= 1
+    assert counts == reference_comms(lt1, reads)
 
 
 def churn_protocol():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from rhosync import (Action, DaemonPolicy, EngineFault, ProtocolDef,
                      RegisterSpec, Trace, View, check_attractor, check_closure,
-                     enabled, first_enabled_map, generate,
-                     random_configuration, rounds, run, step,
-                     uniform_configuration)
+                     first_enabled_map, generate, random_configuration, rounds,
+                     run, step, uniform_configuration)
 from rhosync.kernel import make_daemon
+from conftest import enabled_labels, neighbor_reads
 
 
 def any_int(x):
@@ -57,13 +57,18 @@ def test_view_rejects_non_neighbor_read(ring8):
         view.nget(4, "x")
 
 
-def test_view_tracks_reads(ring8):
-    cfg = tuple({"x": p} for p in ring8.nodes)
-    view = View(cfg, ring8, 0, track=True)
-    view.nget(1, "x")
-    view.nget(7, "x")
-    view.nget(1, "x")
-    assert view.reads == {(1, "x"), (7, "x")}
+def test_neighbor_reads_sees_every_read(ring8):
+    # reads through `nget` and straight off `view.cfg` alike; own reads
+    # are not reported
+    cfg = tuple({"x": p, "y": -p} for p in ring8.nodes)
+
+    def reader(view):
+        return (view.get("x") + view.nget(1, "x") + view.nget(7, "x")
+                + view.nget(1, "x") + view.cfg[7]["y"])
+
+    total, reads = neighbor_reads(reader, cfg, ring8, 0)
+    assert total == 0 + 1 + 7 + 1 - 7
+    assert reads == {(1, "x"), (7, "x"), (7, "y")}
 
 
 def test_step_composite_atomicity(ring8):
@@ -106,7 +111,7 @@ def test_priority_first_enabled_action_fires(ring8):
                         registers=(RegisterSpec("x", 1,
                                                 lambda rng: 0, any_int),))
     cfg = uniform_configuration(proto, ring8)
-    assert enabled(cfg, 0, proto, ring8) == ["HI", "LO"]
+    assert enabled_labels(cfg, 0, proto, ring8) == ["HI", "LO"]
     nxt, rec = step(cfg, [0], proto, ring8,
                     first_enabled_map(cfg, proto, ring8))
     assert rec.fired[0] == "HI" and nxt[0]["x"] == 10
