@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import attach_infimum, make_infimum, verify_ball_infimum
-from .kernel import (DaemonPolicy, HookEvent, Trace, first_enabled_map,
-                     random_configuration, round_count, run, step,
-                     uniform_configuration)
+from .kernel import (DAEMONS, DaemonPolicy, HookEvent, Trace,
+                     first_enabled_map, random_configuration, round_count,
+                     run, step, uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
     verify_delay_agreement
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
@@ -72,8 +72,6 @@ class Scenario:
         return (self.topo, self.proto, self.rho, self.daemon, self.seed)
 
 
-_DAEMONS = {"synchronous", "central", "rho_central", "distributed_random",
-            "adversarial"}
 _PROTOS = {"ss_ws", "trivial", "lme", "gme", "rw"}
 _INIT_MODES = {"wu0_uniform", "random_arbitrary", "adversarial_file"}
 # The values a field may hold, by the type of its default, and how to say so.
@@ -130,7 +128,7 @@ def validate_scenario(scn: Scenario) -> None:
             raise ScenarioError(f"{f.name} must be {what}, got {val!r}")
     if scn.proto not in _PROTOS:
         raise ScenarioError(f"unknown proto {scn.proto!r}")
-    if scn.daemon not in _DAEMONS:
+    if scn.daemon not in DAEMONS:
         raise ScenarioError(f"unknown daemon {scn.daemon!r}")
     if scn.rho < 1:
         raise ScenarioError("rho must be >= 1")
@@ -354,8 +352,8 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         report["wavelet_failures"] = bad
         violations += len(bad)
         if scn.infimum:
-            op = make_infimum(scn.infimum)
-            verdict = verify_ball_infimum(lt, op, rho)
+            verdict = verify_ball_infimum(lt, trace.protocol.meta["infimum"],
+                                          rho)
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
@@ -370,13 +368,13 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         # of privileges granted from there on.
         mon = lra_monitor_start(lt1)
         report["monitor_start"] = stab + mon
-        lt1, lt2 = lt1.suffix(mon), lt2.suffix(mon)
+        lt1 = lt1.suffix(mon)
         recs = extract_cs_records(lt1.trace)
         compat = trace.protocol.meta["plugin"].compat
         safety = monitor_safety(recs, topo, rho, compat)
         report["safety_violations"] = len(safety)
         violations += len(safety)
-        live = monitor_liveness(lt2, recs)
+        live = monitor_liveness(recs, topo)
         report["cs_min_count"] = live.min_count
         report["cs_max_gap"] = live.max_gap
         m = metrics(lt1, recs)
@@ -488,11 +486,18 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
         raise CorruptTraceError(f"bad topology in header: {exc}") from exc
     if topo.node_count != header.get("n"):
         raise CorruptTraceError("edge list does not match declared node count")
+    # the scenario determines the graph and start unless it names files
+    if not scn.topo.startswith("file:") and make_topology(scn.topo) != topo:
+        raise CorruptTraceError(f"header edges are not topo {scn.topo!r}")
     proto = build_protocol(scn, topo)
     try:
         cfg = _load_configuration(config_line.get("states"), proto, topo)
     except ValueError as exc:
         raise CorruptTraceError(f"bad config line: {exc}") from exc
+    if not scn.init.startswith("adversarial_file") \
+            and make_init(scn, proto, topo) != cfg:
+        raise CorruptTraceError(
+            f"initial configuration is not init {scn.init!r}")
     trace = Trace(proto, topo, [cfg], [],
                   stop_reason=header.get("stop_reason", "incomplete"))
     del lines[-1], lines[:2]  # the step lines remain
@@ -542,23 +547,6 @@ def _decode_step(text: str, i: int, n: int,
     return selected, {p: fired[str(p)] for p in selected}, events
 
 
-def _check_selection(scn: Scenario, topo: Topology, selected: list[int],
-                     i: int) -> None:
-    """Raise CorruptTraceError unless the scenario's daemon can make the
-    selection of step `i`: one process for `central` and `adversarial`,
-    processes pairwise more than rho apart for `rho_central`."""
-    if scn.daemon in ("central", "adversarial") and len(selected) != 1:
-        raise CorruptTraceError(
-            f"step {i} selects {len(selected)} processes; the {scn.daemon} "
-            f"daemon selects one")
-    if scn.daemon == "rho_central":
-        for p, q in itertools.combinations(selected, 2):
-            if topo.dist[p][q] <= scn.rho:
-                raise CorruptTraceError(
-                    f"step {i} selects processes {p} and {q} at distance "
-                    f"{topo.dist[p][q]}, within rho={scn.rho}")
-
-
 def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
     """The stop reason `run` gives these steps: `budget` iff they are the
     scenario's step budget, else `quiescence` iff no process is enabled at
@@ -582,23 +570,34 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
 
     Replay re-executes every recorded selection through the engine and
     cross-checks the fired labels, emitted events, final configuration,
-    the header's daemon (`_check_selection`) and its stop reason
+    the header daemon's rule (`DaemonPolicy.refusal`) and its stop reason
     (`_replayed_stop_reason`); any divergence, truncation or malformed
-    line raises CorruptTraceError, the first in file order.  Each step line
-    is decoded only when the replay reaches it, and each step evaluates
-    the guards of the selected processes only.
+    line raises CorruptTraceError, the first in file order.  Each step
+    line is decoded only when the replay reaches it.  A step evaluates
+    the guards of the selected processes only, unless the daemon's rule
+    reads the enabled set (`synchronous`): then it fires the hits found.
     """
     scn, trace, step_lines, final = parse_trace(path)
     proto, topo = trace.protocol, trace.topo
+    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     n = topo.node_count
     cfg = trace.configs[0]
+    hits: dict = {}
+
+    def enabled():  # the enabled set of `cfg`, kept as the step's hits
+        hits.update(first_enabled_map(cfg, proto, topo))
+        return hits
+
     step_lines.reverse()  # popped from the end: the replay frees each line
     for i in range(len(step_lines)):
         selected, recorded_fired, recorded_events = _decode_step(
             step_lines.pop(), i, n)
-        _check_selection(scn, topo, selected, i)
+        hits.clear()
+        refusal = daemon.refusal(selected, topo, enabled)
+        if refusal:
+            raise CorruptTraceError(f"step {i} {refusal}")
         try:
-            cfg, rec = step(cfg, selected, proto, topo)
+            cfg, rec = step(cfg, selected, proto, topo, hits)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
         if rec.fired != recorded_fired:

@@ -126,9 +126,10 @@ def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
 
     input_source(p, phase_counter) supplies the fresh v0 each phase.
     Returns the decide hook (phase boundaries: report, then re-initialize),
-    the computation hook (every other normal step) and the payload
-    registers, so `build_ss_ws(rho, K, alpha, gp, **attach_infimum(...))`
-    builds the wave stream with the infimum attached.
+    the computation hook (every other normal step), the payload registers
+    and the operator as meta entry `infimum`, so
+    `build_ss_ws(rho, K, alpha, gp, **attach_infimum(...))` builds the wave
+    stream with the infimum attached.
     """
 
     def computation(view: View, emit) -> dict[str, Any]:
@@ -156,7 +157,7 @@ def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
         RegisterSpec("u", 0, lambda rng: rng.randrange(0, 4), int_range(0)),
     )
     return {"decide_hook": initialization, "cs1_hook": computation,
-            "payload_registers": payload}
+            "payload_registers": payload, "meta": {"infimum": op}}
 
 
 @dataclass

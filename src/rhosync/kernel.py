@@ -11,8 +11,9 @@ and applied together (composite atomicity).
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from .topology import Topology
@@ -24,6 +25,7 @@ __all__ = [
     "Action",
     "ProtocolDef",
     "View",
+    "DAEMONS",
     "DaemonPolicy",
     "HookEvent",
     "TransitionRecord",
@@ -93,7 +95,8 @@ class ProtocolDef:
 
     clock_registers maps register name -> the incrementing system driving it
     (consumed by the unison/layerclock predicates); meta carries the phase
-    modulus `delta` = rho+1 and, for `ss_dc`, the `plugin`.
+    modulus `delta` = rho+1 and, for `ss_dc`, the `plugin`; an `ss_ws`
+    with an infimum attached carries its operator as `infimum`.
     """
 
     name: str
@@ -294,62 +297,78 @@ def _refresh_enabled(first_enabled: dict[int, tuple[Action, View]],
 # Daemons
 
 
+DAEMONS = ("synchronous", "central", "rho_central", "distributed_random",
+           "adversarial")
+
+
 @dataclass(frozen=True)
 class DaemonPolicy:
-    """A scheduling adversary: picks a non-empty subset of enabled processes.
-
-    kinds: synchronous | central | rho_central | distributed_random |
-    adversarial.
-    """
+    """A scheduling adversary, one of DAEMONS: `scheduler` draws a
+    non-empty subset of the enabled processes at each step, and `refusal`
+    states the rule every such selection obeys."""
 
     kind: str
     seed: int = 0
     rho: int = 1
     p_select: float = 0.5
 
+    def __post_init__(self):
+        if self.kind not in DAEMONS:
+            raise ValueError(f"unknown daemon kind {self.kind!r}")
 
-class _DaemonState:
-    def __init__(self, policy: DaemonPolicy, topo: Topology):
-        self.policy = policy
-        self.topo = topo
-        self.rng = random.Random(policy.seed)
-        self.last_acted: dict[int, int] = {p: -1 for p in topo.nodes}
-
-    def select(self, enabled_procs: list[int], step_index: int) -> list[int]:
-        if not enabled_procs:
-            raise EngineFault("daemon invoked with no enabled process")
-        kind = self.policy.kind
+    def scheduler(self, topo: Topology
+                  ) -> Callable[[list[int], int], list[int]]:
+        """A fresh draw over `topo`: select(enabled, step_index) picks from
+        the ascending, non-empty list of enabled processes."""
+        rng, kind = random.Random(self.seed), self.kind
         if kind == "synchronous":
-            return list(enabled_procs)
+            return lambda enabled, i: list(enabled)
         if kind == "central":
-            return [self.rng.choice(enabled_procs)]
-        if kind == "rho_central":
-            pool = list(enabled_procs)
-            self.rng.shuffle(pool)
-            chosen: list[int] = []
-            for p in pool:
-                if all(self.topo.dist[p][q] > self.policy.rho for q in chosen):
-                    chosen.append(p)
-            return chosen
+            return lambda enabled, i: [rng.choice(enabled)]
         if kind == "distributed_random":
-            chosen = [p for p in enabled_procs
-                      if self.rng.random() < self.policy.p_select]
-            if not chosen:
-                chosen = [self.rng.choice(enabled_procs)]
-            return chosen
-        if kind == "adversarial":
-            # Greedily starve the most recently active process: never select
-            # it while any other process is enabled.
-            victim = max(enabled_procs, key=lambda p: self.last_acted[p])
-            others = [p for p in enabled_procs if p != victim]
-            pick = self.rng.choice(others) if others else victim
-            self.last_acted[pick] = step_index
+            return lambda enabled, i: (
+                [p for p in enabled if rng.random() < self.p_select]
+                or [rng.choice(enabled)])
+        if kind == "rho_central":
+            def select(enabled: list[int], i: int) -> list[int]:
+                pool, chosen = list(enabled), []
+                rng.shuffle(pool)  # then greedily, pairwise beyond rho
+                for p in pool:
+                    if all(topo.dist[p][q] > self.rho for q in chosen):
+                        chosen.append(p)
+                return chosen
+            return select
+        last_acted = dict.fromkeys(topo.nodes, -1)
+
+        def starve(enabled: list[int], i: int) -> list[int]:
+            # adversarial (unfair): one process, never the most recent
+            # actor while any other process is enabled
+            victim = max(enabled, key=last_acted.__getitem__)
+            others = [p for p in enabled if p != victim]
+            pick = rng.choice(others) if others else victim
+            last_acted[pick] = i
             return [pick]
-        raise EngineFault(f"unknown daemon kind {self.policy.kind!r}")
+        return starve
 
-
-def make_daemon(policy: DaemonPolicy, topo: Topology) -> _DaemonState:
-    return _DaemonState(policy, topo)
+    def refusal(self, selection: list[int], topo: Topology,
+                enabled: Callable[[], Iterable[int]]) -> str | None:
+        """Why this daemon cannot make `selection` (ascending, non-empty),
+        or None.  Only the synchronous rule calls `enabled()`, the enabled
+        processes.  That a selected process is enabled is the step's
+        check, so any selection passes the distributed_random rule."""
+        kind = self.kind
+        if kind in ("central", "adversarial") and len(selection) != 1:
+            return (f"selects {len(selection)} processes; the {kind} daemon "
+                    f"selects one")
+        if kind == "rho_central":
+            for p, q in itertools.combinations(selection, 2):
+                if topo.dist[p][q] <= self.rho:
+                    return (f"selects processes {p} and {q} at distance "
+                            f"{topo.dist[p][q]}, within rho={self.rho}")
+        if kind == "synchronous" and selection != (want := sorted(enabled())):
+            return (f"selects {selection}; the synchronous daemon selects "
+                    f"every enabled process, {want}")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +396,7 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
     via Trace.stop_reason == 'budget', not raised.
     """
     trace = Trace(proto, topo, [init], [])
-    dstate = make_daemon(daemon, topo)
+    select = daemon.scheduler(topo)
     cfg = init
     first = first_enabled_map(cfg, proto, topo)
     if stop_predicate is not None and stop_predicate(cfg):
@@ -387,7 +406,7 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
         if not first:
             trace.stop_reason = "quiescence"
             return trace
-        selection = dstate.select(sorted(first), i)
+        selection = select(sorted(first), i)
         cfg, rec = step(cfg, selection, proto, topo, first)
         _refresh_enabled(first, cfg, rec.fired, proto, topo)
         trace.configs.append(cfg)
@@ -503,10 +522,8 @@ def check_attractor(p_pred: Callable[[Configuration], bool] | None,
         init = sampler(rng)
         if p_pred is not None and not p_pred(init):
             continue
-        dpol = DaemonPolicy(kind=daemon.kind, seed=daemon.seed + r,
-                            rho=daemon.rho, p_select=daemon.p_select)
-        tr = run(proto, topo, dpol, init, max_steps=budget,
-                 stop_predicate=q_pred)
+        tr = run(proto, topo, replace(daemon, seed=daemon.seed + r), init,
+                 max_steps=budget, stop_predicate=q_pred)
         if tr.stop_reason == "predicate" or (tr.configs and q_pred(tr.configs[-1])):
             idx = len(tr.records)
             hits.append(idx)

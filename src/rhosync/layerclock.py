@@ -16,12 +16,11 @@ from typing import Any, Callable
 from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
 from .topology import GraphParams
 from .unison import (IncrementingSystem, LiftedTrace, SizingError,
-                     check_sizing, clock_layer, is_wu, is_wu0)
+                     check_sizing, clock_layer, delay, is_wu, is_wu0)
 
 __all__ = [
     "CondPlugin",
     "build_ss_dc",
-    "delay_2rho",
     "verify_delay_agreement",
     "DelayAgreementVerdict",
     "stabilization_indices",
@@ -119,18 +118,6 @@ def build_ss_dc(rho: int, gp: GraphParams, *, K: int, K2: int, alpha: int,
     )
 
 
-def delay_2rho(a: int, b: int, K2: int, rho: int) -> int | None:
-    """Signed slave-clock delay from a to b for processes within distance
-    2*rho, or None when neither residue fits the 2*rho window."""
-    fwd = (b - a) % K2
-    if fwd <= 2 * rho:
-        return fwd
-    bwd = (a - b) % K2
-    if bwd <= 2 * rho:
-        return -bwd
-    return None
-
-
 def stabilization_indices(trace: Trace) -> tuple[int | None, int | None]:
     """First configuration indices where WU1 holds and where both clock
     registers are in WU0, as `lift` requires.  WU implies WU0 only for a
@@ -165,16 +152,18 @@ def verify_delay_agreement(lt2: LiftedTrace, rho: int,
     """Check the 2*rho-local comparison against the lifted slave delay.
 
     For every sampled configuration of the lifted slave register and every
-    pair within distance 2*rho, delay_2rho on the r2 ring values must equal
-    the intrinsic slave delay.  k2_override re-encodes the lifted values modulo
-    an alternative period (the undersized negative control: the same run
-    with a too-small slave ring, where the window argument breaks down).
+    pair within distance 2*rho, `delay` with window 2*rho on the r2 ring
+    values must equal the intrinsic slave delay.  k2_override re-encodes
+    the lifted values modulo an alternative period (the undersized
+    negative control: the same run with a too-small slave ring, where the
+    window argument breaks down).
     """
     topo = lt2.trace.topo
     k2 = k2_override if k2_override is not None else \
         lt2.trace.protocol.clock_registers[lt2.reg].period
+    window = 2 * rho
     pairs = [(p, q) for p in topo.nodes for q in topo.nodes
-             if p < q and topo.dist[p][q] <= 2 * rho]
+             if p < q and topo.dist[p][q] <= window]
     checked = 0
     bad: list[tuple[int, int, int, int | None, int]] = []
     for t in range(0, len(lt2.values), sample_every):
@@ -182,7 +171,7 @@ def verify_delay_agreement(lt2: LiftedTrace, rho: int,
         for p, q in pairs:
             true_delay = row[q] - row[p]
             a, b = row[p] % k2, row[q] % k2
-            got = delay_2rho(a, b, k2, rho)
+            got = delay(a, b, k2, window)
             checked += 1
             if got != true_delay:
                 bad.append((t, p, q, got, true_delay))

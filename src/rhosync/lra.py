@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .kernel import RegisterSpec, Trace, View, int_range
-from .layerclock import CondPlugin, delay_2rho
+from .layerclock import CondPlugin
 from .topology import Topology
-from .unison import LiftedTrace
+from .unison import LiftedTrace, delay
 
 __all__ = [
     "lra_monitor_start",
@@ -46,7 +46,7 @@ def lra_oplus(x: tuple[int, Any], y: tuple[int, Any], K2: int, rho: int,
     An incomparable clock pair degrades to picking x (pre-stabilization
     garbage must not crash the run).
     """
-    d = delay_2rho(x[0], y[0], K2, rho)
+    d = delay(x[0], y[0], K2, 2 * rho)
     if d is None or d > 0:
         return x
     if d < 0:
@@ -322,12 +322,11 @@ class LivenessReport:
         return min(self.cs_counts.values())
 
 
-def monitor_liveness(lt2: LiftedTrace,
-                     records: list[CsRecord]) -> LivenessReport:
+def monitor_liveness(records: list[CsRecord],
+                     topo: Topology) -> LivenessReport:
     """Per-process privilege counts and the longest gap between a
-    process's consecutive entries, over the trace of the lifted slave
-    register `lt2` and its privileges `records`."""
-    topo = lt2.trace.topo
+    process's consecutive entries in `records`, over every process of
+    `topo`."""
     entries = _entries(records, topo.nodes)
     max_gap = 0
     for es in entries.values():

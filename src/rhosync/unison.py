@@ -20,8 +20,7 @@ from .topology import GraphParams, Topology
 
 __all__ = [
     "IncrementingSystem",
-    "d_K",
-    "ominus",
+    "delay",
     "is_wu",
     "is_wu0",
     "intrinsic_delays",
@@ -79,21 +78,16 @@ class IncrementingSystem:
         return -self.alpha
 
 
-def d_K(a: int, b: int, K: int) -> int:
-    """Torus distance min((a-b) mod K, (b-a) mod K) on [0, K-1]."""
-    if not (0 <= a < K and 0 <= b < K):
-        raise ValueError(f"values must lie in [0,{K - 1}], got {a}, {b}")
-    return min((a - b) % K, (b - a) % K)
-
-
-def ominus(b: int, a: int, K: int) -> int | None:
-    """Signed unit difference b - a of two ring values, or None when they
-    are not locally comparable (torus distance above 1)."""
-    if d_K(a, b, K) > 1:
-        return None
-    if a == b:
-        return 0
-    return 1 if (b - a) % K == 1 else -1
+def delay(a: int, b: int, K: int, window: int) -> int | None:
+    """Signed delay from ring value a to b (both in [0, K)): the forward
+    distance if it is at most `window`, else minus the backward distance
+    if that is, else None.  Window 1 is local comparability of neighbour
+    clocks; window 2*rho the slave comparison within distance 2*rho."""
+    fwd = (b - a) % K
+    if fwd <= window:
+        return fwd
+    bwd = (a - b) % K
+    return -bwd if bwd <= window else None
 
 
 def is_wu(c: Configuration, topo: Topology, sysm: IncrementingSystem,
@@ -105,7 +99,7 @@ def is_wu(c: Configuration, topo: Topology, sysm: IncrementingSystem,
             return False
         for q in topo.adjacency[p]:
             rq = c[q][reg]
-            if not sysm.in_ring(rq) or d_K(rp, rq, sysm.period) > 1:
+            if not sysm.in_ring(rq) or delay(rp, rq, sysm.period, 1) is None:
                 return False
     return True
 
@@ -117,7 +111,7 @@ def intrinsic_delays(c: Configuration, topo: Topology,
 
     WU0 holds when every clock is in the ring, every edge is locally
     comparable, and the delay is path-independent: the delays along a BFS
-    tree from process 0 then agree with `ominus` on every edge, so the
+    tree from process 0 then agree with `delay` on every edge, so the
     delay around every fundamental cycle is zero.
     """
     period = sysm.period
@@ -132,7 +126,7 @@ def intrinsic_delays(c: Configuration, topo: Topology,
         for u in frontier:
             for v in topo.adjacency[u]:
                 if v not in seen:
-                    d = ominus(vals[v], vals[u], period)
+                    d = delay(vals[u], vals[v], period, 1)
                     if d is None:
                         return None
                     seen.add(v)
@@ -140,7 +134,7 @@ def intrinsic_delays(c: Configuration, topo: Topology,
                     nxt.append(v)
         frontier = nxt
     for u, v in topo.edges:
-        if delays[v] - delays[u] != ominus(vals[v], vals[u], period):
+        if delays[v] - delays[u] != delay(vals[u], vals[v], period, 1):
             return None
     return delays
 
@@ -256,8 +250,8 @@ def clock_layer(reg: str, sysm: IncrementingSystem
 def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
                 *, decide_hook: Hook | None = None,
                 cs1_hook: Hook | None = None,
-                payload_registers: tuple[RegisterSpec, ...] = ()
-                ) -> ProtocolDef:
+                payload_registers: tuple[RegisterSpec, ...] = (),
+                meta: dict[str, Any] | None = None) -> ProtocolDef:
     """Build the wave-stream protocol with phase modulus delta = rho+1 and
     period delta*K.
 
@@ -273,7 +267,7 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
 
     Sizing (`check_sizing`, always enforced): alpha >= greatest-hole bound
     (convergence), delta*K > cyclomatic bound (liveness) of the topology
-    with parameters `gp`.
+    with parameters `gp`.  `meta` adds entries to the protocol's meta.
     """
     period = check_sizing(rho, K, alpha, gp)
     delta = rho + 1
@@ -298,7 +292,7 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
         actions=(ra, ca, Action("NA", normal_step, na_body)),
         registers=registers,
         clock_registers={"r": sysm},
-        meta={"delta": delta},
+        meta={"delta": delta, **(meta or {})},
     )
 
 

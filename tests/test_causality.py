@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (WaveletVerdict, ball, build_event_graph, check_wavelet,
-                     cut_for_level, cut_leq, generate, is_coherent, lift)
+from rhosync import (DAEMONS, WaveletVerdict, ball, build_event_graph,
+                     check_wavelet, cut_for_level, cut_leq, generate,
+                     is_coherent, lift)
 from conftest import make_ws, stabilized_suffix
 
 
@@ -172,8 +173,6 @@ TOPOLOGIES = {
     "grid": lambda n, seed: generate("grid", rows=2, cols=n // 2),
     "random": lambda n, seed: generate("random_connected", n=n, seed=seed),
 }
-DAEMONS = ("synchronous", "central", "rho_central", "distributed_random",
-           "adversarial")
 
 run_params = dict(kind=st.sampled_from(sorted(TOPOLOGIES)),
                   n=st.integers(4, 6), seed=st.integers(0, 2),

@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from rhosync import (causality, cli, graph_params, lra, random_configuration,
-                     unison, uniform_configuration)
+from rhosync import (DAEMONS, causality, cli, graph_params, infimum, lra,
+                     random_configuration, unison, uniform_configuration)
 from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
@@ -279,6 +279,20 @@ def test_analyze_extracts_cs_records_once(monkeypatch):
     assert calls == [len(trace.records) - report["monitor_start"]]
 
 
+def test_lex_pair_analysis_builds_its_operator_once(monkeypatch):
+    # the protocol carries the operator its run was built with
+    calls = _count_calls(monkeypatch, infimum.make_infimum,
+                         lambda kind, **_: kind)
+    scn = scenario_from({"topo": "ring:6", "proto": "ss_ws", "rho": "2",
+                         "infimum": "lex_pair"}, {})
+    report = analyze(scn, run_scenario(scn))
+    assert calls == ["lex_pair"]
+    assert report == {
+        "stop_reason": "budget", "steps": 126, "n": 6, "stab_index": 7,
+        "stab_round": 7, "wavelet_levels": 6, "wavelet_failures": [],
+        "infimum_phases": 20, "infimum_mismatches": 0, "violations": 0}
+
+
 def test_analyze_walks_no_past_cones(monkeypatch):
     # coherence and cover are decided edge by edge, not by past-cone walks
     calls = []
@@ -436,6 +450,11 @@ HEADER_LIES = {
     "steps_below_budget": (_header_scenario(steps="50"),
                            "below the step budget 50, with processes still "
                            "enabled"),
+    # the scenario determines the graph and the start it names
+    "topo_other_graph": (_header_scenario(topo="path:6"),
+                         "header edges are not topo 'path:6'"),
+    "init_other_start": (_header_scenario(init="wu0_uniform"),
+                         "initial configuration is not init 'wu0_uniform'"),
 }
 
 
@@ -454,6 +473,38 @@ def test_check_refuses_a_header_the_steps_contradict(tmp_path, capsys, lie):
     assert run_cli(["check", trace_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_check_refuses_a_relabelled_synchronous_trace(tmp_path, capsys):
+    # step 0 of this distributed_random run skips enabled processes
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "distributed_random", "seed": "2",
+                         "steps": "50"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    assert run_cli(["check", trace_file]) == 0
+    lines = [json.loads(x) for x in open(trace_file)]
+    lines[0]["scenario"]["daemon"] = "synchronous"
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["check", trace_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: step 0 selects [4, 5]; the synchronous daemon selects every "
+        "enabled process, [2, 3, 4, 5]\n")
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("proto", ["ss_ws", "trivial", "lme", "gme", "rw"])
+def test_every_daemon_round_trip_checks_clean(tmp_path, capsys, proto,
+                                              daemon):
+    # each daemon's own selections pass its rule on replay
+    trace_file = str(tmp_path / "t.jsonl")
+    for topo in ("ring:5", "tree:6", "random:6"):
+        flags = ["--topo", topo, "--proto", proto, "--rho", "2",
+                 "--daemon", daemon]
+        assert run_cli(["run", *flags, "--trace", trace_file]) == 0, topo
+        assert run_cli(["check", trace_file]) == 0, topo
+    assert capsys.readouterr().err == ""
 
 
 def test_check_reports_the_first_fault_in_file_order(tmp_path, capsys):

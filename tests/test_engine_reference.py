@@ -21,14 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rhosync import (Action, DaemonPolicy, EngineFault, HookEvent,
+from rhosync import (DAEMONS, Action, DaemonPolicy, EngineFault, HookEvent,
                      ProtocolDef, RegisterSpec, TransitionRecord, View, lift,
                      metrics, random_configuration, rounds, run,
                      stabilization_indices)
 from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
                          read_trace, run_scenario, scenario_from, write_trace)
-from rhosync.kernel import make_daemon, step
+from rhosync.kernel import step
 from conftest import enabled_labels, neighbor_reads
 
 
@@ -91,14 +91,14 @@ def reference_step(c, selection, proto, topo):
 
 
 def reference_run(proto, topo, daemon, init, max_steps):
-    dstate = make_daemon(daemon, topo)
+    select = daemon.scheduler(topo)
     configs, records = [init], []
     cfg = init
     for i in range(max_steps):
         en = enabled_map(cfg, proto, topo)
         if not en:
             return configs, records, "quiescence"
-        cfg, rec = reference_step(cfg, dstate.select(sorted(en), i),
+        cfg, rec = reference_step(cfg, select(sorted(en), i),
                                   proto, topo)
         configs.append(cfg)
         records.append(rec)
@@ -143,8 +143,6 @@ def reference_rounds(configs, ref, proto, topo):
 TOPOLOGIES = ["path:3", "path:5", "ring:3", "ring:6", "tree:6", "grid:2x3",
               "grid:3x3", "random:6:0.4"]
 PROTOCOLS = ["ss_ws", "trivial", "lme", "gme", "rw"]
-DAEMONS = ["synchronous", "central", "rho_central", "distributed_random",
-           "adversarial"]
 
 
 @settings(max_examples=150, deadline=None,

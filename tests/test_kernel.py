@@ -1,17 +1,17 @@
 """Engine tests: views, composite atomicity, priorities, neutralization,
 daemons, rounds, and the closure/attractor monitors."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (Action, DaemonPolicy, EngineFault, ProtocolDef,
+from rhosync import (DAEMONS, Action, DaemonPolicy, EngineFault, ProtocolDef,
                      RegisterSpec, Trace, View, check_attractor, check_closure,
                      first_enabled_map, generate, random_configuration, rounds,
                      run, step, uniform_configuration)
-from rhosync.kernel import make_daemon
 from conftest import enabled_labels, neighbor_reads
 
 
@@ -157,21 +157,21 @@ def test_step_rejects_a_stale_enabled_map(path6):
 
 
 def test_daemon_synchronous_selects_all(ring8):
-    d = make_daemon(DaemonPolicy(kind="synchronous"), ring8)
-    assert d.select([1, 3, 5], 0) == [1, 3, 5]
+    select = DaemonPolicy(kind="synchronous").scheduler(ring8)
+    assert select([1, 3, 5], 0) == [1, 3, 5]
 
 
 def test_daemon_central_selects_one(ring8):
-    d = make_daemon(DaemonPolicy(kind="central", seed=1), ring8)
+    select = DaemonPolicy(kind="central", seed=1).scheduler(ring8)
     for i in range(20):
-        sel = d.select([0, 2, 4, 6], i)
+        sel = select([0, 2, 4, 6], i)
         assert len(sel) == 1 and sel[0] in (0, 2, 4, 6)
 
 
 def test_daemon_rho_central_respects_distance(ring8):
-    d = make_daemon(DaemonPolicy(kind="rho_central", seed=2, rho=2), ring8)
+    select = DaemonPolicy(kind="rho_central", seed=2, rho=2).scheduler(ring8)
     for i in range(50):
-        sel = d.select(list(ring8.nodes), i)
+        sel = select(list(ring8.nodes), i)
         assert sel
         for a in sel:
             for b in sel:
@@ -179,28 +179,66 @@ def test_daemon_rho_central_respects_distance(ring8):
 
 
 def test_daemon_distributed_random_nonempty(ring8):
-    d = make_daemon(DaemonPolicy(kind="distributed_random", seed=3,
-                                 p_select=0.01), ring8)
+    select = DaemonPolicy(kind="distributed_random", seed=3,
+                          p_select=0.01).scheduler(ring8)
     for i in range(30):
-        assert d.select(list(ring8.nodes), i)
+        assert select(list(ring8.nodes), i)
 
 
 def test_daemon_adversarial_starves_most_recent(ring8):
-    d = make_daemon(DaemonPolicy(kind="adversarial", seed=4), ring8)
-    picked = d.select([0, 1], 0)[0]
+    select = DaemonPolicy(kind="adversarial", seed=4).scheduler(ring8)
+    picked = select([0, 1], 0)[0]
     other = 1 - picked
     # as long as anything else is enabled, the last actor is never selected
     for i in range(1, 30):
-        sel = d.select([0, 1], i)
+        sel = select([0, 1], i)
         assert sel == [other]
         other = 1 - sel[0]
-    assert d.select([picked], 100) == [picked]
+    assert select([picked], 100) == [picked]
 
 
-def test_daemon_unknown_kind(ring8):
-    d = make_daemon(DaemonPolicy(kind="mystery"), ring8)
-    with pytest.raises(EngineFault):
-        d.select([0], 0)
+def test_daemon_unknown_kind():
+    with pytest.raises(ValueError, match="mystery"):
+        DaemonPolicy(kind="mystery")
+
+
+@pytest.mark.parametrize("kind", DAEMONS)
+def test_daemon_draws_obey_their_own_rule(kind):
+    # every selection a daemon draws, over random enabled sets, passes the
+    # rule `check` holds its traces to
+    for topo in (generate("ring", n=8), generate("grid", rows=2, cols=3),
+                 generate("tree", n=7, seed=1)):
+        for seed, rho in itertools.product(range(4), (1, 2)):
+            policy = DaemonPolicy(kind=kind, seed=seed, rho=rho, p_select=0.3)
+            select = policy.scheduler(topo)
+            rng = random.Random(seed)
+            for i in range(40):
+                enabled = sorted(rng.sample(topo.nodes,
+                                            rng.randint(1, topo.node_count)))
+                sel = sorted(select(enabled, i))
+                assert sel and set(sel) <= set(enabled)
+                assert policy.refusal(sel, topo, lambda: enabled) is None
+
+
+def test_daemon_rules_refuse_what_the_daemon_cannot_draw(ring8):
+    def refusal(kind, sel):
+        def enabled():
+            assert kind == "synchronous", "only the synchronous rule reads it"
+            return ring8.nodes
+        return DaemonPolicy(kind=kind, rho=2).refusal(sel, ring8, enabled)
+
+    for kind in ("central", "adversarial"):
+        assert refusal(kind, [3]) is None
+        assert refusal(kind, [0, 4]) == \
+            f"selects 2 processes; the {kind} daemon selects one"
+    assert refusal("rho_central", [1, 4]) is None
+    assert refusal("rho_central", [0, 3, 5]) == \
+        "selects processes 3 and 5 at distance 2, within rho=2"
+    assert refusal("synchronous", list(range(8))) is None
+    assert refusal("synchronous", [0, 1]) == (
+        "selects [0, 1]; the synchronous daemon selects every enabled "
+        "process, [0, 1, 2, 3, 4, 5, 6, 7]")
+    assert refusal("distributed_random", [0, 1, 5]) is None
 
 
 # -- runs ------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Two-layer clock: sizing, slave-delay comparison, stabilization order,
 and delay agreement."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rhosync import (DaemonPolicy, SizingError, build_ss_dc, delay_2rho,
+from rhosync import (DaemonPolicy, SizingError, build_ss_dc, delay,
                      graph_params, lift, run, stabilization_indices,
                      trivial_plugin, uniform_configuration,
                      verify_delay_agreement)
@@ -63,25 +62,27 @@ def test_meta_and_registers(ring8):
 # -- slave-delay comparison ------------------------------------------------
 
 
-@settings(max_examples=120, deadline=None)
-@given(a=st.integers(0, 22), d=st.integers(-11, 11), rho=st.integers(1, 3))
-def test_delay_2rho_recovers_true_delay(a, d, rho):
-    # K2 = 4*rho + 3 leaves residues outside both windows
-    K2 = 4 * rho + 3
-    a %= K2
-    b = (a + d) % K2
-    got = delay_2rho(a, b, K2, rho)
-    if abs(d) <= 2 * rho:
-        assert got == d
-    elif abs(d) <= K2 // 2:
-        assert got is None
+def test_delay_2rho_recovers_true_delay():
+    # The slave comparison is `delay` with window 2*rho.  Above period
+    # 4*rho it reads every true delay within the window; at K2 = 4*rho + 3
+    # the residues outside both windows read None.
+    for rho in (1, 2, 3):
+        for K2 in range(4 * rho + 1, 16):
+            for a, d in itertools.product(range(K2),
+                                          range(-2 * rho, 2 * rho + 1)):
+                assert delay(a, (a + d) % K2, K2, 2 * rho) == d
+        K2 = 4 * rho + 3
+        for a, d in itertools.product(range(K2), range(2 * rho + 1,
+                                                       K2 // 2 + 1)):
+            assert delay(a, (a + d) % K2, K2, 2 * rho) is None
+            assert delay(a, (a - d) % K2, K2, 2 * rho) is None
 
 
 def test_delay_2rho_window_edges():
-    assert delay_2rho(0, 4, 9, 1) is None  # fwd 4, bwd 5: both exceed 2
-    assert delay_2rho(0, 2, 9, 1) == 2
-    assert delay_2rho(2, 0, 9, 1) == -2
-    assert delay_2rho(3, 3, 9, 1) == 0
+    assert delay(0, 4, 9, 2) is None  # fwd 4, bwd 5: both exceed 2
+    assert delay(0, 2, 9, 2) == 2
+    assert delay(2, 0, 9, 2) == -2
+    assert delay(3, 3, 9, 2) == 0
 
 
 # -- stabilization and agreement -------------------------------------------

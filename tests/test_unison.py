@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
-                     SizingError, build_ss_ws, d_K, generate, graph_params,
-                     intrinsic_delays, is_wu, is_wu0, lift, ominus,
+                     SizingError, build_ss_ws, delay, generate, graph_params,
+                     intrinsic_delays, is_wu, is_wu0, lift,
                      random_configuration, run, trivial_plugin,
                      uniform_configuration)
 from conftest import (ADVERSARIAL, make_dc, make_ws, stabilized_dc,
@@ -41,18 +41,18 @@ def test_sizing_rejected():
         IncrementingSystem(alpha=0, period=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(a=st.integers(0, 11), b=st.integers(0, 11))
-def test_d_K_brute_force(a, b):
-    K = 12
-    expect = min(abs(a - b + t * K) for t in (-1, 0, 1))
-    assert d_K(a, b, K) == expect
-    assert d_K(a, b, K) == d_K(b, a, K)
-
-
-def test_d_K_domain():
-    with pytest.raises(ValueError):
-        d_K(12, 0, 12)
+def test_d_K_brute_force():
+    # The name is kept from the ring distance that `delay` replaces.
+    # Window 1 (local comparability) and 2*rho for rho = 1..3: the first
+    # of 0..window forward ticks from a that reaches b, else the first of
+    # 1..window backward ticks, else None.
+    for K in range(1, 16):
+        for window in (1, 2, 4, 6):
+            for a, b in itertools.product(range(K), repeat=2):
+                ticks = [d for d in range(window + 1) if (a + d) % K == b] \
+                    + [-d for d in range(1, window + 1) if (a - d) % K == b]
+                expect = ticks[0] if ticks else None
+                assert delay(a, b, K, window) == expect, (a, b, K, window)
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,14 +60,13 @@ def test_d_K_domain():
 def test_local_order_consistent_with_phi(a, b):
     K = 10
     if a == b:
-        assert ominus(b, a, K) == 0
+        assert delay(a, b, K, 1) == 0
     elif (a + 1) % K == b:
-        assert ominus(b, a, K) == 1
+        assert delay(a, b, K, 1) == 1
     elif (b + 1) % K == a:
-        assert ominus(b, a, K) == -1
+        assert delay(a, b, K, 1) == -1
     else:
-        assert d_K(a, b, K) > 1
-        assert ominus(b, a, K) is None
+        assert delay(a, b, K, 1) is None
 
 
 # -- delays and legitimacy -------------------------------------------------
