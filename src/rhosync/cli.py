@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import attach_infimum, make_infimum, verify_ball_infimum
-from .kernel import (DAEMONS, DaemonPolicy, HookEvent, Trace,
+from .kernel import (DAEMONS, DaemonPolicy, Trace, TransitionRecord,
                      first_enabled_map, random_configuration, round_count,
                      run, step, uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
@@ -420,6 +420,15 @@ def _freeze(value):
     return value
 
 
+def _encode_step(i: int, rec: TransitionRecord) -> dict:
+    """Step line `i` of a trace, for the transition record `rec`: the one
+    definition that `write_trace` writes and `read_trace` checks."""
+    return {"type": "step", "step": i, "selected": list(rec.fired),
+            "fired": {str(p): lab for p, lab in rec.fired.items()},
+            "events": [{"process": ev.process, "kind": ev.kind,
+                        "payload": ev.payload} for ev in rec.events]}
+
+
 def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
     topo = trace.topo
     with open(path, "w", encoding="utf-8") as fh:
@@ -430,12 +439,7 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
         fh.write(json.dumps({
             "type": "config", "states": list(trace.configs[0])}) + "\n")
         for i, rec in enumerate(trace.records):
-            fh.write(json.dumps({
-                "type": "step", "step": i, "selected": list(rec.fired),
-                "fired": {str(p): lab for p, lab in rec.fired.items()},
-                "events": [{"process": ev.process, "kind": ev.kind,
-                            "payload": ev.payload} for ev in rec.events],
-            }) + "\n")
+            fh.write(json.dumps(_encode_step(i, rec)) + "\n")
         fh.write(json.dumps({
             "type": "footer", "steps": len(trace.records),
             "final_states": list(trace.configs[-1])}) + "\n")
@@ -484,8 +488,8 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
             "\n".join(f"{u} {v}" for u, v in header["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptTraceError(f"bad topology in header: {exc}") from exc
-    if topo.node_count != header.get("n"):
-        raise CorruptTraceError("edge list does not match declared node count")
+    if type(n := header.get("n")) is not int or topo.node_count != n:
+        raise CorruptTraceError(f"edge list does not match node count {n!r}")
     # the scenario determines the graph and start unless it names files
     if not scn.topo.startswith("file:") and make_topology(scn.topo) != topo:
         raise CorruptTraceError(f"header edges are not topo {scn.topo!r}")
@@ -501,8 +505,9 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
     trace = Trace(proto, topo, [cfg], [],
                   stop_reason=header.get("stop_reason", "incomplete"))
     del lines[-1], lines[:2]  # the step lines remain
-    if footer.get("steps") != len(lines):
-        raise CorruptTraceError("trace is truncated: step count mismatch")
+    if type(steps := footer.get("steps")) is not int or steps != len(lines):
+        raise CorruptTraceError(f"footer declares {steps!r} steps, the trace "
+                                f"has {len(lines)} step lines")
     try:
         final = tuple(_freeze(st) for st in footer["final_states"])
     except (KeyError, TypeError) as exc:
@@ -510,24 +515,18 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
     return scn, trace, lines, final
 
 
-def _decode_step(text: str, i: int, n: int,
-                ) -> tuple[list[int], dict[int, str], tuple[HookEvent, ...]]:
-    """Decode step line `i` of a trace over `n` processes into its
-    selection, fired labels and events.
+def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
+    """Decode step line `i` of a trace over `n` processes into the line,
+    its events frozen as the engine emits them, and its selection.
 
     The selection must be a non-empty, strictly ascending list of process
-    ids (ints in range(n), not bools), and the keys of `fired` exactly
-    their decimal strings.  Raises CorruptTraceError otherwise.
+    ids (ints in range(n), not bools), and `step` an int.  Raises
+    CorruptTraceError otherwise.  `read_trace` holds the rest of the line
+    to `_encode_step` of the replayed step.
     """
     try:
         line = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptTraceError(f"malformed step {i}: {exc}") from exc
-    if not isinstance(line, dict) or line.get("type") != "step" \
-            or line.get("step") != i:
-        raise CorruptTraceError(f"unexpected record at step {i}")
-    try:
-        selected, fired = line["selected"], line["fired"]
+        selected, step_index = line["selected"], line["step"]
         if type(selected) is not list or not selected \
                 or any(type(p) is not int for p in selected) \
                 or not 0 <= selected[0] \
@@ -535,16 +534,12 @@ def _decode_step(text: str, i: int, n: int,
                 or selected[-1] >= n:
             raise ValueError(f"selected {selected!r} is not an ascending "
                              f"list of process ids")
-        if type(fired) is not dict \
-                or fired.keys() != {str(p) for p in selected}:
-            raise ValueError(f"fired keys {list(fired)!r} are not the "
-                             f"selected ids")
-        events = tuple(HookEvent(ev["process"], ev["kind"],
-                                 _freeze(ev["payload"]))
-                       for ev in line["events"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        if type(step_index) is not int:
+            raise ValueError(f"step {step_index!r} is not an integer")
+        line["events"] = [_freeze(ev) for ev in line["events"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
-    return selected, {p: fired[str(p)] for p in selected}, events
+    return line, selected
 
 
 def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
@@ -568,14 +563,16 @@ def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
 def read_trace(path: str) -> tuple[Scenario, Trace]:
     """Load and replay a trace file.
 
-    Replay re-executes every recorded selection through the engine and
-    cross-checks the fired labels, emitted events, final configuration,
-    the header daemon's rule (`DaemonPolicy.refusal`) and its stop reason
-    (`_replayed_stop_reason`); any divergence, truncation or malformed
-    line raises CorruptTraceError, the first in file order.  Each step
-    line is decoded only when the replay reaches it.  A step evaluates
-    the guards of the selected processes only, unless the daemon's rule
-    reads the enabled set (`synchronous`): then it fires the hits found.
+    Replay re-executes every recorded selection through the engine, holds
+    it to the header daemon's rule (`DaemonPolicy.refusal`), and requires
+    each step line to equal, as a JSON value, `_encode_step` of the
+    replayed step; then it cross-checks the final configuration and the
+    stop reason (`_replayed_stop_reason`).  Any divergence, truncation or
+    malformed line raises CorruptTraceError, the first in file order.
+    Each step line is decoded only when the replay reaches it.  A step
+    evaluates the guards of the selected processes only, unless the
+    daemon's rule reads the enabled set (`synchronous`): then it fires the
+    hits found.
     """
     scn, trace, step_lines, final = parse_trace(path)
     proto, topo = trace.protocol, trace.topo
@@ -590,8 +587,7 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
 
     step_lines.reverse()  # popped from the end: the replay frees each line
     for i in range(len(step_lines)):
-        selected, recorded_fired, recorded_events = _decode_step(
-            step_lines.pop(), i, n)
+        line, selected = _decode_step(step_lines.pop(), i, n)
         hits.clear()
         refusal = daemon.refusal(selected, topo, enabled)
         if refusal:
@@ -600,12 +596,13 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
             cfg, rec = step(cfg, selected, proto, topo, hits)
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
-        if rec.fired != recorded_fired:
-            raise CorruptTraceError(
-                f"replay fired {rec.fired} at step {i}, trace says "
-                f"{recorded_fired}")
-        if rec.events != recorded_events:
-            raise CorruptTraceError(f"replay events diverge at step {i}")
+        replayed = _encode_step(i, rec)
+        if line != replayed:
+            keys = line.keys() ^ replayed.keys() | {
+                k for k in line.keys() & replayed.keys()
+                if line[k] != replayed[k]}
+            raise CorruptTraceError(f"malformed step {i}: the replay at step "
+                                    f"{i} differs in {sorted(keys)}")
         trace.configs.append(cfg)
         trace.records.append(rec)
     if trace.configs[-1] != final:
@@ -723,19 +720,15 @@ def expand_grid(config: dict[str, str]) -> list[Scenario]:
 
 
 def _sweep_cell(scn: Scenario) -> list:
-    """One sweep row; cell failures are recorded, not raised."""
+    """One sweep row, read off `CSV_HEADER` from the scenario and its
+    report; absent and None values are blank, and cell failures are
+    recorded, not raised."""
     try:
-        trace = run_scenario(scn)
-        report = analyze(scn, trace)
+        report = analyze(scn, run_scenario(scn))
     except Exception as exc:  # noqa: BLE001 - per-row failure capture
-        return [scn.topo, "", scn.rho, scn.daemon, scn.seed, scn.proto,
-                "", f"error: {type(exc).__name__}", "", "", ""]
-    blank = lambda v: "" if v is None else v
-    return [scn.topo, report["n"], scn.rho, scn.daemon, scn.seed, scn.proto,
-            blank(report.get("stab_round")), report["violations"],
-            blank(report.get("fairness_index")),
-            blank(report.get("service_time")),
-            blank(report.get("comms_per_phase"))]
+        report = {"violations": f"error: {type(exc).__name__}"}
+    row = {**vars(scn), "plugin": scn.proto, **report}
+    return ["" if row.get(key) is None else row[key] for key in CSV_HEADER]
 
 
 def cmd_sweep(args) -> int:
@@ -759,8 +752,8 @@ def cmd_sweep(args) -> int:
             writer = csv.writer(out)
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
-    bad = sum(1 for row in rows if row[7] != 0)
-    return 0 if bad == 0 else 1
+    violations = CSV_HEADER.index("violations")
+    return 1 if any(row[violations] != 0 for row in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

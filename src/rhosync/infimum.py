@@ -24,6 +24,7 @@ __all__ = [
     "InfimumAxiomError",
     "make_infimum",
     "attach_infimum",
+    "pipeline_step",
     "verify_ball_infimum",
     "InfimumVerdict",
 ]
@@ -133,13 +134,8 @@ def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
     """
 
     def computation(view: View, emit) -> dict[str, Any]:
-        rp = view.get("r")
-        acc = op.op(op.identity, view.get("v0"))
-        for q in view.neighbors:
-            rq = view.nget(q, "r")
-            slot = "v2" if rq == rp else "v1"  # rq == phi(rp): one tick ahead
-            acc = op.op(acc, view.nget(q, slot))
-        return {"v1": view.get("v2"), "v2": acc}
+        return pipeline_step(view, "r", op.op,
+                             op.op(op.identity, view.get("v0")), "v1", "v2")
 
     def initialization(view: View, emit) -> dict[str, Any]:
         # At the boundary step the pipeline has been idle since the last
@@ -158,6 +154,19 @@ def attach_infimum(op: InfimumOp, input_source: InputSource) -> dict[str, Any]:
     )
     return {"decide_hook": initialization, "cs1_hook": computation,
             "payload_registers": payload, "meta": {"infimum": op}}
+
+
+def pipeline_step(view: View, clock: str, op: Callable[[Any, Any], Any],
+                  acc: Any, prev: str, cur: str) -> dict[str, Any]:
+    """One pipeline stage, shared by the infimum and the LRA election: fold
+    `acc` with each neighbour's `cur` slot, or its `prev` slot when that
+    neighbour's `clock` is one tick ahead (it has folded this stage), then
+    shift the process's own `cur` into `prev`."""
+    own = view.get(clock)
+    for q in view.neighbors:
+        slot = cur if view.nget(q, clock) == own else prev
+        acc = op(acc, view.nget(q, slot))
+    return {prev: view.get(cur), cur: acc}
 
 
 @dataclass

@@ -4,8 +4,9 @@ readers-writers plugins, and the post-hoc safety, liveness, and cost
 monitors.
 
 Candidates are (slave clock value, requested value) pairs.  Each phase every
-process folds the candidates over its rho-ball; the process(es) holding the
-fold result win the privilege at the next phase boundary.
+process folds the candidates over its rho-ball through the infimum's
+`pipeline_step`; the process(es) holding the fold result win the privilege
+at the next phase boundary.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .infimum import pipeline_step
 from .kernel import RegisterSpec, Trace, View, int_range
 from .layerclock import CondPlugin
 from .topology import Topology
@@ -164,19 +166,12 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
     else:
         raise ValueError(f"unknown lra kind {kind!r}")
 
-    def fold(view: View) -> Any:
-        own = (view.get("r2"), view.get("v"))
-        acc = own
-        r1 = view.get("r1")
-        for q in view.neighbors:
-            # Neighbors one master tick ahead already folded this stage:
-            # take their previous-stage result.
-            slot = "res2" if view.nget(q, "r1") == r1 else "res1"
-            acc = lra_oplus(acc, view.nget(q, slot), K2, rho, sigma_leq)
-        return acc
+    oplus = lambda x, y: lra_oplus(x, y, K2, rho, sigma_leq)
 
     def computation(view: View, emit) -> dict[str, Any]:
-        return {"res1": view.get("res2"), "res2": fold(view)}
+        # one master tick per stage, starting from the own candidate
+        return pipeline_step(view, "r1", oplus,
+                             (view.get("r2"), view.get("v")), "res1", "res2")
 
     def initialization(view: View, emit, r2_after: int) -> dict[str, Any]:
         phase = view.get("u") + 1

@@ -321,9 +321,13 @@ def test_check_truncated_trace(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _drop_event_process(lines):
+def _first_event(lines):
     step = next(x for x in lines if x.get("type") == "step" and x["events"])
-    del step["events"][0]["process"]
+    return step["events"][0]
+
+
+def _drop_event_process(lines):
+    del _first_event(lines)["process"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -402,6 +406,13 @@ MALFORMED_FIELDS = {
                                                          fired={}),
     "step_fired_key_padded": lambda lines: lines[2]["fired"].update(
         {"01": lines[2]["fired"].pop("1")}),
+    # a step line or an event is exactly what the replay writes
+    "step_extra_key": lambda lines: lines[2].update(note="extra"),
+    "event_extra_key": lambda lines: _first_event(lines).update(note="extra"),
+    # integer fields are ints: Python compares 6.0 and True equal to 6, 1
+    "header_n_float": lambda lines: lines[0].update(n=6.0),
+    "footer_steps_float": lambda lines: lines[-1].update(steps=40.0),
+    "step_step_float": lambda lines: lines[2].update(step=0.0),
 }
 
 
@@ -413,6 +424,7 @@ def test_check_malformed_trace_field_exits_2(tmp_path, capsys, field):
     write_trace(trace_file, scn, run_scenario(scn))
     lines = [json.loads(x) for x in open(trace_file)]
     assert lines[2]["selected"] == [0, 1, 2, 3, 4, 5]
+    event_step = next(x["step"] for x in lines[2:-1] if x["events"])
     MALFORMED_FIELDS[field](lines)
     open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     rc = run_cli(["check", trace_file])
@@ -421,6 +433,52 @@ def test_check_malformed_trace_field_exits_2(tmp_path, capsys, field):
     assert "error:" in err
     if field.startswith("step_"):
         assert "malformed step 0" in err
+    if field.startswith("event_"):
+        assert f"malformed step {event_step}" in err
+
+
+def test_check_refuses_a_bool_step_count(tmp_path, capsys):
+    # true == 1: a one-step trace whose footer says "steps": true
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "synchronous", "steps": "1"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    assert lines[-1]["steps"] == 1
+    lines[-1]["steps"] = True
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    assert "footer declares True steps" in capsys.readouterr().err
+
+
+def test_check_names_the_keys_a_step_line_gets_wrong(tmp_path, capsys):
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "synchronous", "steps": "40"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    del lines[3]["type"]
+    lines[3]["fired"]["0"] = "NOPE"
+    lines[3]["note"] = None
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed step 1: the replay at step 1 differs in "
+        "['fired', 'note', 'type']\n")
+
+
+def test_lex_pair_infinite_payloads_round_trip(tmp_path, capsys):
+    # a uniform start holds the operator's identity (inf, inf), which the
+    # decide payloads carry and the trace writes as JSON Infinity
+    trace_file = str(tmp_path / "t.jsonl")
+    flags = ["--topo", "ring:6", "--proto", "ss_ws", "--infimum", "lex_pair",
+             "--init", "wu0_uniform"]
+    assert run_cli(["run", *flags, "--trace", trace_file]) == 0
+    steps = open(trace_file).read().splitlines()[2:-1]
+    assert any('"kind": "decide", "payload": {"v1": [Infinity, Infinity]'
+               in line for line in steps)
+    assert run_cli(["check", trace_file]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _header(**changes):
@@ -660,6 +718,17 @@ def test_sweep_cell_error_reported_as_row(tmp_path):
     assert rc == 1
     rows = list(csv.reader(open(out)))
     assert rows[1][CSV_HEADER.index("violations")].startswith("error:")
+
+
+def test_sweep_cell_reads_its_row_off_the_header(monkeypatch):
+    # scenario fields, the proto as `plugin`, then the report; absent and
+    # None values are blank
+    monkeypatch.setattr(cli, "run_scenario", lambda scn: None)
+    monkeypatch.setattr(cli, "analyze", lambda scn, trace: {
+        "n": 6, "violations": 0, "stab_round": None, "fairness_index": 1.5})
+    row = cli._sweep_cell(Scenario(topo="ring:6", proto="lme", seed=4))
+    assert row == ["ring:6", 6, 1, "synchronous", 4, "lme", "", 0, 1.5, "",
+                   ""]
 
 
 def test_sweep_has_no_config_flag(tmp_path, capsys):

@@ -7,9 +7,9 @@ from functools import reduce
 
 import pytest
 
-from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, Trace,
+from rhosync import (DaemonPolicy, InfimumAxiomError, InfimumOp, Trace, View,
                      attach_infimum, ball, generate, int_range, lift,
-                     make_infimum, run, uniform_configuration,
+                     make_infimum, pipeline_step, run, uniform_configuration,
                      verify_ball_infimum)
 from conftest import ADVERSARIAL, make_ws, stabilized_suffix
 
@@ -168,3 +168,21 @@ def test_decide_payload_matches_ball_oracle(ring8):
             assert ev.payload["v2"] == expect
             seen += 1
     assert seen >= 10
+
+
+@pytest.mark.parametrize("clock, prev, cur", [("r", "v1", "v2"),
+                                              ("r1", "res1", "res2")])
+def test_pipeline_step_takes_the_stage_each_neighbour_is_at(clock, prev, cur):
+    # path:3, seen from the middle process 1: neighbour 0 is at the same
+    # tick and gives its cur slot, neighbour 2 is one tick ahead (it has
+    # folded this stage) and gives its prev slot
+    topo = generate("path", n=3)
+    cfg = tuple({clock: tick, prev: f"prev{p}", cur: f"cur{p}"}
+                for p, tick in enumerate((5, 5, 6)))
+    union = lambda acc, x: acc | {x}
+    out = pipeline_step(View(cfg, topo, 1), clock, union, frozenset({"own"}),
+                        prev, cur)
+    assert out == {prev: "cur1", cur: frozenset({"own", "cur0", "prev2"})}
+    # an end of the path folds its one neighbour
+    assert pipeline_step(View(cfg, topo, 0), clock, union, frozenset(),
+                         prev, cur) == {prev: "cur0", cur: frozenset({"cur1"})}
