@@ -33,9 +33,11 @@ Event = tuple[int, int]
 
 @dataclass
 class EventGraph:
+    """The causal DAG of a trace, held as each process's sorted event
+    times.  An event's predecessors are derived on demand (`preds`)."""
+
     topo: Topology
     events_by_process: dict[int, list[int]]  # sorted event times per process
-    preds: dict[Event, tuple[Event, ...]]
 
     def has_event(self, e: Event) -> bool:
         p, t = e
@@ -45,13 +47,30 @@ class EventGraph:
         i = bisect_left(times, t)
         return i < len(times) and times[i] == t
 
+    def preds(self, e: Event) -> tuple[Event, ...]:
+        """The immediate causal predecessors of event e: the previous
+        event of its process, then each neighbor's most recent strictly
+        earlier event.  () for a time-0 event and for a non-event."""
+        p, t = e
+        times = self.events_by_process.get(p)
+        if not times or t <= 0:
+            return ()
+        i = bisect_left(times, t)
+        if i == len(times) or times[i] != t:
+            return ()
+        ps: list[Event] = [(p, times[i - 1])]
+        for q in self.topo.adjacency[p]:
+            qtimes = self.events_by_process[q]
+            ps.append((q, qtimes[bisect_left(qtimes, t) - 1]))
+        return tuple(ps)
+
     def ancestors(self, e: Event) -> set[Event]:
         """All events strictly or reflexively below e (includes e)."""
         seen = {e}
         stack = [e]
         while stack:
             cur = stack.pop()
-            for pr in self.preds.get(cur, ()):
+            for pr in self.preds(cur):
                 if pr not in seen:
                     seen.add(pr)
                     stack.append(pr)
@@ -59,25 +78,14 @@ class EventGraph:
 
 
 def build_event_graph(trace: Trace) -> EventGraph:
-    """Apply the two causal rules to a completed trace."""
-    topo = trace.topo
-    events_by_process: dict[int, list[int]] = {p: [0] for p in topo.nodes}
+    """Apply the two causal rules to a completed trace: collect each
+    process's event times, from which `EventGraph.preds` derives every
+    edge."""
+    events_by_process: dict[int, list[int]] = {p: [0] for p in trace.topo.nodes}
     for t, rec in enumerate(trace.records, start=1):
         for p in rec.fired:
             events_by_process[p].append(t)
-    preds: dict[Event, tuple[Event, ...]] = {}
-    for p, times in events_by_process.items():
-        for i, t in enumerate(times):
-            if t == 0:
-                continue
-            ps: list[Event] = [(p, times[i - 1])]
-            for q in topo.adjacency[p]:
-                qtimes = events_by_process[q]
-                j = bisect_left(qtimes, t) - 1
-                ps.append((q, qtimes[j]))
-            preds[(p, t)] = tuple(ps)
-    return EventGraph(topo=topo, events_by_process=events_by_process,
-                      preds=preds)
+    return EventGraph(topo=trace.topo, events_by_process=events_by_process)
 
 
 Cut = dict[int, int]
@@ -111,7 +119,7 @@ def is_coherent(g: EventGraph, cut: Cut) -> bool:
         if not g.has_event((p, tp)):
             raise ValueError(f"({p},{tp}) is not an event")
     for p, tp in cut.items():
-        for q, t in g.preds.get((p, tp), ()):
+        for q, t in g.preds((p, tp)):
             if t > cut[q]:
                 return False
     return True
@@ -161,7 +169,7 @@ def check_wavelet(g: EventGraph, c1: Cut, c2: Cut, rho: int,
     masks: dict[Event, int] = {}
     for t, p in window:
         mask = 1 << p if t == c1[p] else 0
-        for pr in g.preds.get((p, t), ()):
+        for pr in g.preds((p, t)):
             mask |= masks.get(pr, 0)
         masks[(p, t)] = mask
     for d in inside:

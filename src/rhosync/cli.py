@@ -4,7 +4,7 @@ trace replay and re-validation, and parameter sweeps.
 Scenarios come from a flat key=value config file plus CLI-flag overrides
 (flags win).  Traces are JSON lines: header, initial configuration, one
 line per transition, footer.  Exit codes: 0 pass, 1 violation found,
-2 configuration error.
+2 configuration error, 141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
             "final_states": list(trace.configs[-1])}) + "\n")
 
 
-def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
+def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], object]:
     """Parse and check a trace file's header, initial configuration and
     footer, without decoding its step lines.
 
@@ -453,7 +453,8 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
     protocol, topology, stop reason and initial configuration only;
     `step_lines` are the undecoded text of the step lines, as many as the
     footer declares (see `_decode_step`); `final` is the footer's
-    configuration.  Raises CorruptTraceError on malformed input.
+    configuration as JSON gives it.  Raises CorruptTraceError on malformed
+    input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -508,11 +509,9 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], tuple]:
     if type(steps := footer.get("steps")) is not int or steps != len(lines):
         raise CorruptTraceError(f"footer declares {steps!r} steps, the trace "
                                 f"has {len(lines)} step lines")
-    try:
-        final = tuple(_freeze(st) for st in footer["final_states"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptTraceError(f"malformed footer: {exc!r}") from exc
-    return scn, trace, lines, final
+    if "final_states" not in footer:
+        raise CorruptTraceError("malformed footer: no final_states")
+    return scn, trace, lines, footer["final_states"]
 
 
 def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
@@ -542,6 +541,12 @@ def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
     return line, selected
 
 
+def _json_text(value) -> str:
+    """A JSON value as text that is equal for two values iff they are the
+    same JSON: key order aside, and with number types kept."""
+    return json.dumps(value, sort_keys=True)
+
+
 def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
     """The stop reason `run` gives these steps: `budget` iff they are the
     scenario's step budget, else `quiescence` iff no process is enabled at
@@ -565,9 +570,11 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
 
     Replay re-executes every recorded selection through the engine, holds
     it to the header daemon's rule (`DaemonPolicy.refusal`), and requires
-    each step line to equal, as a JSON value, `_encode_step` of the
-    replayed step; then it cross-checks the final configuration and the
-    stop reason (`_replayed_stop_reason`).  Any divergence, truncation or
+    each step line to be the JSON value of `_encode_step` of the replayed
+    step; then it requires the same of the footer's final configuration,
+    and cross-checks the stop reason (`_replayed_stop_reason`).  A
+    number's type counts (5.0 is not 5, nor true 1); whitespace and key
+    order do not (see `_json_text`).  Any divergence, truncation or
     malformed line raises CorruptTraceError, the first in file order.
     Each step line is decoded only when the replay reaches it.  A step
     evaluates the guards of the selected processes only, unless the
@@ -597,15 +604,19 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         except Exception as exc:
             raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
         replayed = _encode_step(i, rec)
-        if line != replayed:
-            keys = line.keys() ^ replayed.keys() | {
-                k for k in line.keys() & replayed.keys()
-                if line[k] != replayed[k]}
-            raise CorruptTraceError(f"malformed step {i}: the replay at step "
-                                    f"{i} differs in {sorted(keys)}")
-        trace.configs.append(cfg)
-        trace.records.append(rec)
-    if trace.configs[-1] != final:
+        # `==` takes 5.0 for 5 and true for 1.  Outside the events each
+        # value is a str or an int `_decode_step` checked, and repr tells
+        # an event's numbers apart; any doubt is settled key by key.
+        if line != replayed or repr(line["events"]) != repr(
+                replayed["events"]):
+            keys = [k for k in sorted(line.keys() | replayed.keys())
+                    if k not in line or k not in replayed
+                    or _json_text(line[k]) != _json_text(replayed[k])]
+            if keys:
+                raise CorruptTraceError(f"malformed step {i}: the replay at "
+                                        f"step {i} differs in {keys}")
+        trace.append(cfg, rec)
+    if _json_text(final) != _json_text(list(trace.configs[-1])):
         raise CorruptTraceError("replayed final configuration diverges")
     stop = _replayed_stop_reason(scn, trace)
     if trace.stop_reason != stop:
@@ -787,10 +798,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except (ScenarioError, CorruptTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`rhosync check t.jsonl | head`).
+        # Drop the rest of the output and exit as a process that SIGPIPE
+        # ends does in a shell: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

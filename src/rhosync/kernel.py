@@ -165,7 +165,10 @@ class TransitionRecord:
     position in a trace.  The state the step writes lives only in the
     trace's next configuration, what a fired action read follows from the
     trace's previous one, and which processes the step neutralized follows
-    from both (see `rounds`)."""
+    from both (see `rounds`).
+
+    A trace's consecutive records with equal `fired` maps hold one dict
+    (see `Trace.append`), so a `fired` map must never be mutated."""
 
     fired: dict[int, str]
     events: tuple[HookEvent, ...] = ()
@@ -178,6 +181,18 @@ class Trace:
     configs: list[Configuration]
     records: list[TransitionRecord]
     stop_reason: str = "incomplete"
+
+    def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
+        """Add a step: the record `rec` and the configuration it produced.
+
+        A record whose `fired` map equals the previous record's takes that
+        very dict, so a run under the synchronous daemon holds one map for
+        all its stabilized steps.
+        """
+        if self.records and rec.fired == (last := self.records[-1].fired):
+            rec.fired = last
+        self.configs.append(cfg)
+        self.records.append(rec)
 
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.
@@ -409,8 +424,7 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
         selection = select(sorted(first), i)
         cfg, rec = step(cfg, selection, proto, topo, first)
         _refresh_enabled(first, cfg, rec.fired, proto, topo)
-        trace.configs.append(cfg)
-        trace.records.append(rec)
+        trace.append(cfg, rec)
         if stop_predicate is not None and stop_predicate(cfg):
             trace.stop_reason = "predicate"
             return trace

@@ -167,7 +167,7 @@ def verify_delay_agreement(lt2: LiftedTrace, rho: int,
     checked = 0
     bad: list[tuple[int, int, int, int | None, int]] = []
     for t in range(0, len(lt2.values), sample_every):
-        row = lt2.values[t]
+        row = lt2.values[t].tolist()  # unboxed once, read many times
         for p, q in pairs:
             true_delay = row[q] - row[p]
             a, b = row[p] % k2, row[q] % k2

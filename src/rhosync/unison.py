@@ -10,6 +10,7 @@ the convergence ramp, ring = {0..period-1} the cyclic operating range.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -304,14 +305,15 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
 class LiftedTrace:
     """Virtual integer clock registers over a trace whose first configuration
     is in WU0.  values[t][p] is the lifted register of p in configuration t;
-    base is the minimal initial lifted value (bottom_0).  Consecutive rows
-    are one list object when no clock moved between them, so no row may be
-    mutated."""
+    base is the minimal initial lifted value (bottom_0).  Each row is an
+    int64 array (`array('q')`), one machine word per process.  Consecutive
+    rows are one array object when no clock moved between them, so no row
+    may be mutated."""
 
     trace: Trace
     reg: str
     base: int
-    values: list[list[int]]
+    values: list[array]
 
     def level_time(self, p: int, k: int) -> int | None:
         """Earliest configuration index at which p's lifted value is >= k
@@ -361,7 +363,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     # concrete ring values modulo the period.
     p_min = min(topo.nodes, key=lambda p: (delays[p], p))
     base = c0[p_min][reg]
-    row = [base + delays[p] - delays[p_min] for p in topo.nodes]
+    row = array("q", [base + delays[p] - delays[p_min] for p in topo.nodes])
     values = [row]
     configs = trace.configs
     for i, rec in enumerate(trace.records):
@@ -375,7 +377,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
                     f"step {i}: process {p} changed {reg} from "
                     f"{old} to {new}, not by one increment")
             if row is values[-1]:  # the first clock to move at this step
-                row = list(row)
+                row = row[:]
             row[p] += 1
         values.append(row)
     return LiftedTrace(trace=trace, reg=reg, base=base, values=values)

@@ -39,9 +39,15 @@ def test_event_graph_rules(ring8):
     for p, times in g.events_by_process.items():
         for t in times:
             if t == 0:
-                assert (p, t) not in g.preds
+                assert g.preds((p, t)) == ()
                 continue
-            assert set(g.preds[(p, t)]) == oracle_preds(sub, p, t)
+            assert set(g.preds((p, t))) == oracle_preds(sub, p, t)
+            assert len(g.preds((p, t))) == 1 + len(ring8.adjacency[p])
+        # a time at which p did not fire, and times outside the trace
+        idle = min(set(range(1, 61)) - set(times))
+        for t in (idle, -1, 61):
+            assert not g.has_event((p, t)) and g.preds((p, t)) == ()
+    assert g.preds((8, 1)) == ()  # not a process
 
 
 def test_same_step_events_not_linked(ring8):
@@ -52,9 +58,10 @@ def test_same_step_events_not_linked(ring8):
     sub.configs = sub.configs[:21]
     sub.records = sub.records[:20]
     g = build_event_graph(sub)
-    for e, preds in g.preds.items():
-        for q, tq in preds:
-            assert tq < e[1]
+    for p, times in g.events_by_process.items():
+        for t in times:
+            for q, tq in g.preds((p, t)):
+                assert tq < t
 
 
 def test_cover_grows_one_hop_per_synchronous_step(ring8):
@@ -192,7 +199,7 @@ def dfs_ancestors(g, e):
     seen = {e}
     stack = [e]
     while stack:
-        for pr in g.preds.get(stack.pop(), ()):
+        for pr in g.preds(stack.pop()):
             if pr not in seen:
                 seen.add(pr)
                 stack.append(pr)
@@ -250,8 +257,11 @@ def closure_cut(g, events):
 
 
 def draw_events(data, g, size):
+    """Events past time 0: the ones with predecessors."""
+    events = [(p, t) for p, times in sorted(g.events_by_process.items())
+              for t in times if t > 0]
     return data.draw(st.lists(
-        st.sampled_from(sorted(g.preds)), min_size=1, max_size=size))
+        st.sampled_from(events), min_size=1, max_size=size))
 
 
 def shift_one(data, g, cut):

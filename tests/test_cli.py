@@ -481,6 +481,121 @@ def test_lex_pair_infinite_payloads_round_trip(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _as_float(obj, key):
+    assert type(obj[key]) is int
+    obj[key] = float(obj[key])
+
+
+# Python compares 5.0 == 5 and True == 1; a trace compares JSON, where the
+# writer never turns an int into a float.  Edits of an lme ring:6 trace.
+MISTYPED_NUMBERS = {
+    "event_process": lambda lines: _as_float(_first_event(lines), "process"),
+    "event_payload": lambda lines: _as_float(_first_event(lines)["payload"],
+                                             "v"),
+    "final_state": lambda lines: _as_float(lines[-1]["final_states"][0],
+                                           "r1"),
+}
+
+
+def _lme_trace(trace_file):
+    scn = scenario_from({"topo": "ring:6", "proto": "lme",
+                         "daemon": "central", "steps": "200"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    return [json.loads(x) for x in open(trace_file)]
+
+
+@pytest.mark.parametrize("edit", sorted(MISTYPED_NUMBERS))
+def test_check_refuses_a_mistyped_number(tmp_path, capsys, edit):
+    trace_file = str(tmp_path / "t.jsonl")
+    lines = _lme_trace(trace_file)
+    event_step = next(x["step"] for x in lines[2:-1] if x["events"])
+    MISTYPED_NUMBERS[edit](lines)
+    open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: replayed final configuration diverges\n"
+        if edit == "final_state" else
+        f"error: malformed step {event_step}: the replay at step "
+        f"{event_step} differs in ['events']\n")
+
+
+def test_check_reads_values_not_formatting(tmp_path, capsys):
+    # compact separators and reversed key order change the text of every
+    # line, not one JSON value
+    trace_file = str(tmp_path / "t.jsonl")
+    lines = _lme_trace(trace_file)
+    assert run_cli(["check", trace_file]) == 0
+    expected = capsys.readouterr()
+
+    def flip(value):
+        if isinstance(value, dict):
+            return {k: flip(v) for k, v in reversed(value.items())}
+        return [flip(v) for v in value] if isinstance(value, list) else value
+
+    open(trace_file, "w").write("".join(
+        json.dumps(flip(x), separators=(",", ":")) + "\n" for x in lines))
+    assert run_cli(["check", trace_file]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_check_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path,
+                                                                 buffered):
+    # `rhosync check t.jsonl | head -1`, with the reader gone before the
+    # first line: every write to stdout fails, at the print when stdout is
+    # unbuffered, else when it is flushed
+    trace_file = str(tmp_path / "t.jsonl")
+    _lme_trace(trace_file)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rhosync.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "check", trace_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_equal_fired_maps_are_one_dict(tmp_path):
+    # the synchronous daemon fires every process at each stabilized step,
+    # in the run and in its replay alike
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:8", "proto": "ss_ws",
+                         "daemon": "synchronous", "steps": "60"}, {})
+    trace = run_scenario(scn)
+    write_trace(trace_file, scn, trace)
+    for t in (trace, read_trace(trace_file)[1]):
+        pairs = list(zip(t.records, t.records[1:]))
+        shared = [b.fired is a.fired for a, b in pairs]
+        assert shared == [b.fired == a.fired for a, b in pairs]
+        assert any(shared) and not all(shared)
+
+
+@pytest.mark.parametrize("flags", [
+    {"topo": "ring:8", "proto": "ss_ws", "daemon": "synchronous",
+     "rho": "2", "infimum": "lex_pair"},
+    {"topo": "ring:6", "proto": "lme", "daemon": "synchronous",
+     "steps": "300"},
+], ids=["ss_ws", "lme"])
+def test_analyze_leaves_the_shared_fired_maps_alone(flags):
+    scn = scenario_from(flags, {})
+    trace = run_scenario(scn)
+    fired = [list(rec.fired.items()) for rec in trace.records]
+    report = analyze(scn, trace)
+    assert report["violations"] == 0
+    assert analyze(scn, trace) == report
+    assert [list(rec.fired.items()) for rec in trace.records] == fired
+
+
 def _header(**changes):
     return lambda lines: lines[0].update(changes)
 

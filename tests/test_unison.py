@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -272,7 +273,9 @@ def test_lift_shares_a_row_exactly_when_no_clock_moved(ring8):
             if suffix.configs[i + 1][p][reg] != suffix.configs[i][p][reg]:
                 row[p] += 1
         rows.append(row)
-    assert lt.values == rows
+    assert all(type(row) is array and row.typecode == "q"
+               for row in lt.values)  # one int64 per process
+    assert [row.tolist() for row in lt.values] == rows
     shared = [lt.values[t + 1] is lt.values[t] for t in range(len(rows) - 1)]
     assert shared == [rows[t + 1] == rows[t] for t in range(len(rows) - 1)]
     assert any(shared) and not all(shared)
