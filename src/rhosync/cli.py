@@ -299,7 +299,7 @@ def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
     set."""
     topo = lt.trace.topo
     k0 = lt.base + topo.diameter
-    count = min(6, min(lt.values[-1]) - rho - k0 + 1)
+    count = min(6, lt.top_level() - rho - k0 + 1)
     if count <= 0:
         return []
     # cuts[i] is the cut of level k0 + i: window i reads cuts i and i + rho.
@@ -367,6 +367,12 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         # post-stabilization inputs: every LRA monitor reads the one list
         # of privileges granted from there on.
         mon = lra_monitor_start(lt1)
+        if mon is None:
+            report["monitor_start"] = None
+            report["violations"] = violations + 1
+            report["notes"] = ["no complete post-stabilization phase: "
+                               "the LRA monitors saw no privilege"]
+            return report
         report["monitor_start"] = stab + mon
         lt1 = lt1.suffix(mon)
         recs = extract_cs_records(lt1.trace)

@@ -190,7 +190,7 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
     topo = trace.topo
     delta = rho + 1
     start = lt.first_phase_level(delta)
-    top = min(lt.values[-1])
+    top = lt.top_level()
     mismatches: list[tuple[int, int, int, str, Any, Any]] = []
     # balls[radius][p]: the same for every phase, so built once.
     balls = [[ball(topo, p, radius) for p in topo.nodes]
@@ -198,9 +198,9 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
     phases = 0
     k0 = start
     while k0 + delta <= top and phases < 20:
-        # Each column climbs by one from below start to top: no level skipped.
-        t_start = {p: lt.level_time(p, k0) for p in topo.nodes}
-        snapshot = {p: trace.configs[t_start[p]][p]["v0"] for p in topo.nodes}
+        # Each process climbs from below start to top: no level is skipped.
+        snapshot = {p: trace.configs[lt.level_time(p, k0)][p]["v0"]
+                    for p in topo.nodes}
 
         def oracle(p: int, radius: int) -> Any:
             return op.fold(snapshot[q] for q in balls[radius][p])

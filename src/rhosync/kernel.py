@@ -167,8 +167,8 @@ class TransitionRecord:
     trace's previous one, and which processes the step neutralized follows
     from both (see `rounds`).
 
-    A trace's consecutive records with equal `fired` maps hold one dict
-    (see `Trace.append`), so a `fired` map must never be mutated."""
+    A trace's records with equal `fired` maps hold one dict (see
+    `Trace.append`), so a `fired` map must never be mutated."""
 
     fired: dict[int, str]
     events: tuple[HookEvent, ...] = ()
@@ -181,16 +181,23 @@ class Trace:
     configs: list[Configuration]
     records: list[TransitionRecord]
     stop_reason: str = "incomplete"
+    # Each distinct `fired` map appended so far, keyed by its processes
+    # followed by its labels: one flat tuple, which tells maps apart because
+    # processes are ints and labels strs.
+    _fired_maps: dict[tuple, dict[int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
         """Add a step: the record `rec` and the configuration it produced.
 
-        A record whose `fired` map equals the previous record's takes that
-        very dict, so a run under the synchronous daemon holds one map for
-        all its stabilized steps.
+        A record whose `fired` map equals an earlier record's takes that
+        very dict, so a run holds one map per distinct set of fired
+        actions: the few that recur under the central daemons, and one for
+        all the stabilized steps of a synchronous run.
         """
-        if self.records and rec.fired == (last := self.records[-1].fired):
-            rec.fired = last
+        fired = rec.fired
+        rec.fired = self._fired_maps.setdefault(
+            (*fired, *fired.values()), fired)
         self.configs.append(cfg)
         self.records.append(rec)
 

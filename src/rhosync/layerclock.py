@@ -166,8 +166,8 @@ def verify_delay_agreement(lt2: LiftedTrace, rho: int,
              if p < q and topo.dist[p][q] <= window]
     checked = 0
     bad: list[tuple[int, int, int, int | None, int]] = []
-    for t in range(0, len(lt2.values), sample_every):
-        row = lt2.values[t].tolist()  # unboxed once, read many times
+    for t in range(0, len(lt2.trace.configs), sample_every):
+        row = lt2.row(t)
         for p, q in pairs:
             true_delay = row[q] - row[p]
             a, b = row[p] % k2, row[q] % k2

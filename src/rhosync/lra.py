@@ -212,10 +212,10 @@ def make_lra_plugin(kind: str, topo: Topology, rho: int, K2: int, *,
 # Monitors
 
 
-def lra_monitor_start(lt1: LiftedTrace) -> int:
+def lra_monitor_start(lt1: LiftedTrace) -> int | None:
     """First position in the lifted master register `lt1` (a stabilized
     trace) whose election outcomes derive entirely from post-stabilization
-    initializations.
+    initializations, or None if the trace never gets there.
 
     Right after the clocks stabilize, res registers still hold arbitrary
     pre-stabilization values; guarantees apply once every process has begun
@@ -224,10 +224,8 @@ def lra_monitor_start(lt1: LiftedTrace) -> int:
     """
     delta = lt1.trace.protocol.meta["delta"]
     target = lt1.first_phase_level(delta) + delta
-    for t, row in enumerate(lt1.values):
-        if min(row) >= target:
-            return t
-    return len(lt1.trace.records)
+    times = [lt1.level_time(p, target) for p in lt1.trace.topo.nodes]
+    return None if None in times else max(times)
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,10 +381,10 @@ def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
     adjacency = trace.topo.adjacency
     delta = trace.protocol.meta["delta"]
     first = lt1.first_phase_level(delta) // delta
-    counts = [0] * max(min(lt1.values[-1]) // delta - first, 0)
-    for row, rec in zip(lt1.values, trace.records):
+    counts = [0] * max(lt1.top_level() // delta - first, 0)
+    for t, rec in enumerate(trace.records):
         for p in rec.fired:
-            i = row[p] // delta - first  # row[p]: lifted value before the step
+            i = lt1.value(t, p) // delta - first  # the value before the step
             if 0 <= i < len(counts):
                 counts[i] += len(adjacency[p])
     return counts

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -304,25 +304,36 @@ def build_ss_ws(rho: int, K: int, alpha: int, gp: GraphParams,
 @dataclass
 class LiftedTrace:
     """Virtual integer clock registers over a trace whose first configuration
-    is in WU0.  values[t][p] is the lifted register of p in configuration t;
-    base is the minimal initial lifted value (bottom_0).  Each row is an
-    int64 array (`array('q')`), one machine word per process.  Consecutive
-    rows are one array object when no clock moved between them, so no row
-    may be mutated."""
+    is in WU0; base is the minimal initial lifted value (bottom_0).  A
+    lifted register counts its clock's moves: `start[p]` is p's value in
+    configuration 0, and `moves[p]` the ascending int64 `array('q')` of the
+    configuration indices at which it rises by one."""
 
     trace: Trace
     reg: str
     base: int
-    values: list[array]
+    start: list[int]
+    moves: list[array]
+
+    def value(self, t: int, p: int) -> int:
+        """p's lifted register in configuration t."""
+        return self.start[p] + bisect_right(self.moves[p], t)
+
+    def row(self, t: int) -> list[int]:
+        """Every process's lifted register in configuration t."""
+        return [s + bisect_right(m, t) for s, m in zip(self.start, self.moves)]
+
+    def top_level(self) -> int:
+        """The highest level every process reaches within the trace."""
+        return min(s + len(m) for s, m in zip(self.start, self.moves))
 
     def level_time(self, p: int, k: int) -> int | None:
-        """Earliest configuration index at which p's lifted value is >= k
-        and exactly k (None if the level is skipped or never reached).
-        A lifted column never decreases, so a binary search finds it."""
-        t = bisect_left(self.values, k, key=lambda row: row[p])
-        if t < len(self.values) and self.values[t][p] == k:
-            return t
-        return None
+        """Earliest configuration index at which p's lifted value is k
+        (None if the level is below p's start or never reached)."""
+        j = k - self.start[p]
+        if 0 < j <= len(self.moves[p]):
+            return self.moves[p][j - 1]
+        return 0 if j == 0 else None
 
     def first_phase_level(self, delta: int) -> int:
         """The first phase-boundary level (a multiple of delta) strictly
@@ -333,15 +344,17 @@ class LiftedTrace:
         return first + (-first) % delta
 
     def suffix(self, i: int) -> "LiftedTrace":
-        """The lifting of trace.suffix(i), sharing this lifting's rows.
+        """The lifting of trace.suffix(i), from this lifting's columns.
 
         It equals lift(trace.suffix(i)) up to one multiple of the period
         added to every value, which no level difference, `level // delta`
         against `first_phase_level`, or `value % period` can see.
         """
-        values = self.values[i:]
-        return LiftedTrace(trace=self.trace.suffix(i), reg=self.reg,
-                           base=min(values[0]), values=values)
+        start = self.row(i)
+        moves = [array("q", [t - i for t in m[bisect_right(m, i):]])
+                 for m in self.moves]
+        return LiftedTrace(self.trace.suffix(i), self.reg, min(start),
+                           start, moves)
 
 
 def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
@@ -349,9 +362,9 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
 
     The minimal process (by precedence, ties to the lowest index) anchors
     bottom_0; each concrete ring increment, read off two consecutive
-    configurations, bumps the virtual register by one.  Raises ValueError
-    if the first configuration is not in WU0, and LiftError on any other
-    change of the register.
+    configurations, is one move of the virtual register.  Raises
+    ValueError if the first configuration is not in WU0, and LiftError on
+    any other change of the register.
     """
     proto, topo = trace.protocol, trace.topo
     sysm = proto.clock_registers[reg]
@@ -363,8 +376,8 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     # concrete ring values modulo the period.
     p_min = min(topo.nodes, key=lambda p: (delays[p], p))
     base = c0[p_min][reg]
-    row = array("q", [base + delays[p] - delays[p_min] for p in topo.nodes])
-    values = [row]
+    start = [base + delays[p] - delays[p_min] for p in topo.nodes]
+    moves = [array("q") for _ in topo.nodes]
     configs = trace.configs
     for i, rec in enumerate(trace.records):
         cfg, nxt = configs[i], configs[i + 1]
@@ -372,12 +385,9 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
             old, new = cfg[p][reg], nxt[p][reg]
             if new == old:
                 continue
-            if not (sysm.in_ring(old) and new == sysm.phi(old)):
+            if not 0 <= old < sysm.period or new != (old + 1) % sysm.period:
                 raise LiftError(
                     f"step {i}: process {p} changed {reg} from "
                     f"{old} to {new}, not by one increment")
-            if row is values[-1]:  # the first clock to move at this step
-                row = row[:]
-            row[p] += 1
-        values.append(row)
-    return LiftedTrace(trace=trace, reg=reg, base=base, values=values)
+            moves[p].append(i + 1)
+    return LiftedTrace(trace, reg, base, start, moves)

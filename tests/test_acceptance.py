@@ -161,7 +161,7 @@ def _wavelet_scan(topo, rho, daemon, seed, steps):
     lt = lift(suffix)
     g = build_event_graph(suffix)
     base = lt.base + topo.diameter
-    top = min(lt.values[-1])
+    top = lt.top_level()
     good = bad = 0
     for k in range(base, top - rho + 1):
         c1, c2 = cut_for_level(lt, k), cut_for_level(lt, k + rho)
@@ -259,7 +259,8 @@ def test_criterion_4_staircase(ring8, lme_matrix):
         t = run(proto, ring8, DaemonPolicy(kind="central", seed=9), start,
                 max_steps=budget)
         lt = lift(t, reg="r1")
-        progress.append(min(lt.values[-1][p] - lt.values[0][p]
+        last = len(t.records)
+        progress.append(min(lt.value(last, p) - lt.value(0, p)
                             for p in ring8.nodes))
     growing = progress[0] > 0 and progress[0] < progress[1] < progress[2]
     ok = not bad and growing

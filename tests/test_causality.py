@@ -109,7 +109,7 @@ def test_cut_for_level_missing_level(ring8):
     suffix, _ = sync_suffix(ring8, 1, steps=300)
     lt = lift(suffix)
     with pytest.raises(ValueError):
-        cut_for_level(lt, max(lt.values[-1]) + 100)
+        cut_for_level(lt, max(lt.row(len(suffix.records))) + 100)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
@@ -244,7 +244,7 @@ def wavelet_outcome(check, *args):
 
 def level_range(lt):
     """Levels every process holds at some configuration of the trace."""
-    return max(lt.values[0]), min(lt.values[-1])
+    return max(lt.row(0)), lt.top_level()
 
 
 def closure_cut(g, events):
@@ -327,7 +327,7 @@ def test_check_wavelet_matches_past_cone_dfs(kind, n, seed, daemon, rho,
 def test_level_time_matches_linear_scan(kind, n, seed, daemon, rho):
     lt, _ = lifted_run(kind, n, seed, daemon, rho)
     for p in lt.trace.topo.nodes:
-        column = [row[p] for row in lt.values]
+        column = [lt.value(t, p) for t in range(len(lt.trace.configs))]
         for k in range(column[0] - 2, column[-1] + 3):
             t = next((t for t, v in enumerate(column) if v >= k), None)
             expect = t if t is not None and column[t] == k else None

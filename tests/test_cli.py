@@ -580,6 +580,41 @@ def test_equal_fired_maps_are_one_dict(tmp_path):
         assert any(shared) and not all(shared)
 
 
+def test_a_trace_holds_one_dict_per_distinct_fired_map(tmp_path):
+    # the central daemon fires one process per step: the same few maps
+    # recur, seldom on consecutive steps
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:8", "proto": "lme",
+                         "daemon": "central", "steps": "400"}, {})
+    trace = run_scenario(scn)
+    write_trace(trace_file, scn, trace)
+    for t in (trace, read_trace(trace_file)[1]):
+        dicts = {id(rec.fired): rec.fired for rec in t.records}
+        distinct = {tuple(m.items()) for m in dicts.values()}
+        assert len(dicts) == len(distinct) < len(t.records) // 2
+
+
+def test_an_lra_run_with_no_clean_phase_fails(tmp_path):
+    # 30 central steps end before the master clock reaches the first
+    # phase whose elections see only post-stabilization inputs
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rhosync.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "run", "--proto", "lme", "--topo", "ring:6", "--init",
+         "wu0_uniform", "--daemon", "central", "--steps", "30"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert "  monitor_start = None" in lines
+    assert ("  note: no complete post-stabilization phase: the LRA monitors "
+            "saw no privilege") in lines
+    assert lines[-1] == "  violations = 1"
+    assert not any(line.startswith("  cs_") for line in lines)
+
+
 @pytest.mark.parametrize("flags", [
     {"topo": "ring:8", "proto": "ss_ws", "daemon": "synchronous",
      "rho": "2", "infimum": "lex_pair"},

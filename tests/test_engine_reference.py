@@ -111,13 +111,13 @@ def reference_comms(lt1, reads):
     before the step), over the phases every process has completed."""
     delta = lt1.trace.protocol.meta["delta"]
     totals = {}
-    for row, step_reads in zip(lt1.values, reads):
+    for t, step_reads in enumerate(reads):
         for p, rs in step_reads.items():
-            phase = row[p] // delta
+            phase = lt1.value(t, p) // delta
             totals[phase] = totals.get(phase, 0) + len({q for q, _ in rs})
     first = lt1.first_phase_level(delta) // delta
     return [totals.get(phase, 0)
-            for phase in range(first, min(lt1.values[-1]) // delta)]
+            for phase in range(first, lt1.top_level() // delta)]
 
 
 def reference_rounds(configs, ref, proto, topo):

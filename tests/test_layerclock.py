@@ -129,7 +129,7 @@ def test_trivial_plugin_one_tick_per_phase(ring8):
              uniform_configuration(proto, ring8), max_steps=12 * delta)
     lt2 = lift(tr, reg="r2")
     for p in ring8.nodes:
-        col = [lt2.values[t][p] for t in range(len(lt2.values))]
+        col = [lt2.value(t, p) for t in range(len(tr.configs))]
         # exactly one slave increment per delta master steps
         assert col[-1] - col[0] == (len(col) - 1) // delta
 

@@ -269,9 +269,9 @@ def test_lifted_suffix_matches_fresh_lift(ring8):
         for sliced, fresh in ((lt1.suffix(i), fresh1),
                               (lt2.suffix(i), fresh2)):
             assert sliced.trace.configs == sub.configs
-            assert len(sliced.values) == len(fresh.values)
-            offsets = {a - b for srow, frow in zip(sliced.values, fresh.values)
-                       for a, b in zip(srow, frow)}
+            steps = range(len(sub.configs))
+            offsets = {a - b for t in steps
+                       for a, b in zip(sliced.row(t), fresh.row(t))}
             assert len(offsets) == 1
             offset = offsets.pop()
             assert offset % proto.clock_registers[sliced.reg].period == 0
@@ -305,6 +305,6 @@ def test_metrics_on_suffix_shorter_than_a_phase_is_partial(ring8):
     proto, _ = make_lra(ring8, 1, "lme")
     tr, wu = stabilized_dc(proto, ring8, "central", seed=5, max_steps=40000)
     lt1, _lt2 = lifted_from(tr, wu)
-    short = lt1.suffix(len(lt1.values) - 3)
+    short = lt1.suffix(len(lt1.trace.configs) - 3)
     m = metrics(short, extract_cs_records(short.trace))
     assert m.comms_per_phase == []

@@ -246,8 +246,8 @@ def test_lift_invariants(ring8, daemon):
     lt = lift(suffix)
     sysm = proto.clock_registers["r"]
     n = ring8.node_count
-    for t in range(0, len(lt.values), 25):
-        row = lt.values[t]
+    for t in range(0, len(suffix.configs), 25):
+        row = lt.row(t)
         cfg = suffix.configs[t]
         for p in ring8.nodes:
             # congruence with the concrete ring value
@@ -256,29 +256,78 @@ def test_lift_invariants(ring8, daemon):
                 assert abs(row[p] - row[q]) <= ring8.dist[p][q]
     # per-process monotone, increments by one per NA firing
     for p in ring8.nodes:
-        col = [lt.values[t][p] for t in range(len(lt.values))]
+        col = [lt.value(t, p) for t in range(len(suffix.configs))]
         assert all(0 <= b - a <= 1 for a, b in zip(col, col[1:]))
 
 
-def test_lift_shares_a_row_exactly_when_no_clock_moved(ring8):
-    # the slave layer of a layer-clock trace stays still at some steps
-    proto = make_dc(ring8, 1, trivial_plugin())
-    tr, wu = stabilized_dc(proto, ring8, "central", seed=3)
-    suffix, reg = tr.suffix(wu), "r2"
+def reference_rows(trace, reg):
+    """Every lifted row, the first anchored at the minimal process by the
+    intrinsic delays, each next one read off two consecutive
+    configurations: a process gains one wherever its register changed."""
+    sysm = trace.protocol.clock_registers[reg]
+    c0 = trace.configs[0]
+    delays = intrinsic_delays(c0, trace.topo, sysm, reg)
+    p_min = min(trace.topo.nodes, key=lambda p: (delays[p], p))
+    rows = [[c0[p_min][reg] + d - delays[p_min] for d in delays]]
+    for cfg, nxt in zip(trace.configs, trace.configs[1:]):
+        rows.append([v + (nxt[p][reg] != cfg[p][reg])
+                     for p, v in enumerate(rows[-1])])
+    return rows
+
+
+def _ws_suffix(topo, daemon):
+    suffix, _ = stabilized_suffix(make_ws(topo, 2), topo, daemon, seed=5,
+                                  max_steps=3000)
+    return suffix
+
+
+def _dc_suffix(topo, daemon):
+    proto = make_dc(topo, 1, trivial_plugin())
+    tr, wu = stabilized_dc(proto, topo, daemon, seed=3, max_steps=3000)
+    return tr.suffix(wu)
+
+
+LIFT_CASES = [
+    pytest.param(_ws_suffix, "synchronous", "r", id="ss_ws-synchronous"),
+    pytest.param(_ws_suffix, "central", "r", id="ss_ws-central"),
+] + [
+    pytest.param(_dc_suffix, daemon, reg, id=f"ss_dc-{reg}-{daemon}")
+    for reg in ("r1", "r2")
+    for daemon in ("central", "rho_central", "adversarial")
+]
+
+
+@pytest.mark.parametrize("make_suffix, daemon, reg", LIFT_CASES)
+def test_lift_matches_a_rowwise_reference(ring8, make_suffix, daemon, reg):
+    suffix = make_suffix(ring8, daemon)
     lt = lift(suffix, reg)
-    rows = [list(lt.values[0])]  # the reference copies every row
-    for i, rec in enumerate(suffix.records):
-        row = list(rows[-1])
-        for p in rec.fired:
-            if suffix.configs[i + 1][p][reg] != suffix.configs[i][p][reg]:
-                row[p] += 1
-        rows.append(row)
-    assert all(type(row) is array and row.typecode == "q"
-               for row in lt.values)  # one int64 per process
-    assert [row.tolist() for row in lt.values] == rows
-    shared = [lt.values[t + 1] is lt.values[t] for t in range(len(rows) - 1)]
-    assert shared == [rows[t + 1] == rows[t] for t in range(len(rows) - 1)]
-    assert any(shared) and not all(shared)
+    rows = reference_rows(suffix, reg)
+    assert lt.base == min(rows[0])
+    assert [lt.row(t) for t in range(len(rows))] == rows
+    assert all(lt.value(t, p) == v
+               for t, row in enumerate(rows) for p, v in enumerate(row))
+    assert lt.top_level() == min(rows[-1])
+    for p in ring8.nodes:
+        for k in range(rows[0][p], rows[-1][p] + 1):
+            # the first configuration at which p holds level k
+            assert lt.level_time(p, k) == next(
+                t for t, row in enumerate(rows) if row[p] == k)
+        assert lt.level_time(p, rows[0][p] - 1) is None
+        assert lt.level_time(p, rows[-1][p] + 1) is None
+    # one stored move per increment, each an int64
+    increments = sum(rows[-1]) - sum(rows[0])
+    assert increments > 0
+    assert sum(len(m) for m in lt.moves) == increments
+    assert all(type(m) is array and m.typecode == "q" for m in lt.moves)
+    period = suffix.protocol.clock_registers[reg].period
+    last = len(suffix.records)
+    for i in (0, 1, last // 3, last // 2, last - 1, last):
+        sliced, fresh = lt.suffix(i), lift(suffix.suffix(i), reg)
+        offset = sliced.base - fresh.base
+        assert offset % period == 0
+        assert sliced.moves == fresh.moves
+        assert sliced.row(0) == [v + offset for v in fresh.row(0)]
+        assert sliced.row(0) == rows[i]
 
 
 def test_level_time_earliest(ring8):
@@ -286,8 +335,8 @@ def test_level_time_earliest(ring8):
     suffix, _ = stabilized_suffix(proto, ring8, "synchronous", seed=1,
                                   max_steps=3000)
     lt = lift(suffix)
-    k = max(lt.values[0]) + 3
+    k = max(lt.row(0)) + 3
     for p in ring8.nodes:
         t = lt.level_time(p, k)
-        assert lt.values[t][p] == k
-        assert t == 0 or lt.values[t - 1][p] == k - 1
+        assert lt.value(t, p) == k
+        assert t == 0 or lt.value(t - 1, p) == k - 1
