@@ -17,8 +17,8 @@ from .kernel import (DAEMONS, Action, Configuration, DaemonPolicy,
                      first_enabled_map, int_range, random_configuration,
                      round_count, rounds, run, step, uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
-                     SizingError, build_ss_ws, delay, intrinsic_delays,
-                     is_wu, is_wu0, lift)
+                     SizingError, auto_sizes, build_ss_ws, delay,
+                     intrinsic_delays, is_wu, is_wu0, lift)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cut_for_level,
                         cut_leq, is_coherent)

@@ -24,16 +24,18 @@ from dataclasses import asdict, dataclass, fields
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import attach_infimum, make_infimum, verify_ball_infimum
-from .kernel import (DAEMONS, DaemonPolicy, Trace, TransitionRecord,
-                     first_enabled_map, random_configuration, round_count,
-                     run, step, uniform_configuration)
+from .kernel import (DAEMONS, Configuration, DaemonPolicy, Trace,
+                     TransitionRecord, first_enabled_map,
+                     random_configuration, round_count, run, step,
+                     uniform_configuration)
 from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
     verify_delay_agreement
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
                   metrics, monitor_liveness, monitor_safety)
 from .topology import (Topology, TopologyError, generate, graph_params,
                        load_topology, parse_edge_list)
-from .unison import LiftedTrace, SizingError, build_ss_ws, is_wu0, lift
+from .unison import (LiftedTrace, SizingError, auto_sizes, build_ss_ws,
+                     is_wu0, lift)
 
 CSV_HEADER = ["topo", "n", "rho", "daemon", "seed", "plugin", "stab_round",
               "violations", "fairness_index", "service_time",
@@ -189,19 +191,16 @@ def _infimum_input_source(op, seed: int):
 
 
 def build_protocol(scn: Scenario, topo: Topology):
-    """Protocol for a scenario, with 'auto' clock sizing resolved.
-
-    Auto sizing: alpha := greatest-hole length, K := cyclomatic bound + 1,
-    K2 := max(4*rho+1, cyclomatic bound + 1).  Each protocol is built once,
-    an infimum `ss_ws` with its hooks attached, and the builders always
-    check explicit values against the floors of the topology's
-    `graph_params`, so refused scenarios never start.
+    """Protocol for a scenario, each 'auto' clock size resolved by
+    `unison.auto_sizes`.  Each protocol is built once, an infimum `ss_ws`
+    with its hooks attached, and the builders always check explicit values
+    against the floors of the topology's `graph_params`, so refused
+    scenarios never start.
     """
     gp = graph_params(topo)
     rho = scn.rho
-    alpha = gp.t_g if scn.alpha == "auto" else int(scn.alpha)
-    K = gp.c_g_bound + 1 if scn.k == "auto" else int(scn.k)
-    K2 = max(4 * rho + 1, gp.c_g_bound + 1) if scn.k2 == "auto" else int(scn.k2)
+    alpha, K, K2 = (auto if val == "auto" else int(val) for auto, val in
+                    zip(auto_sizes(rho, gp), (scn.alpha, scn.k, scn.k2)))
     try:
         if scn.proto == "ss_ws":
             hooks = {}
@@ -426,41 +425,58 @@ def _freeze(value):
     return value
 
 
+# The encoders of the four kinds of trace line: the one definition of each
+# line, which `write_trace` writes and `read_trace` checks.
+
+
+def _encode_header(scn: Scenario, topo: Topology, stop_reason) -> dict:
+    return {"type": "header", "scenario": asdict(scn),
+            "n": topo.node_count, "edges": topo.edges,
+            "stop_reason": stop_reason}
+
+
+def _encode_config(cfg: Configuration) -> dict:
+    return {"type": "config", "states": list(cfg)}
+
+
 def _encode_step(i: int, rec: TransitionRecord) -> dict:
-    """Step line `i` of a trace, for the transition record `rec`: the one
-    definition that `write_trace` writes and `read_trace` checks."""
+    """Step line `i` of a trace, for the transition record `rec`."""
     return {"type": "step", "step": i, "selected": list(rec.fired),
             "fired": {str(p): lab for p, lab in rec.fired.items()},
             "events": [{"process": ev.process, "kind": ev.kind,
                         "payload": ev.payload} for ev in rec.events]}
 
 
+def _encode_footer(trace: Trace) -> dict:
+    return {"type": "footer", "steps": len(trace.records),
+            "final_states": list(trace.configs[-1])}
+
+
 def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
-    topo = trace.topo
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "type": "header", "scenario": asdict(scn),
-            "n": topo.node_count, "edges": topo.edges,
-            "stop_reason": trace.stop_reason}) + "\n")
-        fh.write(json.dumps({
-            "type": "config", "states": list(trace.configs[0])}) + "\n")
+        fh.write(json.dumps(_encode_header(scn, trace.topo,
+                                           trace.stop_reason)) + "\n")
+        fh.write(json.dumps(_encode_config(trace.configs[0])) + "\n")
         for i, rec in enumerate(trace.records):
             fh.write(json.dumps(_encode_step(i, rec)) + "\n")
-        fh.write(json.dumps({
-            "type": "footer", "steps": len(trace.records),
-            "final_states": list(trace.configs[-1])}) + "\n")
+        fh.write(json.dumps(_encode_footer(trace)) + "\n")
 
 
-def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], object]:
-    """Parse and check a trace file's header, initial configuration and
-    footer, without decoding its step lines.
+def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], dict]:
+    """Parse a trace file and hold its header and config line to what
+    `write_trace` writes for them (`_check_line`), without decoding its
+    step lines.
 
-    Returns (scenario, trace, step_lines, final): `trace` holds the
-    protocol, topology, stop reason and initial configuration only;
-    `step_lines` are the undecoded text of the step lines, as many as the
-    footer declares (see `_decode_step`); `final` is the footer's
-    configuration as JSON gives it.  Raises CorruptTraceError on malformed
-    input.
+    The header's scenario determines the graph and the start, unless it
+    names a `file:` topology or an `adversarial_file:` init: then they are
+    read from the header's edges and the config line.  The header's stop
+    reason must be there; `read_trace` decides its value after the replay.
+
+    Returns (scenario, trace, step_lines, footer): `trace` holds the
+    protocol, topology, header stop reason and initial configuration only;
+    `step_lines` are the undecoded text of the step lines (see
+    `_decode_step`); `footer` is the footer line as JSON gives it.  Raises
+    CorruptTraceError on malformed input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -490,34 +506,30 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], object]:
         validate_scenario(scn)
     except (TypeError, KeyError, ScenarioError) as exc:
         raise CorruptTraceError(f"bad scenario in header: {exc}") from exc
-    try:
-        topo = parse_edge_list(
-            "\n".join(f"{u} {v}" for u, v in header["edges"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTraceError(f"bad topology in header: {exc}") from exc
-    if type(n := header.get("n")) is not int or topo.node_count != n:
-        raise CorruptTraceError(f"edge list does not match node count {n!r}")
-    # the scenario determines the graph and start unless it names files
-    if not scn.topo.startswith("file:") and make_topology(scn.topo) != topo:
-        raise CorruptTraceError(f"header edges are not topo {scn.topo!r}")
+    if scn.topo.startswith("file:"):
+        try:
+            topo = parse_edge_list(
+                "\n".join(f"{u} {v}" for u, v in header["edges"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptTraceError(f"bad topology in header: {exc}") from exc
+    else:
+        topo = make_topology(scn.topo)
+    # encoded with its own stop reason, whose value the replay decides: so
+    # here only a missing key differs
+    _check_line("header", header, _encode_header(
+        scn, topo, header.get("stop_reason")))
     proto = build_protocol(scn, topo)
-    try:
-        cfg = _load_configuration(config_line.get("states"), proto, topo)
-    except ValueError as exc:
-        raise CorruptTraceError(f"bad config line: {exc}") from exc
-    if not scn.init.startswith("adversarial_file") \
-            and make_init(scn, proto, topo) != cfg:
-        raise CorruptTraceError(
-            f"initial configuration is not init {scn.init!r}")
-    trace = Trace(proto, topo, [cfg], [],
-                  stop_reason=header.get("stop_reason", "incomplete"))
+    if scn.init.startswith("adversarial_file"):
+        try:
+            cfg = _load_configuration(config_line.get("states"), proto, topo)
+        except ValueError as exc:
+            raise CorruptTraceError(f"bad config line: {exc}") from exc
+    else:
+        cfg = make_init(scn, proto, topo)
+    _check_line("config line", config_line, _encode_config(cfg))
+    trace = Trace(proto, topo, [cfg], [], stop_reason=header["stop_reason"])
     del lines[-1], lines[:2]  # the step lines remain
-    if type(steps := footer.get("steps")) is not int or steps != len(lines):
-        raise CorruptTraceError(f"footer declares {steps!r} steps, the trace "
-                                f"has {len(lines)} step lines")
-    if "final_states" not in footer:
-        raise CorruptTraceError("malformed footer: no final_states")
-    return scn, trace, lines, footer["final_states"]
+    return scn, trace, lines, footer
 
 
 def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
@@ -553,6 +565,23 @@ def _json_text(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def _differing_keys(line: dict, written: dict) -> list[str]:
+    """The keys, sorted, in which trace line `line` differs from the line
+    `written` that `write_trace` writes in its place: a missing or an
+    extra key, or another JSON value by `_json_text`."""
+    return [k for k in sorted(line.keys() | written.keys())
+            if k not in line or k not in written
+            or _json_text(line[k]) != _json_text(written[k])]
+
+
+def _check_line(name: str, line: dict, written: dict) -> None:
+    """Raise CorruptTraceError naming the differing keys unless the trace
+    line `name` holds the JSON value `written`."""
+    if keys := _differing_keys(line, written):
+        raise CorruptTraceError(
+            f"malformed {name}: it differs from the replay in {keys}")
+
+
 def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
     """The stop reason `run` gives these steps: `budget` iff they are the
     scenario's step budget, else `quiescence` iff no process is enabled at
@@ -574,20 +603,22 @@ def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
 def read_trace(path: str) -> tuple[Scenario, Trace]:
     """Load and replay a trace file.
 
-    Replay re-executes every recorded selection through the engine, holds
-    it to the header daemon's rule (`DaemonPolicy.refusal`), and requires
-    each step line to be the JSON value of `_encode_step` of the replayed
-    step; then it requires the same of the footer's final configuration,
-    and cross-checks the stop reason (`_replayed_stop_reason`).  A
-    number's type counts (5.0 is not 5, nor true 1); whitespace and key
-    order do not (see `_json_text`).  Any divergence, truncation or
-    malformed line raises CorruptTraceError, the first in file order.
-    Each step line is decoded only when the replay reaches it.  A step
-    evaluates the guards of the selected processes only, unless the
+    Every line must be the JSON value that `write_trace` writes in its
+    place: the header and config line for the header's scenario
+    (`parse_trace`), each step line for the replayed step, the footer for
+    the replayed trace.  Replay re-executes every recorded selection
+    through the engine and holds it to the header daemon's rule
+    (`DaemonPolicy.refusal`); after the last step it decides the header's
+    stop reason (`_replayed_stop_reason`).  A number's type counts (5.0 is
+    not 5, nor true 1); whitespace and key order do not (see
+    `_json_text`).  Any divergence, truncation or malformed line raises
+    CorruptTraceError, the first in file order, the stop reason after the
+    steps.  Each step line is decoded only when the replay reaches it.  A
+    step evaluates the guards of the selected processes only, unless the
     daemon's rule reads the enabled set (`synchronous`): then it fires the
     hits found.
     """
-    scn, trace, step_lines, final = parse_trace(path)
+    scn, trace, step_lines, footer = parse_trace(path)
     proto, topo = trace.protocol, trace.topo
     daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     n = topo.node_count
@@ -615,20 +646,16 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         # an event's numbers apart; any doubt is settled key by key.
         if line != replayed or repr(line["events"]) != repr(
                 replayed["events"]):
-            keys = [k for k in sorted(line.keys() | replayed.keys())
-                    if k not in line or k not in replayed
-                    or _json_text(line[k]) != _json_text(replayed[k])]
-            if keys:
+            if keys := _differing_keys(line, replayed):
                 raise CorruptTraceError(f"malformed step {i}: the replay at "
                                         f"step {i} differs in {keys}")
         trace.append(cfg, rec)
-    if _json_text(final) != _json_text(list(trace.configs[-1])):
-        raise CorruptTraceError("replayed final configuration diverges")
     stop = _replayed_stop_reason(scn, trace)
     if trace.stop_reason != stop:
         raise CorruptTraceError(
             f"header says stop_reason {trace.stop_reason!r}, the replay "
             f"stops on {stop!r}")
+    _check_line("footer", footer, _encode_footer(trace))
     return scn, trace
 
 

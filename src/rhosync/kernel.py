@@ -250,8 +250,8 @@ def step(c: Configuration, selection: Iterable[int], proto: ProtocolDef,
     see the very states of `c` in the process's closed neighborhood, which
     is when both the guard's verdict and the View's memo still hold;
     otherwise the cache is stale and the step raises EngineFault.  The
-    step leaves the cache as it was; the schedulers (`run`,
-    `check_closure`) refresh it over the fired neighborhood.
+    step leaves the cache as it was; the scheduler, `run`, refreshes it
+    over the fired neighborhood.
     """
     selection = sorted(set(selection))
     if not selection:
@@ -495,28 +495,23 @@ def check_closure(pred: Callable[[Configuration], bool],
                   sampler: Callable[[random.Random], Configuration],
                   *, samples: int = 200, steps_per_sample: int = 5,
                   seed: int = 0) -> ClosureVerdict:
-    """Randomized closure check: sample pred-satisfying configurations and
-    fire many one-step successors under random selections, reporting any
-    escape from pred."""
+    """Randomized closure check: run each sampled pred-satisfying
+    configuration for up to `steps_per_sample` steps under a
+    `distributed_random` daemon, reporting the first escape from pred."""
     rng = random.Random(seed)
+    escaped = lambda c: not pred(c)
     checked = 0
     for _ in range(samples):
         cfg = sampler(rng)
         if not pred(cfg):
             continue
-        first = first_enabled_map(cfg, proto, topo)
-        for _ in range(steps_per_sample):
-            if not first:
-                break
-            pool = sorted(first)
-            k = rng.randrange(1, len(pool) + 1)
-            selection = tuple(sorted(rng.sample(pool, k)))
-            nxt, rec = step(cfg, selection, proto, topo, first)
-            checked += 1
-            if not pred(nxt):
-                return ClosureVerdict(False, checked, (cfg, selection, nxt))
-            _refresh_enabled(first, nxt, rec.fired, proto, topo)
-            cfg = nxt
+        daemon = DaemonPolicy("distributed_random", seed=rng.getrandbits(32))
+        tr = run(proto, topo, daemon, cfg, max_steps=steps_per_sample,
+                 stop_predicate=escaped)
+        checked += len(tr.records)
+        if tr.stop_reason == "predicate":
+            return ClosureVerdict(False, checked, (
+                tr.configs[-2], tuple(tr.records[-1].fired), tr.configs[-1]))
     return ClosureVerdict(True, checked, None)
 
 

@@ -15,8 +15,8 @@ from typing import Any, Callable
 
 from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
 from .topology import GraphParams
-from .unison import (IncrementingSystem, LiftedTrace, SizingError,
-                     check_sizing, clock_layer, delay, is_wu, is_wu0)
+from .unison import (IncrementingSystem, LiftedTrace, check_sizing,
+                     check_slave_sizing, clock_layer, delay, is_wu, is_wu0)
 
 __all__ = [
     "CondPlugin",
@@ -73,15 +73,13 @@ def build_ss_dc(rho: int, gp: GraphParams, *, K: int, K2: int, alpha: int,
     the slave's normal step and cond hold.
 
     Sizing, always enforced on the topology with parameters `gp`: both
-    clocks share the tail depth alpha >= greatest-hole bound
-    (`check_sizing`), delta*K > cyclomatic bound, and K2 >= max(4*rho+1,
-    cyclomatic bound - 1).
+    clocks share the tail depth alpha >= greatest-hole bound, delta*K >
+    cyclomatic bound (`check_sizing`), and K2 >= max(4*rho+1, cyclomatic
+    bound - 1) (`check_slave_sizing`).
     """
     period1 = check_sizing(rho, K, alpha, gp)
+    check_slave_sizing(rho, K2, gp)
     delta = rho + 1
-    floor = max(4 * rho + 1, gp.c_g_bound - 1)
-    if K2 < floor:
-        raise SizingError(f"K2={K2} violates K2 >= {floor}")
     sys1 = IncrementingSystem(alpha=alpha, period=period1)
     sys2 = IncrementingSystem(alpha=alpha, period=K2)
     ra1, ca1, normal1, _correct1 = clock_layer("r1", sys1)

@@ -25,6 +25,7 @@ __all__ = [
     "is_wu",
     "is_wu0",
     "intrinsic_delays",
+    "auto_sizes",
     "build_ss_ws",
     "LiftedTrace",
     "lift",
@@ -156,6 +157,18 @@ def _no_hook(view: View, emit: Callable[[str, Any], None]) -> dict[str, Any]:
     return {}
 
 
+# ---------------------------------------------------------------------------
+# Sizing: the one statement of the clock sizes and of their floors
+
+
+def auto_sizes(rho: int, gp: GraphParams) -> tuple[int, int, int]:
+    """The sizes (alpha, K, K2) that `auto` stands for on a topology with
+    parameters `gp`: the tail depth T_G, the master period (rho+1)*K with
+    K = C_G bound + 1, and the slave period K2 = max(4*rho + 1,
+    C_G bound + 1).  They pass `check_sizing` and `check_slave_sizing`."""
+    return gp.t_g, gp.c_g_bound + 1, max(4 * rho + 1, gp.c_g_bound + 1)
+
+
 def check_sizing(rho: int, K: int, alpha: int, gp: GraphParams) -> int:
     """Check the clock sizing rules on a topology with parameters `gp` and
     return the period (rho+1)*K.
@@ -173,6 +186,15 @@ def check_sizing(rho: int, K: int, alpha: int, gp: GraphParams) -> int:
         raise SizingError(
             f"(rho+1)*K={period} violates (rho+1)*K > C_G bound ({gp.c_g_bound})")
     return period
+
+
+def check_slave_sizing(rho: int, K2: int, gp: GraphParams) -> None:
+    """Check the slave period of the layer clock: K2 >= max(4*rho + 1,
+    C_G bound - 1).  The 4*rho + 1 term lets the window-2*rho `delay`
+    tell every pair within distance 2*rho apart."""
+    floor = max(4 * rho + 1, gp.c_g_bound - 1)
+    if K2 < floor:
+        raise SizingError(f"K2={K2} violates K2 >= {floor}")
 
 
 # The status of one clock register at one process (see `clock_layer`).

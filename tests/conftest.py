@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from rhosync import (DaemonPolicy, View, build_ss_dc, build_ss_ws,
-                     generate, graph_params, is_wu0, random_configuration,
-                     run, stabilization_indices)
+from rhosync import (DaemonPolicy, View, auto_sizes, build_ss_dc,
+                     build_ss_ws, generate, graph_params, is_wu0,
+                     random_configuration, run, stabilization_indices)
 
 
 ACCEPTANCE_LINES = []
@@ -41,14 +41,17 @@ def grid23():
 
 def make_ws(topo, rho, **kw):
     gp = graph_params(topo)
-    return build_ss_ws(rho, gp.c_g_bound + 1, gp.t_g, gp, **kw)
+    alpha, K, _ = auto_sizes(rho, gp)
+    return build_ss_ws(rho, K, alpha, gp, **kw)
 
 
 def make_dc(topo, rho, plugin, **kw):
+    """The layer clock at the auto sizes; a `K2` keyword replaces the
+    slave's."""
     gp = graph_params(topo)
-    kw.setdefault("K2", max(4 * rho + 1, gp.c_g_bound + 1))
-    return build_ss_dc(rho, gp, K=gp.c_g_bound + 1, alpha=gp.t_g,
-                       plugin=plugin, **kw)
+    alpha, K, K2 = auto_sizes(rho, gp)
+    kw.setdefault("K2", K2)
+    return build_ss_dc(rho, gp, K=K, alpha=alpha, plugin=plugin, **kw)
 
 
 def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,

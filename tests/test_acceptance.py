@@ -12,12 +12,13 @@ import random
 
 import pytest
 
-from rhosync import (DaemonPolicy, build_event_graph, check_closure,
-                     check_wavelet, cut_for_level, extract_cs_records,
-                     generate, graph_params, is_wu, is_wu0, lift,
-                     lra_monitor_start, make_infimum, make_lra_plugin,
-                     metrics, monitor_safety, random_configuration,
-                     round_count, run, stabilization_indices, trivial_plugin,
+from rhosync import (DaemonPolicy, auto_sizes, build_event_graph,
+                     check_closure, check_wavelet, cut_for_level,
+                     extract_cs_records, generate, graph_params, is_wu,
+                     is_wu0, lift, lra_monitor_start, make_infimum,
+                     make_lra_plugin, metrics, monitor_safety,
+                     random_configuration, round_count, run,
+                     stabilization_indices, trivial_plugin,
                      verify_ball_infimum, verify_delay_agreement)
 from rhosync.infimum import attach_infimum
 from conftest import (ACCEPTANCE_LINES, make_dc, make_ws, stabilized_dc,
@@ -41,8 +42,7 @@ def _dc_cell(kind, topo, daemon, seed, rho=1, break_cond=False):
 
     Returns a summary dict; raises if the run never stabilizes.
     """
-    gp = graph_params(topo)
-    k2 = max(4 * rho + 1, gp.c_g_bound + 1)
+    _, _, k2 = auto_sizes(rho, graph_params(topo))
     if kind == "trivial":
         plugin = trivial_plugin()
     else:
@@ -50,7 +50,7 @@ def _dc_cell(kind, topo, daemon, seed, rho=1, break_cond=False):
         if break_cond:
             # negative control for the safety monitor
             plugin = dataclasses.replace(plugin, cond=lambda view: True)
-    proto = make_dc(topo, rho, plugin, K2=k2)
+    proto = make_dc(topo, rho, plugin)
     s1, s2 = proto.clock_registers["r1"], proto.clock_registers["r2"]
     wu_both = lambda c: (is_wu(c, topo, s1, "r1")
                          and is_wu(c, topo, s2, "r2"))
@@ -319,7 +319,7 @@ def test_criterion_7_fairness(ring8, lme_matrix):
             if c["fairness"] > fb or (c["service"] or 0) > sb:
                 over += 1
     # the ring C8, rho=2 reference point
-    proto, _ = _ring8_lme2(ring8)
+    proto = _ring8_lme2(ring8)
     tr, wu = stabilized_dc(proto, ring8, "synchronous", seed=2,
                            max_steps=4000)
     lt1 = lift(tr.suffix(wu), "r1")
@@ -336,10 +336,8 @@ def test_criterion_7_fairness(ring8, lme_matrix):
 
 
 def _ring8_lme2(ring8):
-    gp = graph_params(ring8)
-    k2 = max(4 * 2 + 1, gp.c_g_bound + 1)
-    plugin = make_lra_plugin("lme", ring8, 2, k2)
-    return make_dc(ring8, 2, plugin, K2=k2), k2
+    _, _, k2 = auto_sizes(2, graph_params(ring8))
+    return make_dc(ring8, 2, make_lra_plugin("lme", ring8, 2, k2))
 
 
 # ---------------------------------------------------------------------------

@@ -406,9 +406,15 @@ MALFORMED_FIELDS = {
                                                          fired={}),
     "step_fired_key_padded": lambda lines: lines[2]["fired"].update(
         {"01": lines[2]["fired"].pop("1")}),
-    # a step line or an event is exactly what the replay writes
+    # every line, and every event, is exactly what the replay writes
     "step_extra_key": lambda lines: lines[2].update(note="extra"),
     "event_extra_key": lambda lines: _first_event(lines).update(note="extra"),
+    "header_extra_key": lambda lines: lines[0].update(note="extra"),
+    "config_extra_key": lambda lines: lines[1].update(note="extra"),
+    "footer_extra_key": lambda lines: lines[-1].update(note="extra"),
+    # the same graph, written in another order than `Topology.edges`
+    "header_edges_reordered": lambda lines: lines[0]["edges"].reverse(),
+    "header_edge_flipped": lambda lines: lines[0]["edges"][0].reverse(),
     # integer fields are ints: Python compares 6.0 and True equal to 6, 1
     "header_n_float": lambda lines: lines[0].update(n=6.0),
     "footer_steps_float": lambda lines: lines[-1].update(steps=40.0),
@@ -448,7 +454,8 @@ def test_check_refuses_a_bool_step_count(tmp_path, capsys):
     lines[-1]["steps"] = True
     open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     assert run_cli(["check", trace_file]) == 2
-    assert "footer declares True steps" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: malformed footer: it differs from the replay in ['steps']\n")
 
 
 def test_check_names_the_keys_a_step_line_gets_wrong(tmp_path, capsys):
@@ -513,7 +520,8 @@ def test_check_refuses_a_mistyped_number(tmp_path, capsys, edit):
     open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     assert run_cli(["check", trace_file]) == 2
     assert capsys.readouterr().err == (
-        "error: replayed final configuration diverges\n"
+        "error: malformed footer: it differs from the replay in "
+        "['final_states']\n"
         if edit == "final_state" else
         f"error: malformed step {event_step}: the replay at step "
         f"{event_step} differs in ['events']\n")
@@ -652,7 +660,8 @@ HEADER_LIES = {
                                "stop_reason 'quiescence'"),
     "stop_reason_list": (_header(stop_reason=[1]), "stop_reason [1]"),
     "stop_reason_missing": (lambda lines: lines[0].pop("stop_reason"),
-                            "stop_reason 'incomplete'"),
+                            "malformed header: it differs from the replay "
+                            "in ['stop_reason']"),
     "steps_above_budget": (_header_scenario(steps="30"),
                            "40 steps, above the step budget 30"),
     "steps_below_budget": (_header_scenario(steps="50"),
@@ -660,9 +669,11 @@ HEADER_LIES = {
                            "enabled"),
     # the scenario determines the graph and the start it names
     "topo_other_graph": (_header_scenario(topo="path:6"),
-                         "header edges are not topo 'path:6'"),
+                         "malformed header: it differs from the replay in "
+                         "['edges']"),
     "init_other_start": (_header_scenario(init="wu0_uniform"),
-                         "initial configuration is not init 'wu0_uniform'"),
+                         "malformed config line: it differs from the replay "
+                         "in ['states']"),
 }
 
 

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from rhosync import (DaemonPolicy, SizingError, build_ss_dc, delay,
-                     graph_params, lift, run, stabilization_indices,
+from rhosync import (DaemonPolicy, SizingError, auto_sizes, build_ss_dc,
+                     delay, graph_params, lift, run, stabilization_indices,
                      trivial_plugin, uniform_configuration,
                      verify_delay_agreement)
 from conftest import ADVERSARIAL, make_dc, stabilized_dc
@@ -24,12 +24,13 @@ def test_build_rejects_bad_rho(ring8):
 
 def test_build_rejects_small_alpha(ring8):
     gp = graph_params(ring8)
+    _, K, _ = auto_sizes(2, gp)
     with pytest.raises(SizingError):
-        build_ss_dc(2, gp, K=gp.c_g_bound + 1, K2=9, alpha=gp.t_g - 1,
+        build_ss_dc(2, gp, K=K, K2=9, alpha=gp.t_g - 1,
                     plugin=trivial_plugin())
     # a topology with a lower T_G bound admits the same tail depth
-    proto = build_ss_dc(2, replace(gp, t_g=gp.t_g - 1), K=gp.c_g_bound + 1,
-                        K2=9, alpha=gp.t_g - 1, plugin=trivial_plugin())
+    proto = build_ss_dc(2, replace(gp, t_g=gp.t_g - 1), K=K, K2=9,
+                        alpha=gp.t_g - 1, plugin=trivial_plugin())
     assert proto.clock_registers["r2"].alpha == gp.t_g - 1
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (CsRecord, compat_gme, compat_lme, compat_rw,
-                     delay, extract_cs_records, graph_params,
+from rhosync import (CsRecord, auto_sizes, compat_gme, compat_lme,
+                     compat_rw, delay, extract_cs_records, graph_params,
                      greedy_distance_coloring, lra_monitor_start, lra_oplus,
                      lift, make_lra_plugin, metrics, monitor_liveness,
                      monitor_safety, trivial_plugin)
@@ -20,10 +20,8 @@ from conftest import ADVERSARIAL, make_dc, stabilized_dc
 
 
 def make_lra(topo, rho, kind, **kw):
-    gp = graph_params(topo)
-    k2 = max(4 * rho + 1, gp.c_g_bound + 1)
-    plugin = make_lra_plugin(kind, topo, rho, k2, **kw)
-    return make_dc(topo, rho, plugin, K2=k2), k2
+    _, _, k2 = auto_sizes(rho, graph_params(topo))
+    return make_dc(topo, rho, make_lra_plugin(kind, topo, rho, k2, **kw)), k2
 
 
 INT_LEQ = lambda a, b: a <= b
@@ -233,11 +231,10 @@ def test_safety_after_stabilization(ring8, kind, daemon):
 
 
 def test_break_cond_violates_safety(ring8):
-    gp = graph_params(ring8)
-    k2 = max(4 * 2 + 1, gp.c_g_bound + 1)
+    _, _, k2 = auto_sizes(2, graph_params(ring8))
     plugin = dataclasses.replace(make_lra_plugin("lme", ring8, 2, k2),
                                  cond=lambda view: True)
-    proto = make_dc(ring8, 2, plugin, K2=k2)
+    proto = make_dc(ring8, 2, plugin)
     tr, wu = stabilized_dc(proto, ring8, "central", seed=13, max_steps=40000)
     start = wu + lra_monitor_start(lift(tr.suffix(wu), "r1"))
     viol = monitor_safety(extract_cs_records(tr.suffix(start)), ring8, 2,

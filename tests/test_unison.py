@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from array import array
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
-                     SizingError, build_ss_ws, delay, generate, graph_params,
-                     intrinsic_delays, is_wu, is_wu0, lift,
-                     random_configuration, run, trivial_plugin,
+                     SizingError, auto_sizes, build_ss_dc, build_ss_ws, delay,
+                     generate, graph_params, intrinsic_delays, is_wu, is_wu0,
+                     lift, random_configuration, run, trivial_plugin,
                      uniform_configuration)
 from conftest import (ADVERSARIAL, make_dc, make_ws, stabilized_dc,
                       stabilized_suffix)
@@ -181,6 +182,39 @@ def test_build_ss_ws_sizing_enforced():
     with pytest.raises(SizingError):
         build_ss_ws(1, 4, 8, gp)  # period 8 not > C_G
     assert build_ss_ws(1, 5, 8, gp).clock_registers["r"].period == 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), p=st.floats(0, 1), seed=st.integers(0, 10_000),
+       rho=st.integers(1, 3))
+def test_builders_accept_auto_sizes_and_refuse_one_below_each_floor(
+        n, p, seed, rho):
+    gp = graph_params(generate("random_connected", n=n, p=p, seed=seed))
+    alpha, K, K2 = auto_sizes(rho, gp)
+    build_ss_ws(rho, K, alpha, gp)
+    build_ss_dc(rho, gp, K=K, K2=K2, alpha=alpha, plugin=trivial_plugin())
+    # the least K with (rho+1)*K > C_G bound, and the least K2
+    k_floor = gp.c_g_bound // (rho + 1) + 1
+    k2_floor = max(4 * rho + 1, gp.c_g_bound - 1)
+    build_ss_dc(rho, gp, K=k_floor, K2=k2_floor, alpha=gp.t_g,
+                plugin=trivial_plugin())
+    below = {
+        "alpha": ((alpha - 1, K, K2),
+                  f"alpha={alpha - 1} violates alpha >= T_G bound "
+                  f"({gp.t_g})"),
+        "K": ((alpha, k_floor - 1, K2),
+              f"(rho+1)*K={(rho + 1) * (k_floor - 1)} violates (rho+1)*K > "
+              f"C_G bound ({gp.c_g_bound})"),
+        "K2": ((alpha, K, k2_floor - 1),
+               f"K2={k2_floor - 1} violates K2 >= {k2_floor}"),
+    }
+    for name, ((a, k, k2), message) in below.items():
+        if name != "K2":
+            with pytest.raises(SizingError, match=re.escape(message)):
+                build_ss_ws(rho, k, a, gp)
+        with pytest.raises(SizingError, match=re.escape(message)):
+            build_ss_dc(rho, gp, K=k, K2=k2, alpha=a,
+                        plugin=trivial_plugin())
 
 
 def test_ss_ws_period_and_meta(ring8):
