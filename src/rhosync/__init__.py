@@ -12,10 +12,12 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
                        cyclomatic_bound, generate, graph_params,
                        greatest_hole, load_topology, parse_edge_list)
 from .kernel import (DAEMONS, Action, Configuration, DaemonPolicy,
-                     EngineFault, HookEvent, ProtocolDef, RegisterSpec, Trace,
-                     TransitionRecord, View, check_attractor, check_closure,
-                     first_enabled_map, int_range, random_configuration,
-                     round_count, rounds, run, step, uniform_configuration)
+                     DroppedConfiguration, EngineFault, HeldConfigs,
+                     HookEvent, ProtocolDef, RegisterSpec, RoundCounter,
+                     Trace, TransitionRecord, View, check_attractor,
+                     check_closure, first_enabled_map, int_range,
+                     random_configuration, round_count, rounds, run, step,
+                     uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
                      SizingError, auto_sizes, build_ss_ws, delay,
                      intrinsic_delays, is_wu, is_wu0, lift)
@@ -23,10 +25,10 @@ from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cut_for_level,
                         cut_leq, is_coherent)
 from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
-                      attach_infimum, make_infimum, pipeline_step,
-                      verify_ball_infimum)
+                      attach_infimum, make_infimum, oracle_levels,
+                      pipeline_step, verify_ball_infimum)
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,
-                         stabilization_indices, trivial_plugin,
+                         layer_status, stabilization_indices, trivial_plugin,
                          verify_delay_agreement)
 from .lra import (CsRecord, Metrics, compat_gme, compat_lme, compat_rw,
                   extract_cs_records, greedy_distance_coloring,

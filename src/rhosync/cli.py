@@ -20,15 +20,17 @@ import random
 import sys
 import tempfile
 import zlib
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, fields, replace
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
-from .infimum import attach_infimum, make_infimum, verify_ball_infimum
-from .kernel import (DAEMONS, Configuration, DaemonPolicy, Trace,
-                     TransitionRecord, first_enabled_map,
-                     random_configuration, round_count, run, step,
+from .infimum import (attach_infimum, make_infimum, oracle_levels,
+                      verify_ball_infimum)
+from .kernel import (DAEMONS, Configuration, DaemonPolicy, HeldConfigs,
+                     ProtocolDef, RoundCounter, Trace, TransitionRecord,
+                     first_enabled_map, random_configuration, run, step,
                      uniform_configuration)
-from .layerclock import build_ss_dc, stabilization_indices, trivial_plugin, \
+from .layerclock import build_ss_dc, layer_status, trivial_plugin, \
     verify_delay_agreement
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
                   metrics, monitor_liveness, monitor_safety)
@@ -77,7 +79,7 @@ class Scenario:
 _PROTOS = {"ss_ws", "trivial", "lme", "gme", "rw"}
 _INIT_MODES = {"wu0_uniform", "random_arbitrary", "adversarial_file"}
 # The values a field may hold, by the type of its default, and how to say so.
-_FIELD_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+_FIELD_TYPES = {int: (int, "an integer"), float: (float, "a number"),
                 str: (str, "a string")}
 
 
@@ -103,7 +105,8 @@ def scenario_from(config: dict[str, object],
                   overrides: dict[str, object]) -> Scenario:
     """Merge defaults, config-file entries, then explicit flag overrides
     (None means unset).  A string given for a numeric field is parsed as
-    the type of that field's default."""
+    the type of that field's default, and an int given for a float field
+    becomes a float."""
     values = {**config,
               **{k: v for k, v in overrides.items() if v is not None}}
     kinds = {f.name: type(f.default) for f in fields(Scenario)}
@@ -116,18 +119,22 @@ def scenario_from(config: dict[str, object],
             except ValueError as exc:
                 raise ScenarioError(
                     f"{key} must be {_FIELD_TYPES[kinds[key]][1]}") from exc
+        elif kinds[key] is float and type(val) is int:
+            values[key] = float(val)
     scn = Scenario(**values)
     validate_scenario(scn)
     return scn
 
 
 def validate_scenario(scn: Scenario) -> None:
-    """Check each field's type against its default's, then its value."""
+    """Check each field's type against its default's (1 is not a float),
+    then its value."""
     for f in fields(Scenario):
         val = getattr(scn, f.name)
         accepted, what = _FIELD_TYPES[type(f.default)]
         if isinstance(val, bool) or not isinstance(val, accepted):
-            raise ScenarioError(f"{f.name} must be {what}, got {val!r}")
+            raise ScenarioError(f"{f.name} must be {what} "
+                                f"({accepted.__name__}), got {val!r}")
     if scn.proto not in _PROTOS:
         raise ScenarioError(f"unknown proto {scn.proto!r}")
     if scn.daemon not in DAEMONS:
@@ -279,17 +286,136 @@ def auto_steps(scn: Scenario, topo: Topology, proto) -> int:
     return 3 * topo.node_count * ticks
 
 
-def run_scenario(scn: Scenario) -> Trace:
+def run_scenario(scn: Scenario) -> LiveTrace:
+    """Run a scenario into a `LiveTrace`, analyzed as the steps come."""
     topo = make_topology(scn.topo)
     proto = build_protocol(scn, topo)
     init = make_init(scn, proto, topo)
     daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     budget = auto_steps(scn, topo, proto)
-    return run(proto, topo, daemon, init, max_steps=budget)
+    return run(proto, topo, daemon, init, max_steps=budget,
+               trace=LiveTrace(proto, topo, init))
 
 
 # ---------------------------------------------------------------------------
 # Analysis shared by run, check, and sweep
+
+
+# The steps a `LiveTrace` lifts at a time: it holds at most this many
+# configurations besides the first and the last.
+_LIFT_BATCH = 16
+
+
+class LiveTrace(Trace):
+    """A trace that runs the analysis's scans as its steps are appended and
+    keeps only what `analyze` reads later.
+
+    It keeps every record, and of the configurations (`HeldConfigs`) the
+    first, the last and, for an `ss_ws` with an infimum attached, the
+    states that `verify_ball_infimum` reads (`infimum.oracle_levels`),
+    besides those not lifted yet.  As the steps come it finds:
+      - `stab_index`, the first configuration with every clock register in
+        WU0, as `lift` requires; for the layer clock also `wu1_index`, the
+        first in WU1 (see `layer_status`);
+      - `stab_round`, the number of rounds before the stabilization index;
+      - from that index on, the lifting of each clock register (`lifted`),
+        extended every `_LIFT_BATCH` steps.
+    A monitor that fails, say with a LiftError, stops; the steps go on, and
+    `analyze` raises the fault (`faults`, by monitor: `stabilization` or a
+    clock register).
+    """
+
+    def __init__(self, proto: ProtocolDef, topo: Topology,
+                 init: Configuration):
+        super().__init__(proto, topo, HeldConfigs(init), [])
+        self.wu1_index: int | None = None
+        self.stab_index: int | None = None
+        self.stab_round: int | None = None
+        self.faults: dict[str, Exception] = {}
+        self._rounds = RoundCounter(proto, topo, init)
+        # Each clock register's lifting from the stabilization index on,
+        # whose trace `lifted` sets to the suffix, and the configurations
+        # from the last one lifted on.
+        self._lifted: dict[str, LiftedTrace] = {}
+        self._unlifted: list[Configuration] = []
+        self._held_levels: range | None = None
+        self._scan(init)
+
+    def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
+        Trace.append(self, cfg, rec)
+        if self.stab_index is not None:
+            self._unlifted.append(cfg)
+            if len(self._unlifted) > _LIFT_BATCH:
+                self._lift()
+        elif not self.faults:
+            self._scan(cfg, rec)
+
+    def lifted(self, reg: str) -> LiftedTrace:
+        """The lifting of clock register `reg` over the suffix from the
+        stabilization index."""
+        self._lift()
+        return replace(self._lifted[reg], trace=self.suffix(self.stab_index))
+
+    def _lift(self) -> None:
+        """Extend each lifting over the steps not lifted yet."""
+        configs = self._unlifted
+        steps = len(configs) - 1
+        if not steps:
+            return
+        i = len(self.records) - steps - self.stab_index  # in the suffix
+        records = self.records[-steps:]
+        for reg, lt in self._lifted.items():
+            if reg not in self.faults:
+                try:
+                    lt.extend(i, records, configs)
+                except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+                    self.faults[reg] = exc
+        if self._held_levels is not None:
+            self._hold(i, configs)
+        self._unlifted = [configs[-1]]
+
+    def _hold(self, i: int, configs: list[Configuration]) -> None:
+        """Keep each process's state at each level of `_held_levels` that
+        it reaches in `configs`, configurations i, i+1, ... of the suffix;
+        stop once every process is past those levels."""
+        lt, levels = self._lifted["r"], self._held_levels
+        end = i + len(configs) - 1
+        for p in self.topo.nodes:
+            for k in range(max(lt.value(i, p) + 1, levels.start),
+                           min(lt.value(end, p) + 1, levels.stop)):
+                t = lt.level_time(p, k)
+                self.configs.hold(self.stab_index + t, p, configs[t - i][p])
+        if lt.top_level() >= levels.stop:
+            self._held_levels = None
+
+    def _scan(self, cfg: Configuration,
+              rec: TransitionRecord | None = None) -> None:
+        """Count the step `rec` that led to `cfg` among the rounds, then
+        start the liftings at `cfg` if it is stable."""
+        proto, topo, i = self.protocol, self.topo, len(self.records)
+        try:
+            if rec is not None:
+                self._rounds.step(rec, cfg)
+            if proto.name == "ss_ws":
+                stable = is_wu0(cfg, topo, proto.clock_registers["r"], "r")
+            else:
+                w1, stable = layer_status(cfg, proto, topo)
+                if w1 and self.wu1_index is None:
+                    self.wu1_index = i
+            if stable:
+                start = self.suffix(i)  # `cfg` alone
+                self._lifted = {reg: lift(start, reg)
+                                for reg in proto.clock_registers}
+        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+            self.faults["stabilization"] = exc
+            return
+        if stable:
+            self.stab_index, self.stab_round = i, len(self._rounds.boundaries)
+            self._rounds = None
+            self._unlifted = [cfg]
+            if "infimum" in proto.meta:
+                self._held_levels = oracle_levels(self._lifted["r"],
+                                                  proto.meta["delta"])
 
 
 def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
@@ -323,41 +449,52 @@ def ss_ws_stabilization_index(trace: Trace) -> int | None:
 
 
 def analyze(scn: Scenario, trace: Trace) -> dict:
-    """Post-run monitors appropriate to the protocol; the 'violations' total
-    drives the exit code.  Every monitor reads the one lifting of each
-    clock register of the suffix from the stabilization index on."""
-    topo = trace.topo
+    """Monitors appropriate to the protocol; the 'violations' total drives
+    the exit code.  A `LiveTrace` ran the scans as its steps came; any
+    other trace is fed to one here, so both take the same path.  Every
+    monitor reads the one lifting of each clock register of the suffix
+    from the stabilization index on.  A fault a monitor met while the steps
+    came is raised here."""
+    if not isinstance(trace, LiveTrace):
+        live = LiveTrace(trace.protocol, trace.topo, trace.configs[0])
+        for cfg, rec in zip(trace.configs[1:], trace.records):
+            live.append(cfg, rec)
+        live.stop_reason = trace.stop_reason
+        trace = live
+    proto, topo = trace.protocol, trace.topo
+    stab = trace.stab_index
+    lifted = {} if stab is None else {
+        reg: trace.lifted(reg) for reg in proto.clock_registers}
+    for monitor in ("stabilization", *proto.clock_registers):
+        if monitor in trace.faults:
+            raise trace.faults[monitor]
     rho = scn.rho
     report: dict = {"stop_reason": trace.stop_reason,
                     "steps": len(trace.records), "n": topo.node_count}
-    ws = trace.protocol.name == "ss_ws"
-    if ws:
-        stab = ss_ws_stabilization_index(trace)
-    else:
-        report["wu1_index"], stab = stabilization_indices(trace)
+    ws = proto.name == "ss_ws"
+    if not ws:
+        report["wu1_index"] = trace.wu1_index
     report["stab_index"] = stab
     if stab is None:
         report["violations"] = 1
         report["notes"] = ["did not stabilize within the step budget"]
         return report
-    report["stab_round"] = round_count(trace, stab)
-    suffix = trace.suffix(stab)
+    report["stab_round"] = trace.stab_round
     violations = 0
     if ws:
-        lt = lift(suffix)
+        lt = lifted["r"]
         levels = check_wavelet_levels(lt, rho)
         report["wavelet_levels"] = len(levels)
         bad = [k for k, ok in levels if not ok]
         report["wavelet_failures"] = bad
         violations += len(bad)
         if scn.infimum:
-            verdict = verify_ball_infimum(lt, trace.protocol.meta["infimum"],
-                                          rho)
+            verdict = verify_ball_infimum(lt, proto.meta["infimum"], rho)
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
     else:
-        lt1, lt2 = lift(suffix, "r1"), lift(suffix, "r2")
+        lt1, lt2 = lifted["r1"], lifted["r2"]
         agree = verify_delay_agreement(lt2, rho, sample_every=5)
         report["delay_pairs"] = agree.pairs_checked
         report["delay_disagreements"] = len(agree.disagreements)
@@ -375,7 +512,7 @@ def analyze(scn: Scenario, trace: Trace) -> dict:
         report["monitor_start"] = stab + mon
         lt1 = lt1.suffix(mon)
         recs = extract_cs_records(lt1.trace)
-        compat = trace.protocol.meta["plugin"].compat
+        compat = proto.meta["plugin"].compat
         safety = monitor_safety(recs, topo, rho, compat)
         report["safety_violations"] = len(safety)
         violations += len(safety)
@@ -462,9 +599,42 @@ def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
         fh.write(json.dumps(_encode_footer(trace)) + "\n")
 
 
-def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], dict]:
+def _last_line(path: str) -> bytes:
+    """The last non-blank line of the file at `path` (its only line, or
+    b"" if it has none), read backwards from its end."""
+    with open(path, "rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while pos:
+            size = min(pos, 1 << 16)
+            pos -= size
+            fh.seek(pos)
+            tail = fh.read(size) + tail
+            body = tail.rstrip()
+            if body and b"\n" in body:
+                break
+        return tail.rstrip().rpartition(b"\n")[2]
+
+
+def _lines_but_last(fh) -> Iterator[str]:
+    """Yield the non-blank lines of the open text file `fh` but its last,
+    one at a time; close `fh` when done."""
+    with fh:
+        held = None
+        try:
+            for line in fh:
+                if line.strip():
+                    if held is not None:
+                        yield held
+                    held = line
+        except UnicodeDecodeError as exc:
+            raise CorruptTraceError(f"malformed trace line: {exc}") from exc
+
+
+def parse_trace(path: str
+                ) -> tuple[Scenario, LiveTrace, Iterator[str], dict]:
     """Parse a trace file and hold its header and config line to what
-    `write_trace` writes for them (`_check_line`), without decoding its
+    `write_trace` writes for them (`_check_line`), without reading its
     step lines.
 
     The header's scenario determines the graph and the start, unless it
@@ -473,23 +643,40 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], dict]:
     reason must be there; `read_trace` decides its value after the replay.
 
     Returns (scenario, trace, step_lines, footer): `trace` holds the
-    protocol, topology, header stop reason and initial configuration only;
-    `step_lines` are the undecoded text of the step lines (see
-    `_decode_step`); `footer` is the footer line as JSON gives it.  Raises
-    CorruptTraceError on malformed input.
+    protocol, topology, header stop reason and initial configuration only,
+    as a `LiveTrace`; `step_lines` yields the undecoded step lines (see
+    `_decode_step`) from the open file, which it closes when exhausted or
+    closed; `footer` is the last line as JSON gives it, read first.
+    Raises CorruptTraceError on malformed input.
     """
+    lines = None
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-    except OSError as exc:
-        raise CorruptTraceError(f"cannot read trace {path}: {exc}") from exc
-    if len(lines) < 3:
-        raise CorruptTraceError("trace is truncated or missing header/footer")
+        footer_text = _last_line(path)
+        lines = _lines_but_last(open(path, encoding="utf-8"))
+        head = list(itertools.islice(lines, 2))
+        if len(head) < 2:
+            raise CorruptTraceError(
+                "trace is truncated or missing header/footer")
+        scn, trace, footer = _parse_ends(*head, footer_text)
+    except BaseException as exc:
+        if lines is not None:
+            lines.close()
+        if isinstance(exc, OSError):
+            raise CorruptTraceError(
+                f"cannot read trace {path}: {exc}") from exc
+        raise
+    return scn, trace, lines, footer
+
+
+def _parse_ends(header_text: str, config_text: str, footer_text: bytes
+                ) -> tuple[Scenario, LiveTrace, dict]:
+    """The scenario and the initial trace of `parse_trace`, and the footer
+    line, from the text of the header, config and footer lines."""
     try:
-        header, config_line, footer = (json.loads(lines[0]),
-                                       json.loads(lines[1]),
-                                       json.loads(lines[-1]))
-    except json.JSONDecodeError as exc:
+        header, config_line, footer = (json.loads(header_text),
+                                       json.loads(config_text),
+                                       json.loads(footer_text))
+    except ValueError as exc:
         raise CorruptTraceError(f"malformed trace line: {exc}") from exc
     if not all(isinstance(x, dict) for x in (header, config_line, footer)) \
             or header.get("type") != "header" \
@@ -527,9 +714,9 @@ def parse_trace(path: str) -> tuple[Scenario, Trace, list[str], dict]:
     else:
         cfg = make_init(scn, proto, topo)
     _check_line("config line", config_line, _encode_config(cfg))
-    trace = Trace(proto, topo, [cfg], [], stop_reason=header["stop_reason"])
-    del lines[-1], lines[:2]  # the step lines remain
-    return scn, trace, lines, footer
+    trace = LiveTrace(proto, topo, cfg)
+    trace.stop_reason = header["stop_reason"]
+    return scn, trace, footer
 
 
 def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
@@ -600,8 +787,9 @@ def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
     return "quiescence"
 
 
-def read_trace(path: str) -> tuple[Scenario, Trace]:
-    """Load and replay a trace file.
+def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
+    """Load and replay a trace file into a `LiveTrace`, analyzed as the
+    replay goes.
 
     Every line must be the JSON value that `write_trace` writes in its
     place: the header and config line for the header's scenario
@@ -612,8 +800,9 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
     stop reason (`_replayed_stop_reason`).  A number's type counts (5.0 is
     not 5, nor true 1); whitespace and key order do not (see
     `_json_text`).  Any divergence, truncation or malformed line raises
-    CorruptTraceError, the first in file order, the stop reason after the
-    steps.  Each step line is decoded only when the replay reaches it.  A
+    CorruptTraceError, the first in file order, except that a footer that
+    is no footer line comes first and the stop reason after the steps.
+    The file is read one step line at a time as the replay reaches it.  A
     step evaluates the guards of the selected processes only, unless the
     daemon's rule reads the enabled set (`synchronous`): then it fires the
     hits found.
@@ -629,27 +818,29 @@ def read_trace(path: str) -> tuple[Scenario, Trace]:
         hits.update(first_enabled_map(cfg, proto, topo))
         return hits
 
-    step_lines.reverse()  # popped from the end: the replay frees each line
-    for i in range(len(step_lines)):
-        line, selected = _decode_step(step_lines.pop(), i, n)
-        hits.clear()
-        refusal = daemon.refusal(selected, topo, enabled)
-        if refusal:
-            raise CorruptTraceError(f"step {i} {refusal}")
-        try:
-            cfg, rec = step(cfg, selected, proto, topo, hits)
-        except Exception as exc:
-            raise CorruptTraceError(f"replay failed at step {i}: {exc}") from exc
-        replayed = _encode_step(i, rec)
-        # `==` takes 5.0 for 5 and true for 1.  Outside the events each
-        # value is a str or an int `_decode_step` checked, and repr tells
-        # an event's numbers apart; any doubt is settled key by key.
-        if line != replayed or repr(line["events"]) != repr(
-                replayed["events"]):
-            if keys := _differing_keys(line, replayed):
-                raise CorruptTraceError(f"malformed step {i}: the replay at "
-                                        f"step {i} differs in {keys}")
-        trace.append(cfg, rec)
+    with contextlib.closing(step_lines):
+        for i, text in enumerate(step_lines):
+            line, selected = _decode_step(text, i, n)
+            hits.clear()
+            refusal = daemon.refusal(selected, topo, enabled)
+            if refusal:
+                raise CorruptTraceError(f"step {i} {refusal}")
+            try:
+                cfg, rec = step(cfg, selected, proto, topo, hits)
+            except Exception as exc:
+                raise CorruptTraceError(
+                    f"replay failed at step {i}: {exc}") from exc
+            replayed = _encode_step(i, rec)
+            # `==` takes 5.0 for 5 and true for 1.  Outside the events each
+            # value is a str or an int `_decode_step` checked, and repr tells
+            # an event's numbers apart; any doubt is settled key by key.
+            if line != replayed or repr(line["events"]) != repr(
+                    replayed["events"]):
+                if keys := _differing_keys(line, replayed):
+                    raise CorruptTraceError(
+                        f"malformed step {i}: the replay at step {i} "
+                        f"differs in {keys}")
+            trace.append(cfg, rec)
     stop = _replayed_stop_reason(scn, trace)
     if trace.stop_reason != stop:
         raise CorruptTraceError(

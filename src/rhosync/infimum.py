@@ -26,6 +26,7 @@ __all__ = [
     "attach_infimum",
     "pipeline_step",
     "verify_ball_infimum",
+    "oracle_levels",
     "InfimumVerdict",
 ]
 
@@ -177,12 +178,24 @@ class InfimumVerdict:
     # entries: (phase_level, k, process, register, got, expected)
 
 
+# The phases `verify_ball_infimum` checks, from the first phase level on.
+PHASES = 20
+
+
+def oracle_levels(lt: LiftedTrace, delta: int) -> range:
+    """The levels at which `verify_ball_infimum` reads a process's state:
+    those of its PHASES phases.  It reads p's state at level k in the
+    configuration `lt.level_time(p, k)`."""
+    first = lt.first_phase_level(delta)
+    return range(first, first + PHASES * delta)
+
+
 def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
                         rho: int) -> InfimumVerdict:
-    """Compare the first 20 phases of a lifted stabilized trace against the
-    brute-force oracle: at each intermediate cut, v1/v2 must equal the fold
-    of the phase-start v0 snapshot over the (k-1)- and k-balls, and the
-    phase-end decide payload must hold the rho-ball infimum.
+    """Compare the first PHASES phases of a lifted stabilized trace against
+    the brute-force oracle: at each intermediate cut, v1/v2 must equal the
+    fold of the phase-start v0 snapshot over the (k-1)- and k-balls, and
+    the phase-end decide payload must hold the rho-ball infimum.
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
@@ -197,9 +210,9 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
              for radius in range(rho + 1)]
     phases = 0
     k0 = start
-    while k0 + delta <= top and phases < 20:
+    while k0 + delta <= top and phases < PHASES:
         # Each process climbs from below start to top: no level is skipped.
-        snapshot = {p: trace.configs[lt.level_time(p, k0)][p]["v0"]
+        snapshot = {p: trace.state(lt.level_time(p, k0), p)["v0"]
                     for p in topo.nodes}
 
         def oracle(p: int, radius: int) -> Any:
@@ -208,7 +221,7 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
         for k in range(1, rho + 1):
             for p in topo.nodes:
                 t = lt.level_time(p, k0 + k)
-                st = trace.configs[t][p]
+                st = trace.state(t, p)
                 exp1, exp2 = oracle(p, k - 1), oracle(p, k)
                 if st["v1"] != exp1:
                     mismatches.append((k0, k, p, "v1", st["v1"], exp1))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -29,11 +30,14 @@ __all__ = [
     "DaemonPolicy",
     "HookEvent",
     "TransitionRecord",
+    "DroppedConfiguration",
+    "HeldConfigs",
     "Trace",
     "EngineFault",
     "first_enabled_map",
     "step",
     "run",
+    "RoundCounter",
     "rounds",
     "round_count",
     "check_closure",
@@ -174,8 +178,76 @@ class TransitionRecord:
     events: tuple[HookEvent, ...] = ()
 
 
+class DroppedConfiguration(LookupError):
+    """A trace that keeps only some configurations was asked for another."""
+
+
+class HeldConfigs(Sequence):
+    """The configurations of a trace that keeps only some of them: the
+    first and the last whole, and the process states given to `hold`.
+
+    Its length counts every configuration of the trace.  Reading one that
+    is not kept raises DroppedConfiguration, never another value; an index
+    out of range raises IndexError, as a list does.  A slice (step 1) keeps
+    what this one keeps in its range, renumbered from the slice's start.
+    """
+
+    def __init__(self, first: Configuration):
+        self._len = 1
+        self._whole: dict[int, Configuration] = {0: first}
+        self._states: dict[tuple[int, int], dict[str, Any]] = {}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            span = range(self._len)[i]
+            if span.step != 1:
+                raise ValueError("HeldConfigs slices take no step")
+            out = HeldConfigs.__new__(HeldConfigs)
+            out._len = len(span)
+            out._whole = {t - span.start: cfg for t, cfg in self._whole.items()
+                          if t in span}
+            out._states = {(t - span.start, p): st
+                           for (t, p), st in self._states.items() if t in span}
+            return out
+        t = range(self._len)[i]
+        try:
+            return self._whole[t]
+        except KeyError:
+            raise DroppedConfiguration(
+                f"configuration {t} of {self._len} was not kept") from None
+
+    def append(self, cfg: Configuration) -> None:
+        """Make `cfg` the last configuration, dropping the previous last
+        unless it is the first."""
+        if self._len > 1:
+            self._whole.pop(self._len - 1, None)
+        self._whole[self._len] = cfg
+        self._len += 1
+
+    def hold(self, t: int, p: int, state: dict[str, Any]) -> None:
+        """Keep `state`, process p's state in configuration t."""
+        self._states[t, p] = state
+
+    def state(self, t: int, p: int) -> dict[str, Any]:
+        """Process p's state in configuration t, if kept."""
+        cfg = self._whole.get(t)
+        if cfg is not None:
+            return cfg[p]
+        try:
+            return self._states[t, p]
+        except KeyError:
+            raise DroppedConfiguration(
+                f"process {p} in configuration {t} was not kept") from None
+
+
 @dataclass
 class Trace:
+    """A run: its configurations, a list or `HeldConfigs`, and one record
+    per step between two of them."""
+
     protocol: ProtocolDef
     topo: Topology
     configs: list[Configuration]
@@ -200,6 +272,12 @@ class Trace:
             (*fired, *fired.values()), fired)
         self.configs.append(cfg)
         self.records.append(rec)
+
+    def state(self, t: int, p: int) -> dict[str, Any]:
+        """Process p's state in configuration t."""
+        if isinstance(self.configs, HeldConfigs):
+            return self.configs.state(t, p)
+        return self.configs[t][p]
 
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.
@@ -411,13 +489,16 @@ def random_configuration(proto: ProtocolDef, topo: Topology,
 def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
         init: Configuration, *, max_steps: int,
         stop_predicate: Callable[[Configuration], bool] | None = None,
-        ) -> Trace:
+        trace: Trace | None = None) -> Trace:
     """Execute until quiescence, the stop predicate, or the step budget.
 
     Deterministic for a fixed daemon seed.  Budget exhaustion is reported
-    via Trace.stop_reason == 'budget', not raised.
+    via Trace.stop_reason == 'budget', not raised.  The steps go to
+    `trace`, which must end in `init`, or else to a new Trace that keeps
+    every configuration; it is returned.
     """
-    trace = Trace(proto, topo, [init], [])
+    if trace is None:
+        trace = Trace(proto, topo, [init], [])
     select = daemon.scheduler(topo)
     cfg = init
     first = first_enabled_map(cfg, proto, topo)
@@ -439,39 +520,59 @@ def run(proto: ProtocolDef, topo: Topology, daemon: DaemonPolicy,
     return trace
 
 
+class RoundCounter:
+    """The round boundaries of a run, found as its steps arrive.
+
+    A round starts at the configuration after the last boundary; it ends,
+    at a new boundary, once every process enabled at its start has acted
+    or been neutralized.  A process still pending at step j is enabled in
+    configuration j, so the step neutralizes it iff it did not fire and is
+    disabled in configuration j+1.  By the locality contract only the
+    closed neighborhood of the fired processes can change status, so only
+    the pending processes in it are evaluated.  Counting stops for good at
+    a round start where no process is enabled.
+    """
+
+    def __init__(self, proto: ProtocolDef, topo: Topology,
+                 c0: Configuration):
+        self.proto, self.topo = proto, topo
+        self.boundaries: list[int] = []
+        self._cfg = c0  # the configuration the next step starts from
+        self._steps = 0
+        # The processes pending in the open round; None when none is open.
+        # It stays empty after a round start where none is enabled.
+        self._pending: set[int] | None = None
+
+    def step(self, rec: TransitionRecord, nxt: Configuration) -> None:
+        """Take the next step: `rec`, which produced `nxt`."""
+        proto, topo = self.proto, self.topo
+        if self._pending is None:
+            self._pending = set(first_enabled_map(self._cfg, proto, topo))
+        self._cfg = nxt
+        self._steps += 1
+        pending = self._pending
+        if not pending:
+            return
+        fired = rec.fired
+        pending.difference_update(fired)
+        for p in pending & _fired_neighborhood(fired, topo):
+            if _first_enabled(nxt, p, proto, topo) is None:
+                pending.discard(p)
+        if not pending:
+            self.boundaries.append(self._steps)
+            self._pending = None
+
+
 def rounds(t: Trace) -> list[int]:
-    """Round boundary indices of a trace.
+    """Round boundary indices of a trace (see `RoundCounter`).
 
     Returns indices i such that configuration i ends a round: every process
     enabled at the round start has acted or been neutralized by step i.
-
-    A process still pending at step j is enabled in configuration j, so
-    the step neutralizes it iff it did not fire and is disabled in
-    configuration j+1.  By the locality contract only the closed
-    neighborhood of the fired processes can change status, so only the
-    pending processes in it are evaluated.
     """
-    proto, topo, configs = t.protocol, t.topo, t.configs
-    boundaries: list[int] = []
-    i = 0
-    total = len(t.records)
-    while i < total:
-        remaining = set(first_enabled_map(configs[i], proto, topo))
-        if not remaining:
-            break
-        j = i
-        while remaining and j < total:
-            fired = t.records[j].fired
-            j += 1
-            remaining.difference_update(fired)
-            for p in remaining & _fired_neighborhood(fired, topo):
-                if _first_enabled(configs[j], p, proto, topo) is None:
-                    remaining.discard(p)
-        if remaining:
-            break  # trace ends mid-round
-        boundaries.append(j)
-        i = j
-    return boundaries
+    counter = RoundCounter(t.protocol, t.topo, t.configs[0])
+    for rec, nxt in zip(t.records, t.configs[1:]):
+        counter.step(rec, nxt)
+    return counter.boundaries
 
 
 def round_count(t: Trace, upto: int | None = None) -> int:

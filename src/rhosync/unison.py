@@ -13,10 +13,10 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
-                     View)
+                     TransitionRecord, View)
 from .topology import GraphParams, Topology
 
 __all__ = [
@@ -329,7 +329,8 @@ class LiftedTrace:
     is in WU0; base is the minimal initial lifted value (bottom_0).  A
     lifted register counts its clock's moves: `start[p]` is p's value in
     configuration 0, and `moves[p]` the ascending int64 `array('q')` of the
-    configuration indices at which it rises by one."""
+    configuration indices at which it rises by one.  `lift` builds one
+    over the steps a trace holds, and `extend` adds each later step."""
 
     trace: Trace
     reg: str
@@ -378,15 +379,36 @@ class LiftedTrace:
         return LiftedTrace(self.trace.suffix(i), self.reg, min(start),
                            start, moves)
 
+    def extend(self, i: int, records: Sequence[TransitionRecord],
+               configs: Sequence[Configuration]) -> None:
+        """Add steps i, i+1, ... of the trace, where `records[j]` took
+        `configs[j]` to `configs[j+1]`: one move of each fired process
+        whose register rose by one increment.  Raises LiftError on any
+        other change, after adding the steps before it."""
+        reg, moves = self.reg, self.moves
+        period = self.trace.protocol.clock_registers[reg].period
+        for j, rec in enumerate(records):
+            cfg, nxt = configs[j], configs[j + 1]
+            for p in rec.fired:
+                old, new = cfg[p][reg], nxt[p][reg]
+                if new == old:
+                    continue
+                if not 0 <= old < period or new != (old + 1) % period:
+                    raise LiftError(
+                        f"step {i + j}: process {p} changed {reg} from "
+                        f"{old} to {new}, not by one increment")
+                moves[p].append(i + j + 1)
+
 
 def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     """Lift ring clock values of a WU0-initial trace to the integers.
 
     The minimal process (by precedence, ties to the lowest index) anchors
     bottom_0; each concrete ring increment, read off two consecutive
-    configurations, is one move of the virtual register.  Raises
-    ValueError if the first configuration is not in WU0, and LiftError on
-    any other change of the register.
+    configurations, is one move of the virtual register
+    (`LiftedTrace.extend`, which also takes later steps as they come).
+    Raises ValueError if the first configuration is not in WU0, and
+    LiftError on any other change of the register.
     """
     proto, topo = trace.protocol, trace.topo
     sysm = proto.clock_registers[reg]
@@ -399,17 +421,6 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     p_min = min(topo.nodes, key=lambda p: (delays[p], p))
     base = c0[p_min][reg]
     start = [base + delays[p] - delays[p_min] for p in topo.nodes]
-    moves = [array("q") for _ in topo.nodes]
-    configs = trace.configs
-    for i, rec in enumerate(trace.records):
-        cfg, nxt = configs[i], configs[i + 1]
-        for p in rec.fired:
-            old, new = cfg[p][reg], nxt[p][reg]
-            if new == old:
-                continue
-            if not 0 <= old < sysm.period or new != (old + 1) % sysm.period:
-                raise LiftError(
-                    f"step {i}: process {p} changed {reg} from "
-                    f"{old} to {new}, not by one increment")
-            moves[p].append(i + 1)
-    return LiftedTrace(trace, reg, base, start, moves)
+    lt = LiftedTrace(trace, reg, base, start, [array("q") for _ in topo.nodes])
+    lt.extend(0, trace.records, trace.configs)
+    return lt

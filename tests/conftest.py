@@ -1,12 +1,15 @@
-"""Shared helpers: small topologies, run-to-stabilization utilities, and
-observers of guards and of the reads they make."""
+"""Shared helpers: small topologies, run-to-stabilization utilities,
+stored runs and replays of CLI scenarios, and observers of guards and of
+the reads they make."""
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
 from rhosync import (DaemonPolicy, View, auto_sizes, build_ss_dc,
-                     build_ss_ws, generate, graph_params, is_wu0,
+                     build_ss_ws, cli, generate, graph_params, is_wu0,
                      random_configuration, run, stabilization_indices)
 
 
@@ -89,6 +92,33 @@ def stabilized_suffix(proto, topo, daemon_kind="synchronous", seed=0,
             return tr.suffix(i), i
     raise AssertionError(
         f"no WU0 configuration within {max_steps} steps ({daemon_kind})")
+
+
+def stored_run(scn):
+    """The run that `cli.run_scenario(scn)` makes, as the stored `Trace` of
+    every configuration that `kernel.run` returns by default."""
+    topo = cli.make_topology(scn.topo)
+    proto = cli.build_protocol(scn, topo)
+    init = cli.make_init(scn, proto, topo)
+    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
+    return run(proto, topo, daemon, init,
+               max_steps=cli.auto_steps(scn, topo, proto))
+
+
+@contextlib.contextmanager
+def replayed_configs():
+    """Yield a list that collects the configurations `cli.read_trace`
+    replays within the block, one per step (its `step` calls)."""
+    configs = []
+    step = cli.step
+
+    def recording(*args, **kwargs):
+        cfg, rec = step(*args, **kwargs)
+        configs.append(cfg)
+        return cfg, rec
+
+    with mock.patch.object(cli, "step", recording):
+        yield configs
 
 
 def enabled_labels(c, p, proto, topo):

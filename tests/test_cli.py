@@ -19,6 +19,7 @@ from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
                          run_scenario, scenario_from, write_trace)
+from conftest import replayed_configs, stored_run
 
 
 # -- configuration ---------------------------------------------------------
@@ -70,6 +71,14 @@ def test_flag_overrides_beat_config():
 def test_invalid_scenarios_rejected(config):
     with pytest.raises(ScenarioError):
         scenario_from(config, {})
+
+
+def test_an_int_for_a_float_field_becomes_a_float():
+    scn = scenario_from({"p_select": 1}, {})
+    assert type(scn.p_select) is float and scn.p_select == 1.0
+    with pytest.raises(ScenarioError, match=r"p_select must be a number "
+                                            r"\(float\), got 1"):
+        cli.validate_scenario(Scenario(p_select=1))
 
 
 def test_every_field_is_a_string_flag():
@@ -417,6 +426,9 @@ MALFORMED_FIELDS = {
     "header_edge_flipped": lambda lines: lines[0]["edges"][0].reverse(),
     # integer fields are ints: Python compares 6.0 and True equal to 6, 1
     "header_n_float": lambda lines: lines[0].update(n=6.0),
+    # and float fields are floats: the writer writes 1.0, never 1
+    "header_p_select_int": lambda lines: lines[0]["scenario"].update(
+        p_select=1),
     "footer_steps_float": lambda lines: lines[-1].update(steps=40.0),
     "step_step_float": lambda lines: lines[2].update(step=0.0),
 }
@@ -743,6 +755,47 @@ def test_check_reports_the_first_fault_in_file_order(tmp_path, capsys):
     assert "at step 3" in err and "step 8" not in err
 
 
+def test_check_reads_the_footer_before_any_step(tmp_path, capsys):
+    # a trace cut before its footer is refused as such, before the replay
+    # meets the fault at step 3
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "daemon": "central", "steps": "60", "seed": "2"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = [json.loads(x) for x in open(trace_file)]
+    diverged = lines[2 + 3]["fired"]
+    diverged[next(iter(diverged))] = "NOPE"
+    open(trace_file, "w").write(
+        "\n".join(json.dumps(x) for x in lines[:-1]) + "\n")
+    assert run_cli(["check", trace_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: trace is truncated or missing header/footer\n")
+
+
+def test_check_skips_blank_lines(tmp_path, capsys):
+    trace_file = str(tmp_path / "t.jsonl")
+    scn = scenario_from({"topo": "ring:6", "proto": "lme",
+                         "daemon": "central", "steps": "300"}, {})
+    write_trace(trace_file, scn, run_scenario(scn))
+    lines = open(trace_file).read().splitlines()
+    open(trace_file, "w").write("\n \n".join(lines) + "\n\t\n\n")
+    assert run_cli(["check", trace_file]) == 0
+    assert "replay ok: 300 steps" in capsys.readouterr().out
+
+
+def test_check_refuses_a_line_that_is_not_utf8(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    scn = scenario_from({"topo": "ring:6", "proto": "trivial",
+                         "steps": "40"}, {})
+    write_trace(str(trace_file), scn, run_scenario(scn))
+    lines = trace_file.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b'"step"', b'"st\xffep"')
+    trace_file.write_bytes(b"\n".join(lines))
+    assert run_cli(["check", str(trace_file)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: malformed trace line: 'utf-8' codec can't decode")
+
+
 def test_read_trace_holds_one_copy_of_the_trace(tmp_path):
     # the step lines are decoded one at a time, so reading peaks barely
     # above the trace it returns
@@ -793,11 +846,12 @@ def test_trace_roundtrip_preserves_run(tmp_path):
     scn = scenario_from({"topo": "grid:2x3", "proto": "rw", "rho": "1",
                          "daemon": "central", "steps": "400",
                          "seed": "4"}, {})
-    trace = run_scenario(scn)
+    trace = stored_run(scn)
     write_trace(trace_file, scn, trace)
-    scn2, replayed = read_trace(trace_file)
+    with replayed_configs() as stepped:
+        scn2, replayed = read_trace(trace_file)
     assert scn2 == scn
-    assert replayed.configs == trace.configs
+    assert [replayed.configs[0], *stepped] == trace.configs
 
 
 _POOL_PROBE = """

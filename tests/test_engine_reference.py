@@ -29,7 +29,8 @@ from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
                          read_trace, run_scenario, scenario_from, write_trace)
 from rhosync.kernel import step
-from conftest import enabled_labels, neighbor_reads
+from conftest import (enabled_labels, neighbor_reads, replayed_configs,
+                      stored_run)
 
 
 def any_int(x):
@@ -180,8 +181,9 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
         write_trace(path, scn, trace)
-        _scn, replayed = read_trace(path)
-    assert replayed.configs == configs
+        with replayed_configs() as stepped:
+            _scn, replayed = read_trace(path)
+    assert [replayed.configs[0], *stepped] == configs
     assert replayed.records == records
 
 
@@ -195,7 +197,7 @@ def test_comms_count_matches_logged_reads(proto, daemon):
     on the step's pre-state.  grid:2x3 mixes degrees 2 and 3."""
     scn = scenario_from({}, {"topo": "grid:2x3", "proto": proto, "rho": 1,
                              "daemon": daemon, "seed": 4})
-    trace = run_scenario(scn)
+    trace = stored_run(scn)
     _wu1, stab = stabilization_indices(trace)
     suffix = trace.suffix(stab)
     lt1 = lift(suffix, "r1")
@@ -331,19 +333,20 @@ def test_replay_evaluates_only_the_selected_guards(tmp_path, monkeypatch):
         counters.append(evals)
         return proto
 
-    per_step = []
+    per_step, pre_states = [], []
 
     def counted_step(*args, **kwargs):
         before = counters[-1][0]
         result = step(*args, **kwargs)
         per_step.append(counters[-1][0] - before)
+        pre_states.append(args[0])
         return result
 
     monkeypatch.setattr(cli, "build_protocol", counted_build)
     monkeypatch.setattr(cli, "step", counted_step)
     _scn, trace = read_trace(path)
     proto, topo = build_protocol(scn, trace.topo), trace.topo
-    expected = [sum(scanned(trace.configs[i], p, proto, topo)
+    expected = [sum(scanned(pre_states[i], p, proto, topo)
                     for p in rec.fired)
                 for i, rec in enumerate(trace.records)]
     assert len(per_step) == len(trace.records) > 1000

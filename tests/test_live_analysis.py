@@ -1,0 +1,222 @@
+"""The analysis that runs as the steps come, against the post-hoc one.
+
+`run_scenario` and `read_trace` append each step to a `cli.LiveTrace`,
+which scans, counts rounds and lifts as the steps arrive and keeps only
+what `analyze` reads later.  `tests/analyze_reports.json` pins the reports
+the post-hoc analysis gave over stored traces for a set of scenarios
+(every protocol and daemon, four graph families, rho 1 and 2, each
+infimum kind, an `adversarial_file:` start); `post_hoc_report` below is
+that analysis, built from the stored-trace entry points, and the property
+test holds random scenarios to it.
+"""
+
+import json
+import math
+import os
+import pathlib
+import tempfile
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rhosync import (DAEMONS, DroppedConfiguration, LiftError,
+                     extract_cs_records, lift, lra_monitor_start, metrics,
+                     monitor_liveness, monitor_safety, oracle_levels,
+                     round_count, stabilization_indices, unison,
+                     verify_ball_infimum, verify_delay_agreement)
+from rhosync import cli
+from rhosync.cli import (CSV_HEADER, analyze, main, read_trace, run_scenario,
+                         scenario_from, write_trace)
+from conftest import stored_run
+
+REPORTS = json.loads(pathlib.Path(__file__).with_name(
+    "analyze_reports.json").read_text(encoding="utf-8"))
+
+
+def post_hoc_report(scn, trace):
+    """The report of `analyze`, computed by the monitors over a stored
+    trace: a scan of every configuration, the rounds of the prefix, and a
+    lifting of the suffix from its configurations."""
+    topo, proto = trace.topo, trace.protocol
+    report = {"stop_reason": trace.stop_reason, "steps": len(trace.records),
+              "n": topo.node_count}
+    ws = proto.name == "ss_ws"
+    if ws:
+        stab = cli.ss_ws_stabilization_index(trace)
+    else:
+        report["wu1_index"], stab = stabilization_indices(trace)
+    report["stab_index"] = stab
+    if stab is None:
+        report["violations"] = 1
+        report["notes"] = ["did not stabilize within the step budget"]
+        return report
+    report["stab_round"] = round_count(trace, stab)
+    suffix = trace.suffix(stab)
+    violations = 0
+    if ws:
+        lt = lift(suffix)
+        levels = cli.check_wavelet_levels(lt, scn.rho)
+        report["wavelet_levels"] = len(levels)
+        report["wavelet_failures"] = [k for k, ok in levels if not ok]
+        violations += len(report["wavelet_failures"])
+        if scn.infimum:
+            verdict = verify_ball_infimum(lt, proto.meta["infimum"], scn.rho)
+            report["infimum_phases"] = verdict.phases_checked
+            report["infimum_mismatches"] = len(verdict.mismatches)
+            violations += len(verdict.mismatches)
+        report["violations"] = violations
+        return report
+    lt1 = lift(suffix, "r1")
+    agree = verify_delay_agreement(lift(suffix, "r2"), scn.rho,
+                                   sample_every=5)
+    report["delay_pairs"] = agree.pairs_checked
+    report["delay_disagreements"] = len(agree.disagreements)
+    violations += len(agree.disagreements)
+    mon = lra_monitor_start(lt1)
+    if mon is None:
+        report["monitor_start"] = None
+        report["violations"] = violations + 1
+        report["notes"] = ["no complete post-stabilization phase: the LRA "
+                           "monitors saw no privilege"]
+        return report
+    report["monitor_start"] = stab + mon
+    lt1 = lt1.suffix(mon)
+    recs = extract_cs_records(lt1.trace)
+    safety = monitor_safety(recs, topo, scn.rho, proto.meta["plugin"].compat)
+    report["safety_violations"] = len(safety)
+    live = monitor_liveness(recs, topo)
+    report["cs_min_count"], report["cs_max_gap"] = live.min_count, live.max_gap
+    m = metrics(lt1, recs)
+    report["fairness_index"] = m.fairness_index
+    report["service_time"] = m.service_time
+    report["fairness_bound"] = math.ceil(topo.diameter / scn.rho)
+    report["service_bound"] = math.ceil(
+        topo.node_count * (topo.node_count - 1) / scn.rho)
+    report["comms_per_phase"] = max(m.comms_per_phase, default=None)
+    report["cs_total"] = m.cs_total
+    report["violations"] = violations + len(safety)
+    return report
+
+
+def _three_reports(scn):
+    """The reports of the live run, of the stored run and of the live
+    replay of its trace file, and whether both runs wrote the same bytes."""
+    live, stored = run_scenario(scn), stored_run(scn)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("live", "stored")]
+        write_trace(paths[0], scn, live)
+        write_trace(paths[1], scn, stored)
+        same = [open(p, "rb").read() for p in paths]
+        _scn, replayed = read_trace(paths[0])
+    return ([analyze(scn, live), post_hoc_report(scn, stored),
+             analyze(scn, replayed)], same[0] == same[1])
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_match_the_pinned_post_hoc_reports(tmp_path, name):
+    entry = REPORTS[name]
+    params = dict(entry["params"])
+    if "states" in entry:
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(entry["states"]))
+        params["init"] = f"adversarial_file:{init}"
+    reports, same_bytes = _three_reports(scenario_from({}, params))
+    assert same_bytes
+    for report in reports:
+        assert json.loads(json.dumps(report)) == entry["report"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(proto=st.sampled_from(["ss_ws", "trivial", "lme", "gme", "rw"]),
+       daemon=st.sampled_from(DAEMONS),
+       topo=st.sampled_from(["ring:5", "ring:8", "path:5", "grid:2x3",
+                             "tree:6"]),
+       rho=st.sampled_from([1, 2]),
+       infimum=st.sampled_from(["", "min_int", "max_int", "lex_pair"]),
+       seed=st.integers(0, 10_000), steps=st.integers(1, 500))
+def test_live_stored_and_replayed_reports_agree(proto, daemon, topo, rho,
+                                                infimum, seed, steps):
+    scn = scenario_from({}, {
+        "proto": proto, "daemon": daemon, "topo": topo, "rho": rho,
+        "infimum": infimum if proto == "ss_ws" else "", "seed": seed,
+        "steps": str(steps)})
+    (live, post_hoc, replayed), same_bytes = _three_reports(scn)
+    assert same_bytes
+    assert live == post_hoc == replayed
+
+
+def test_a_live_trace_keeps_only_what_analyze_reads():
+    scn = scenario_from({}, {"topo": "ring:8", "proto": "ss_ws", "rho": "2",
+                             "infimum": "lex_pair", "steps": "150"})
+    live, stored = run_scenario(scn), stored_run(scn)
+    configs = live.configs
+    assert len(configs) == len(stored.configs) == 151
+    assert (configs[0], configs[-1]) == (stored.configs[0],
+                                         stored.configs[-1])
+    for i in (1, 75, -2, 149):
+        with pytest.raises(DroppedConfiguration):
+            configs[i]
+    with pytest.raises(IndexError):
+        configs[151]
+    with pytest.raises(DroppedConfiguration):
+        live.suffix(3).configs[0]
+    with pytest.raises(DroppedConfiguration):
+        live.state(75, 0)
+    # the infimum oracle's states are kept, and are the run's
+    lt = live.lifted("r")
+    tail = stored.suffix(live.stab_index)
+    levels = oracle_levels(lt, scn.rho + 1)
+    for p in live.topo.nodes:
+        for k in levels:
+            t = lt.level_time(p, k)
+            if t is not None:
+                assert lt.trace.state(t, p) == tail.configs[t][p]
+    with pytest.raises(DroppedConfiguration):
+        lt.trace.state(lt.level_time(0, levels.stop), 0)
+
+
+def _held_bytes(make):
+    """The bytes that the object `make()` returns holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        obj = make()
+        held = tracemalloc.get_traced_memory()[0]
+        del obj
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_live_run_holds_less_than_half_a_stored_one():
+    # 1,200 steps: the held infimum states are a bounded window
+    scn = scenario_from({}, {"topo": "ring:32", "proto": "ss_ws", "rho": "2",
+                             "infimum": "lex_pair", "seed": "7",
+                             "steps": "1200"})
+    live = _held_bytes(lambda: run_scenario(scn))
+    stored = _held_bytes(lambda: stored_run(scn))
+    assert 0 < live < stored / 2
+
+
+def test_a_fault_met_while_the_steps_come_is_raised_by_analyze(
+        tmp_path, monkeypatch, capsys):
+    def faulty(self, i, records, configs):
+        if records:
+            raise LiftError(f"step {i}: injected")
+
+    monkeypatch.setattr(unison.LiftedTrace, "extend", faulty)
+    flags = {"topo": "ring:6", "proto": "trivial", "steps": "60"}
+    scn = scenario_from({}, flags)
+    trace = run_scenario(scn)
+    assert len(trace.records) == 60 and trace.stab_index is not None
+    with pytest.raises(LiftError, match="step 0: injected"):
+        analyze(scn, trace)
+    assert cli._sweep_cell(scn)[CSV_HEADER.index("violations")] == \
+        "error: LiftError"
+    # `run --trace` writes the trace before the analysis raises
+    path = tmp_path / "t.jsonl"
+    argv = [x for key, val in flags.items() for x in (f"--{key}", val)]
+    with pytest.raises(LiftError):
+        main(["run", *argv, "--trace", str(path)])
+    assert len(path.read_text().splitlines()) == 63
