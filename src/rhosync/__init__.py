@@ -20,7 +20,7 @@ from .kernel import (DAEMONS, Action, Configuration, DaemonPolicy,
                      uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
                      SizingError, auto_sizes, build_ss_ws, delay,
-                     intrinsic_delays, is_wu, is_wu0, lift)
+                     intrinsic_delays, is_stable, is_wu, is_wu0, lift)
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cut_for_level,
                         cut_leq, is_coherent)
@@ -28,7 +28,7 @@ from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
                       attach_infimum, make_infimum, oracle_levels,
                       pipeline_step, verify_ball_infimum)
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,
-                         layer_status, stabilization_indices, trivial_plugin,
+                         stabilization_indices, trivial_plugin,
                          verify_delay_agreement)
 from .lra import (CsRecord, Metrics, compat_gme, compat_lme, compat_rw,
                   extract_cs_records, greedy_distance_coloring,

@@ -20,7 +20,6 @@ import random
 import sys
 import tempfile
 import zlib
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
@@ -30,14 +29,14 @@ from .kernel import (DAEMONS, Configuration, DaemonPolicy, HeldConfigs,
                      ProtocolDef, RoundCounter, Trace, TransitionRecord,
                      first_enabled_map, random_configuration, run, step,
                      uniform_configuration)
-from .layerclock import build_ss_dc, layer_status, trivial_plugin, \
-    verify_delay_agreement
+from .layerclock import (build_ss_dc, stabilization_indices, trivial_plugin,
+                         verify_delay_agreement)
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
                   metrics, monitor_liveness, monitor_safety)
 from .topology import (Topology, TopologyError, generate, graph_params,
                        load_topology, parse_edge_list)
 from .unison import (LiftedTrace, SizingError, auto_sizes, build_ss_ws,
-                     is_wu0, lift)
+                     is_stable, is_wu, lift)
 
 CSV_HEADER = ["topo", "n", "rho", "daemon", "seed", "plugin", "stab_round",
               "violations", "fairness_index", "service_time",
@@ -314,15 +313,13 @@ class LiveTrace(Trace):
     first, the last and, for an `ss_ws` with an infimum attached, the
     states that `verify_ball_infimum` reads (`infimum.oracle_levels`),
     besides those not lifted yet.  As the steps come it finds:
-      - `stab_index`, the first configuration with every clock register in
-        WU0, as `lift` requires; for the layer clock also `wu1_index`, the
-        first in WU1 (see `layer_status`);
+      - `stab_index`, the first stable configuration (`is_stable`); for
+        the layer clock also `wu1_index`, the first in WU1;
       - `stab_round`, the number of rounds before the stabilization index;
       - from that index on, the lifting of each clock register (`lifted`),
         extended every `_LIFT_BATCH` steps.
-    A monitor that fails, say with a LiftError, stops; the steps go on, and
-    `analyze` raises the fault (`faults`, by monitor: `stabilization` or a
-    clock register).
+    The first monitor that fails, say with a LiftError, stops them all; the
+    steps go on, and `analyze` raises that `fault`.
     """
 
     def __init__(self, proto: ProtocolDef, topo: Topology,
@@ -331,7 +328,7 @@ class LiveTrace(Trace):
         self.wu1_index: int | None = None
         self.stab_index: int | None = None
         self.stab_round: int | None = None
-        self.faults: dict[str, Exception] = {}
+        self.fault: Exception | None = None
         self._rounds = RoundCounter(proto, topo, init)
         # Each clock register's lifting from the stabilization index on,
         # whose trace `lifted` sets to the suffix, and the configurations
@@ -347,7 +344,7 @@ class LiveTrace(Trace):
             self._unlifted.append(cfg)
             if len(self._unlifted) > _LIFT_BATCH:
                 self._lift()
-        elif not self.faults:
+        elif self.fault is None:
             self._scan(cfg, rec)
 
     def lifted(self, reg: str) -> LiftedTrace:
@@ -358,21 +355,20 @@ class LiveTrace(Trace):
 
     def _lift(self) -> None:
         """Extend each lifting over the steps not lifted yet."""
-        configs = self._unlifted
+        configs, self._unlifted = self._unlifted, self._unlifted[-1:]
         steps = len(configs) - 1
-        if not steps:
+        if not steps or self.fault is not None:
             return
         i = len(self.records) - steps - self.stab_index  # in the suffix
         records = self.records[-steps:]
-        for reg, lt in self._lifted.items():
-            if reg not in self.faults:
-                try:
-                    lt.extend(i, records, configs)
-                except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-                    self.faults[reg] = exc
+        try:
+            for lt in self._lifted.values():
+                lt.extend(i, records, configs)
+        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+            self.fault = exc
+            return
         if self._held_levels is not None:
             self._hold(i, configs)
-        self._unlifted = [configs[-1]]
 
     def _hold(self, i: int, configs: list[Configuration]) -> None:
         """Keep each process's state at each level of `_held_levels` that
@@ -390,24 +386,26 @@ class LiveTrace(Trace):
 
     def _scan(self, cfg: Configuration,
               rec: TransitionRecord | None = None) -> None:
-        """Count the step `rec` that led to `cfg` among the rounds, then
-        start the liftings at `cfg` if it is stable."""
+        """Count the step `rec` that led to `cfg` among the rounds, note
+        whether `cfg` is the first in WU1, then start the liftings at `cfg`
+        if it is stable."""
         proto, topo, i = self.protocol, self.topo, len(self.records)
+        sys1 = proto.clock_registers.get("r1")
         try:
             if rec is not None:
                 self._rounds.step(rec, cfg)
-            if proto.name == "ss_ws":
-                stable = is_wu0(cfg, topo, proto.clock_registers["r"], "r")
-            else:
-                w1, stable = layer_status(cfg, proto, topo)
-                if w1 and self.wu1_index is None:
-                    self.wu1_index = i
+            if sys1 is not None and self.wu1_index is None \
+                    and is_wu(cfg, topo, sys1, "r1"):
+                self.wu1_index = i
+            # WU0 implies WU: a configuration outside WU1 is not stable
+            stable = (sys1 is None or self.wu1_index is not None) \
+                and is_stable(cfg, proto, topo)
             if stable:
                 start = self.suffix(i)  # `cfg` alone
                 self._lifted = {reg: lift(start, reg)
                                 for reg in proto.clock_registers}
         except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-            self.faults["stabilization"] = exc
+            self.fault = exc
             return
         if stable:
             self.stab_index, self.stab_round = i, len(self._rounds.boundaries)
@@ -440,34 +438,21 @@ def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
     return out
 
 
-def ss_ws_stabilization_index(trace: Trace) -> int | None:
-    sysm = trace.protocol.clock_registers["r"]
-    for i, cfg in enumerate(trace.configs):
-        if is_wu0(cfg, trace.topo, sysm, "r"):
-            return i
-    return None
+ss_ws_stabilization_index = stabilization_indices  # a name the benchmark spans
 
 
-def analyze(scn: Scenario, trace: Trace) -> dict:
-    """Monitors appropriate to the protocol; the 'violations' total drives
-    the exit code.  A `LiveTrace` ran the scans as its steps came; any
-    other trace is fed to one here, so both take the same path.  Every
-    monitor reads the one lifting of each clock register of the suffix
-    from the stabilization index on.  A fault a monitor met while the steps
-    came is raised here."""
-    if not isinstance(trace, LiveTrace):
-        live = LiveTrace(trace.protocol, trace.topo, trace.configs[0])
-        for cfg, rec in zip(trace.configs[1:], trace.records):
-            live.append(cfg, rec)
-        live.stop_reason = trace.stop_reason
-        trace = live
+def analyze(scn: Scenario, trace: LiveTrace) -> dict:
+    """Monitors appropriate to the protocol over the `LiveTrace` of a run
+    or a replay, which ran the scans as its steps came; the 'violations'
+    total drives the exit code.  Every monitor reads the one lifting of
+    each clock register of the suffix from the stabilization index on.  A
+    fault a monitor met while the steps came is raised here."""
     proto, topo = trace.protocol, trace.topo
     stab = trace.stab_index
     lifted = {} if stab is None else {
         reg: trace.lifted(reg) for reg in proto.clock_registers}
-    for monitor in ("stabilization", *proto.clock_registers):
-        if monitor in trace.faults:
-            raise trace.faults[monitor]
+    if trace.fault is not None:
+        raise trace.fault
     rho = scn.rho
     report: dict = {"stop_reason": trace.stop_reason,
                     "steps": len(trace.records), "n": topo.node_count}
@@ -616,62 +601,22 @@ def _last_line(path: str) -> bytes:
         return tail.rstrip().rpartition(b"\n")[2]
 
 
-def _lines_but_last(fh) -> Iterator[str]:
-    """Yield the non-blank lines of the open text file `fh` but its last,
-    one at a time; close `fh` when done."""
-    with fh:
-        held = None
-        try:
-            for line in fh:
-                if line.strip():
-                    if held is not None:
-                        yield held
-                    held = line
-        except UnicodeDecodeError as exc:
-            raise CorruptTraceError(f"malformed trace line: {exc}") from exc
-
-
-def parse_trace(path: str
-                ) -> tuple[Scenario, LiveTrace, Iterator[str], dict]:
-    """Parse a trace file and hold its header and config line to what
-    `write_trace` writes for them (`_check_line`), without reading its
-    step lines.
+def _parse_ends(header_text: str, config_text: str, footer_text: bytes
+                ) -> tuple[Scenario, LiveTrace, dict]:
+    """Parse the header, config and footer lines of a trace from their
+    text, and hold the header and config line to what `write_trace` writes
+    for them (`_check_line`).
 
     The header's scenario determines the graph and the start, unless it
     names a `file:` topology or an `adversarial_file:` init: then they are
     read from the header's edges and the config line.  The header's stop
     reason must be there; `read_trace` decides its value after the replay.
 
-    Returns (scenario, trace, step_lines, footer): `trace` holds the
-    protocol, topology, header stop reason and initial configuration only,
-    as a `LiveTrace`; `step_lines` yields the undecoded step lines (see
-    `_decode_step`) from the open file, which it closes when exhausted or
-    closed; `footer` is the last line as JSON gives it, read first.
-    Raises CorruptTraceError on malformed input.
+    Returns (scenario, trace, footer): `trace` holds the protocol,
+    topology, header stop reason and initial configuration only, as a
+    `LiveTrace`; `footer` is the last line as JSON gives it.  Raises
+    CorruptTraceError on malformed input.
     """
-    lines = None
-    try:
-        footer_text = _last_line(path)
-        lines = _lines_but_last(open(path, encoding="utf-8"))
-        head = list(itertools.islice(lines, 2))
-        if len(head) < 2:
-            raise CorruptTraceError(
-                "trace is truncated or missing header/footer")
-        scn, trace, footer = _parse_ends(*head, footer_text)
-    except BaseException as exc:
-        if lines is not None:
-            lines.close()
-        if isinstance(exc, OSError):
-            raise CorruptTraceError(
-                f"cannot read trace {path}: {exc}") from exc
-        raise
-    return scn, trace, lines, footer
-
-
-def _parse_ends(header_text: str, config_text: str, footer_text: bytes
-                ) -> tuple[Scenario, LiveTrace, dict]:
-    """The scenario and the initial trace of `parse_trace`, and the footer
-    line, from the text of the header, config and footer lines."""
     try:
         header, config_line, footer = (json.loads(header_text),
                                        json.loads(config_text),
@@ -793,7 +738,7 @@ def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
 
     Every line must be the JSON value that `write_trace` writes in its
     place: the header and config line for the header's scenario
-    (`parse_trace`), each step line for the replayed step, the footer for
+    (`_parse_ends`), each step line for the replayed step, the footer for
     the replayed trace.  Replay re-executes every recorded selection
     through the engine and holds it to the header daemon's rule
     (`DaemonPolicy.refusal`); after the last step it decides the header's
@@ -802,12 +747,42 @@ def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
     `_json_text`).  Any divergence, truncation or malformed line raises
     CorruptTraceError, the first in file order, except that a footer that
     is no footer line comes first and the stop reason after the steps.
-    The file is read one step line at a time as the replay reaches it.  A
-    step evaluates the guards of the selected processes only, unless the
-    daemon's rule reads the enabled set (`synchronous`): then it fires the
-    hits found.
+
+    The footer, the file's last non-blank line, is read first
+    (`_last_line`); then the file is read once, one line ahead of the
+    replay, so the footer never reaches it.  A step evaluates the guards
+    of the selected processes only, unless the daemon's rule reads the
+    enabled set (`synchronous`): then it fires the hits found.
     """
-    scn, trace, step_lines, footer = parse_trace(path)
+    try:
+        footer_text = _last_line(path)
+        with open(path, encoding="utf-8") as fh:
+            # each non-blank line but the last, one line ahead
+            lines = (line for line, _ in
+                     itertools.pairwise(filter(str.strip, fh)))
+            head = list(itertools.islice(lines, 2))
+            if len(head) < 2:
+                raise CorruptTraceError(
+                    "trace is truncated or missing header/footer")
+            scn, trace, footer = _parse_ends(*head, footer_text)
+            _replay(scn, trace, lines)
+    except OSError as exc:
+        raise CorruptTraceError(f"cannot read trace {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptTraceError(f"malformed trace line: {exc}") from exc
+    stop = _replayed_stop_reason(scn, trace)
+    if trace.stop_reason != stop:
+        raise CorruptTraceError(
+            f"header says stop_reason {trace.stop_reason!r}, the replay "
+            f"stops on {stop!r}")
+    _check_line("footer", footer, _encode_footer(trace))
+    return scn, trace
+
+
+def _replay(scn: Scenario, trace: LiveTrace, step_lines) -> None:
+    """Replay the step lines of a trace for scenario `scn` onto `trace`,
+    which holds the initial configuration, holding each to the header
+    daemon's rule and to `_encode_step` of the replayed step."""
     proto, topo = trace.protocol, trace.topo
     daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     n = topo.node_count
@@ -818,36 +793,28 @@ def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
         hits.update(first_enabled_map(cfg, proto, topo))
         return hits
 
-    with contextlib.closing(step_lines):
-        for i, text in enumerate(step_lines):
-            line, selected = _decode_step(text, i, n)
-            hits.clear()
-            refusal = daemon.refusal(selected, topo, enabled)
-            if refusal:
-                raise CorruptTraceError(f"step {i} {refusal}")
-            try:
-                cfg, rec = step(cfg, selected, proto, topo, hits)
-            except Exception as exc:
+    for i, text in enumerate(step_lines):
+        line, selected = _decode_step(text, i, n)
+        hits.clear()
+        refusal = daemon.refusal(selected, topo, enabled)
+        if refusal:
+            raise CorruptTraceError(f"step {i} {refusal}")
+        try:
+            cfg, rec = step(cfg, selected, proto, topo, hits)
+        except Exception as exc:
+            raise CorruptTraceError(
+                f"replay failed at step {i}: {exc}") from exc
+        replayed = _encode_step(i, rec)
+        # `==` takes 5.0 for 5 and true for 1.  Outside the events each
+        # value is a str or an int `_decode_step` checked, and repr tells
+        # an event's numbers apart; any doubt is settled key by key.
+        if line != replayed or repr(line["events"]) != repr(
+                replayed["events"]):
+            if keys := _differing_keys(line, replayed):
                 raise CorruptTraceError(
-                    f"replay failed at step {i}: {exc}") from exc
-            replayed = _encode_step(i, rec)
-            # `==` takes 5.0 for 5 and true for 1.  Outside the events each
-            # value is a str or an int `_decode_step` checked, and repr tells
-            # an event's numbers apart; any doubt is settled key by key.
-            if line != replayed or repr(line["events"]) != repr(
-                    replayed["events"]):
-                if keys := _differing_keys(line, replayed):
-                    raise CorruptTraceError(
-                        f"malformed step {i}: the replay at step {i} "
-                        f"differs in {keys}")
-            trace.append(cfg, rec)
-    stop = _replayed_stop_reason(scn, trace)
-    if trace.stop_reason != stop:
-        raise CorruptTraceError(
-            f"header says stop_reason {trace.stop_reason!r}, the replay "
-            f"stops on {stop!r}")
-    _check_line("footer", footer, _encode_footer(trace))
-    return scn, trace
+                    f"malformed step {i}: the replay at step {i} "
+                    f"differs in {keys}")
+        trace.append(cfg, rec)
 
 
 # ---------------------------------------------------------------------------

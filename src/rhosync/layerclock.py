@@ -13,18 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
-                     View)
-from .topology import GraphParams, Topology
+from .kernel import Action, ProtocolDef, RegisterSpec, Trace, View
+from .topology import GraphParams
 from .unison import (IncrementingSystem, LiftedTrace, check_sizing,
-                     check_slave_sizing, clock_layer, delay, is_wu, is_wu0)
+                     check_slave_sizing, clock_layer, delay, is_stable, is_wu)
 
 __all__ = [
     "CondPlugin",
     "build_ss_dc",
     "verify_delay_agreement",
     "DelayAgreementVerdict",
-    "layer_status",
     "stabilization_indices",
     "trivial_plugin",
 ]
@@ -118,28 +116,18 @@ def build_ss_dc(rho: int, gp: GraphParams, *, K: int, K2: int, alpha: int,
     )
 
 
-def layer_status(cfg: Configuration, proto: ProtocolDef, topo: Topology
-                 ) -> tuple[bool, bool]:
-    """Whether configuration `cfg` of a layer clock is in WU1, and whether
-    it is stable: in WU1 with both clock registers in WU0, as `lift`
-    requires.  WU implies WU0 only for a period above the cyclomatic
-    characteristic C_G: with K2 <= C_G the slave can stay wound around a
-    cycle, in WU but never in WU0."""
-    sys1 = proto.clock_registers["r1"]
-    w1 = is_wu(cfg, topo, sys1, "r1")
-    return w1, w1 and is_wu0(cfg, topo, proto.clock_registers["r2"], "r2") \
-        and is_wu0(cfg, topo, sys1, "r1")
-
-
 def stabilization_indices(trace: Trace) -> tuple[int | None, int | None]:
-    """First configuration indices where WU1 holds and where the layer
-    clock is stable (`layer_status`)."""
+    """The first configuration index in WU1, None for a protocol without a
+    master register r1, and the first stable one (`is_stable`), by a scan
+    of every configuration of a stored trace.  WU0 implies WU, so the first
+    index is never past the second."""
+    sys1 = trace.protocol.clock_registers.get("r1")
     first_wu1 = None
     for i, cfg in enumerate(trace.configs):
-        w1, stable = layer_status(cfg, trace.protocol, trace.topo)
-        if w1 and first_wu1 is None:
+        if sys1 is not None and first_wu1 is None \
+                and is_wu(cfg, trace.topo, sys1, "r1"):
             first_wu1 = i
-        if stable:
+        if is_stable(cfg, trace.protocol, trace.topo):
             return first_wu1, i
     return first_wu1, None
 

@@ -67,14 +67,14 @@ class Topology:
 class GraphParams:
     """Parameters that size the clocks built on a topology.
 
-    t_g is the length of the longest chordless cycle (2 for acyclic graphs),
-    exact when the search completed, otherwise the safe upper bound n.
+    t_g is the length of the longest chordless cycle (2 for acyclic graphs)
+    when the search of `greatest_hole` completed, otherwise the safe upper
+    bound n.
     c_g_bound is min(n, 2D), a safe upper bound on the cyclomatic
     characteristic.
     """
 
     t_g: int
-    t_g_exact: bool
     c_g_bound: int
 
 
@@ -284,5 +284,5 @@ def cyclomatic_bound(t: Topology) -> int:
 
 
 def graph_params(t: Topology) -> GraphParams:
-    t_g, exact = greatest_hole(t)
-    return GraphParams(t_g=max(t_g, 2), t_g_exact=exact, c_g_bound=cyclomatic_bound(t))
+    return GraphParams(t_g=max(greatest_hole(t)[0], 2),
+                       c_g_bound=cyclomatic_bound(t))

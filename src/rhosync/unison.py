@@ -24,6 +24,7 @@ __all__ = [
     "delay",
     "is_wu",
     "is_wu0",
+    "is_stable",
     "intrinsic_delays",
     "auto_sizes",
     "build_ss_ws",
@@ -145,6 +146,16 @@ def is_wu0(c: Configuration, topo: Topology, sysm: IncrementingSystem,
            reg: str = "r") -> bool:
     """WU plus an intrinsic (path-independent) delay."""
     return intrinsic_delays(c, topo, sysm, reg) is not None
+
+
+def is_stable(c: Configuration, proto: ProtocolDef, topo: Topology) -> bool:
+    """Whether the analysis of a run starts at `c`: every clock register
+    of `proto` is in WU0, as `lift` requires.  WU0 implies WU; WU implies
+    WU0 only for a period above the cyclomatic characteristic C_G (with a
+    slave period K2 <= C_G the slave can stay wound around a cycle, in WU
+    but never in WU0)."""
+    return all(is_wu0(c, topo, sysm, reg)
+               for reg, sysm in proto.clock_registers.items())
 
 
 # ---------------------------------------------------------------------------

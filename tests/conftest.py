@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from rhosync import (DaemonPolicy, View, auto_sizes, build_ss_dc,
-                     build_ss_ws, cli, generate, graph_params, is_wu0,
+                     build_ss_ws, cli, generate, graph_params,
                      random_configuration, run, stabilization_indices)
 
 
@@ -60,7 +60,7 @@ def make_dc(topo, rho, plugin, **kw):
 def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,
                   max_steps=8000, init_seed=None):
     """Run a layer-clock protocol from a random configuration and return
-    (full trace, first index where both layers are in WU)."""
+    (full trace, first stable index: both layers in WU0)."""
     init = random_configuration(proto, topo,
                                 random.Random(init_seed if init_seed is not None
                                               else seed))
@@ -69,7 +69,7 @@ def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,
     _w1, wu = stabilization_indices(tr)
     if wu is None:
         raise AssertionError(
-            f"both layers never reached WU within {max_steps} steps "
+            f"both layers never reached WU0 within {max_steps} steps "
             f"({daemon_kind})")
     return tr, wu
 
@@ -77,21 +77,20 @@ def stabilized_dc(proto, topo, daemon_kind="synchronous", seed=0,
 def stabilized_suffix(proto, topo, daemon_kind="synchronous", seed=0,
                       max_steps=6000, init_seed=None):
     """Run from a random configuration and return the trace suffix starting
-    at the first WU0 configuration (fails the test if never reached).  A
-    rho_central daemon takes the protocol's rho."""
+    at the first stable configuration, every clock register in WU0, and its
+    index (fails the test if never reached).  A rho_central daemon takes
+    the protocol's rho."""
     init = random_configuration(proto, topo,
                                 random.Random(init_seed if init_seed is not None
                                               else seed))
     daemon = DaemonPolicy(kind=daemon_kind, seed=seed,
                           rho=proto.meta["delta"] - 1)
     tr = run(proto, topo, daemon, init, max_steps=max_steps)
-    sysm = proto.clock_registers[next(iter(proto.clock_registers))]
-    reg = next(iter(proto.clock_registers))
-    for i, cfg in enumerate(tr.configs):
-        if is_wu0(cfg, topo, sysm, reg):
-            return tr.suffix(i), i
-    raise AssertionError(
-        f"no WU0 configuration within {max_steps} steps ({daemon_kind})")
+    _w1, stab = stabilization_indices(tr)
+    if stab is None:
+        raise AssertionError(
+            f"no WU0 configuration within {max_steps} steps ({daemon_kind})")
+    return tr.suffix(stab), stab
 
 
 def stored_run(scn):

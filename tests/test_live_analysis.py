@@ -43,10 +43,9 @@ def post_hoc_report(scn, trace):
     report = {"stop_reason": trace.stop_reason, "steps": len(trace.records),
               "n": topo.node_count}
     ws = proto.name == "ss_ws"
-    if ws:
-        stab = cli.ss_ws_stabilization_index(trace)
-    else:
-        report["wu1_index"], stab = stabilization_indices(trace)
+    wu1, stab = stabilization_indices(trace)
+    if not ws:
+        report["wu1_index"] = wu1
     report["stab_index"] = stab
     if stab is None:
         report["violations"] = 1

@@ -185,5 +185,6 @@ def test_cyclomatic_bound():
 
 def test_graph_params(grid23):
     gp = graph_params(grid23)
-    assert gp.t_g == 4 and gp.t_g_exact  # largest chordless cycle is a face
+    assert gp.t_g == 4  # largest chordless cycle is a face
+    assert greatest_hole(grid23) == (4, True)
     assert gp.c_g_bound == min(6, 2 * grid23.diameter)

@@ -174,7 +174,7 @@ def test_intrinsic_delays_match_reference_exhaustively(kind, n, period):
 
 
 def test_build_ss_ws_sizing_enforced():
-    gp = GraphParams(t_g=8, t_g_exact=True, c_g_bound=8)
+    gp = GraphParams(t_g=8, c_g_bound=8)
     with pytest.raises(SizingError):
         build_ss_ws(0, 5, 8, gp)
     with pytest.raises(SizingError):
