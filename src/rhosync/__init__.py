@@ -24,8 +24,8 @@ from .unison import (IncrementingSystem, LiftedTrace, LiftError,
 from .causality import (Cut, Event, EventGraph, WaveletVerdict,
                         build_event_graph, check_wavelet, cut_for_level,
                         cut_leq, is_coherent)
-from .infimum import (InfimumAxiomError, InfimumOp, InfimumVerdict,
-                      attach_infimum, make_infimum, oracle_levels,
+from .infimum import (BallInfimumCheck, InfimumAxiomError, InfimumOp,
+                      InfimumVerdict, attach_infimum, make_infimum,
                       pipeline_step, verify_ball_infimum)
 from .layerclock import (CondPlugin, DelayAgreementVerdict, build_ss_dc,
                          stabilization_indices, trivial_plugin,

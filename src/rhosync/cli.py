@@ -23,8 +23,8 @@ import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
-from .infimum import (attach_infimum, make_infimum, oracle_levels,
-                      verify_ball_infimum)
+from .infimum import (BallInfimumCheck, InfimumVerdict, attach_infimum,
+                      make_infimum)
 from .kernel import (DAEMONS, Configuration, DaemonPolicy, HeldConfigs,
                      ProtocolDef, RoundCounter, Trace, TransitionRecord,
                      first_enabled_map, random_configuration, run, step,
@@ -310,14 +310,15 @@ class LiveTrace(Trace):
     keeps only what `analyze` reads later.
 
     It keeps every record, and of the configurations (`HeldConfigs`) the
-    first, the last and, for an `ss_ws` with an infimum attached, the
-    states that `verify_ball_infimum` reads (`infimum.oracle_levels`),
-    besides those not lifted yet.  As the steps come it finds:
+    first and the last, besides those not lifted yet.  As the steps come
+    it finds:
       - `stab_index`, the first stable configuration (`is_stable`); for
         the layer clock also `wu1_index`, the first in WU1;
       - `stab_round`, the number of rounds before the stabilization index;
       - from that index on, the lifting of each clock register (`lifted`),
-        extended every `_LIFT_BATCH` steps.
+        extended every `_LIFT_BATCH` steps;
+      - for an `ss_ws` with an infimum attached, the ball-infimum verdict
+        (`infimum_verdict`), fed each batch of lifted steps.
     The first monitor that fails, say with a LiftError, stops them all; the
     steps go on, and `analyze` raises that `fault`.
     """
@@ -335,7 +336,7 @@ class LiveTrace(Trace):
         # from the last one lifted on.
         self._lifted: dict[str, LiftedTrace] = {}
         self._unlifted: list[Configuration] = []
-        self._held_levels: range | None = None
+        self._infimum: BallInfimumCheck | None = None
         self._scan(init)
 
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
@@ -353,8 +354,14 @@ class LiveTrace(Trace):
         self._lift()
         return replace(self._lifted[reg], trace=self.suffix(self.stab_index))
 
+    def infimum_verdict(self) -> InfimumVerdict:
+        """The verdict of the ball-infimum check over the steps so far."""
+        self._lift()
+        return self._infimum.verdict()
+
     def _lift(self) -> None:
-        """Extend each lifting over the steps not lifted yet."""
+        """Extend each lifting over the steps not lifted yet, then feed
+        them to the infimum check."""
         configs, self._unlifted = self._unlifted, self._unlifted[-1:]
         steps = len(configs) - 1
         if not steps or self.fault is not None:
@@ -364,25 +371,10 @@ class LiveTrace(Trace):
         try:
             for lt in self._lifted.values():
                 lt.extend(i, records, configs)
+            if self._infimum is not None:
+                self._infimum.feed(i, records, configs)
         except Exception as exc:  # noqa: BLE001 - `analyze` raises it
             self.fault = exc
-            return
-        if self._held_levels is not None:
-            self._hold(i, configs)
-
-    def _hold(self, i: int, configs: list[Configuration]) -> None:
-        """Keep each process's state at each level of `_held_levels` that
-        it reaches in `configs`, configurations i, i+1, ... of the suffix;
-        stop once every process is past those levels."""
-        lt, levels = self._lifted["r"], self._held_levels
-        end = i + len(configs) - 1
-        for p in self.topo.nodes:
-            for k in range(max(lt.value(i, p) + 1, levels.start),
-                           min(lt.value(end, p) + 1, levels.stop)):
-                t = lt.level_time(p, k)
-                self.configs.hold(self.stab_index + t, p, configs[t - i][p])
-        if lt.top_level() >= levels.stop:
-            self._held_levels = None
 
     def _scan(self, cfg: Configuration,
               rec: TransitionRecord | None = None) -> None:
@@ -404,6 +396,10 @@ class LiveTrace(Trace):
                 start = self.suffix(i)  # `cfg` alone
                 self._lifted = {reg: lift(start, reg)
                                 for reg in proto.clock_registers}
+                if "infimum" in proto.meta:
+                    self._infimum = BallInfimumCheck(
+                        self._lifted["r"], proto.meta["infimum"],
+                        proto.meta["delta"] - 1)
         except Exception as exc:  # noqa: BLE001 - `analyze` raises it
             self.fault = exc
             return
@@ -411,9 +407,6 @@ class LiveTrace(Trace):
             self.stab_index, self.stab_round = i, len(self._rounds.boundaries)
             self._rounds = None
             self._unlifted = [cfg]
-            if "infimum" in proto.meta:
-                self._held_levels = oracle_levels(self._lifted["r"],
-                                                  proto.meta["delta"])
 
 
 def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
@@ -474,7 +467,7 @@ def analyze(scn: Scenario, trace: LiveTrace) -> dict:
         report["wavelet_failures"] = bad
         violations += len(bad)
         if scn.infimum:
-            verdict = verify_ball_infimum(lt, proto.meta["infimum"], rho)
+            verdict = trace.infimum_verdict()
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .kernel import RegisterSpec, Trace, View, int_range
+from .kernel import (Configuration, RegisterSpec, TransitionRecord, View,
+                     int_range)
 from .topology import ball
 from .unison import LiftedTrace
 
@@ -26,7 +27,7 @@ __all__ = [
     "attach_infimum",
     "pipeline_step",
     "verify_ball_infimum",
-    "oracle_levels",
+    "BallInfimumCheck",
     "InfimumVerdict",
 ]
 
@@ -178,74 +179,105 @@ class InfimumVerdict:
     # entries: (phase_level, k, process, register, got, expected)
 
 
-# The phases `verify_ball_infimum` checks, from the first phase level on.
+# The phases the ball-infimum check judges, from the first phase level on.
 PHASES = 20
 
 
-def oracle_levels(lt: LiftedTrace, delta: int) -> range:
-    """The levels at which `verify_ball_infimum` reads a process's state:
-    those of its PHASES phases.  It reads p's state at level k in the
-    configuration `lt.level_time(p, k)`."""
-    first = lt.first_phase_level(delta)
-    return range(first, first + PHASES * delta)
+class BallInfimumCheck:
+    """The rho-ball infimum check of a lifted stabilized trace, fed its
+    steps as they are lifted.
+
+    With delta = rho + 1, phase j spans the levels k0 = start + j * delta
+    to k0 + delta, from start = `lt.first_phase_level(delta)`.  When a
+    process reaches a level of one of the first PHASES phases, `feed`
+    keeps the one value read there: its v0 at k0 (the phase-start
+    snapshot), its v1 and v2 at each inner level k0 + k, and the payload
+    of its decide in the step that took it to k0 + delta.  A phase is
+    judged once every process has reached k0 + delta: at k0 + k, v1 and v2
+    must be the fold of the snapshot over the (k-1)- and k-balls, and the
+    decide payload must hold the (rho-1)- and rho-ball ones.  So only the
+    phases in flight are held, as register values.
+    """
+
+    def __init__(self, lt: LiftedTrace, op: InfimumOp, rho: int):
+        if rho < 1:
+            raise ValueError(f"rho must be >= 1, got {rho}")
+        topo = lt.trace.topo
+        self._lt, self._op, self._rho, self._nodes = lt, op, rho, topo.nodes
+        # balls[radius][p]: the same for every phase, so built once.
+        self._balls = [[ball(topo, p, radius) for p in topo.nodes]
+                       for radius in range(rho + 1)]
+        self._k0 = lt.first_phase_level(rho + 1)  # the next phase to judge
+        self._stop = self._k0 + PHASES * (rho + 1)  # the last level read
+        # level -> each process's (v0, decide payload) at a phase boundary,
+        # or its (v1, v2) at an inner level
+        self._held: dict[int, list] = {}
+        self._phases = 0
+        self._mismatches: list[tuple[int, int, int, str, Any, Any]] = []
+
+    def feed(self, i: int, records: Sequence[TransitionRecord],
+             configs: Sequence[Configuration]) -> None:
+        """Read steps i, i+1, ... of the lifted trace, as
+        `LiftedTrace.extend` takes them, once the lifting holds them; then
+        judge each phase that every process has passed."""
+        if self._phases == PHASES:
+            return
+        lt, delta, held = self._lt, self._rho + 1, self._held
+        end = i + len(records)
+        for p in self._nodes:
+            for k in range(max(lt.value(i, p) + 1, self._k0),
+                           min(lt.value(end, p), self._stop) + 1):
+                t = lt.level_time(p, k)
+                st = configs[t - i][p]
+                if (k - self._k0) % delta:
+                    value = (st["v1"], st["v2"])
+                else:
+                    value = (st["v0"], next(
+                        (ev.payload for ev in records[t - 1 - i].events
+                         if ev.process == p and ev.kind == "decide"), None))
+                held.setdefault(k, [None] * len(self._nodes))[p] = value
+        top = lt.top_level()
+        while self._phases < PHASES and self._k0 + delta <= top:
+            self._judge()
+
+    def _judge(self) -> None:
+        """Judge the phase from level `_k0` and drop what only it read."""
+        k0, rho, op, held = self._k0, self._rho, self._op, self._held
+        snapshot = [v0 for v0, _payload in held.pop(k0)]
+        # expect[radius][p]: the fold of the snapshot over p's radius-ball
+        expect = [[op.fold(snapshot[q] for q in b) for b in balls]
+                  for balls in self._balls]
+        out = self._mismatches
+        for k in range(1, rho + 1):
+            for p, (v1, v2) in enumerate(held.pop(k0 + k)):
+                exp1, exp2 = expect[k - 1][p], expect[k][p]
+                if v1 != exp1:
+                    out.append((k0, k, p, "v1", v1, exp1))
+                if v2 != exp2:
+                    out.append((k0, k, p, "v2", v2, exp2))
+        for p, (_v0, payload) in enumerate(held[k0 + rho + 1]):
+            if payload is None:
+                out.append((k0, rho + 1, p, "decide", None, "payload"))
+                continue
+            exp1, exp2 = expect[rho - 1][p], expect[rho][p]
+            if payload["v1"] != exp1:
+                out.append((k0, rho + 1, p, "v1", payload["v1"], exp1))
+            if payload["v2"] != exp2:
+                out.append((k0, rho + 1, p, "v2", payload["v2"], exp2))
+        self._phases += 1
+        self._k0 += rho + 1
+
+    def verdict(self) -> InfimumVerdict:
+        """The phases judged so far and their mismatches, in phase order."""
+        return InfimumVerdict(not self._mismatches, self._phases,
+                              list(self._mismatches))
 
 
 def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
                         rho: int) -> InfimumVerdict:
-    """Compare the first PHASES phases of a lifted stabilized trace against
-    the brute-force oracle: at each intermediate cut, v1/v2 must equal the
-    fold of the phase-start v0 snapshot over the (k-1)- and k-balls, and
-    the phase-end decide payload must hold the rho-ball infimum.
-    """
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    trace = lt.trace
-    topo = trace.topo
-    delta = rho + 1
-    start = lt.first_phase_level(delta)
-    top = lt.top_level()
-    mismatches: list[tuple[int, int, int, str, Any, Any]] = []
-    # balls[radius][p]: the same for every phase, so built once.
-    balls = [[ball(topo, p, radius) for p in topo.nodes]
-             for radius in range(rho + 1)]
-    phases = 0
-    k0 = start
-    while k0 + delta <= top and phases < PHASES:
-        # Each process climbs from below start to top: no level is skipped.
-        snapshot = {p: trace.state(lt.level_time(p, k0), p)["v0"]
-                    for p in topo.nodes}
-
-        def oracle(p: int, radius: int) -> Any:
-            return op.fold(snapshot[q] for q in balls[radius][p])
-
-        for k in range(1, rho + 1):
-            for p in topo.nodes:
-                t = lt.level_time(p, k0 + k)
-                st = trace.state(t, p)
-                exp1, exp2 = oracle(p, k - 1), oracle(p, k)
-                if st["v1"] != exp1:
-                    mismatches.append((k0, k, p, "v1", st["v1"], exp1))
-                if st["v2"] != exp2:
-                    mismatches.append((k0, k, p, "v2", st["v2"], exp2))
-        for p in topo.nodes:
-            t = lt.level_time(p, k0 + delta)
-            payload = _decide_payload(trace, p, t)
-            if payload is None:
-                mismatches.append((k0, delta, p, "decide", None, "payload"))
-                continue
-            exp1, exp2 = oracle(p, rho - 1), oracle(p, rho)
-            if payload["v1"] != exp1:
-                mismatches.append((k0, delta, p, "v1", payload["v1"], exp1))
-            if payload["v2"] != exp2:
-                mismatches.append((k0, delta, p, "v2", payload["v2"], exp2))
-        phases += 1
-        k0 += delta
-    return InfimumVerdict(not mismatches, phases, mismatches)
-
-
-def _decide_payload(trace: Trace, p: int, config_index: int):
-    rec = trace.records[config_index - 1]
-    for ev in rec.events:
-        if ev.process == p and ev.kind == "decide":
-            return ev.payload
-    return None
+    """Check the first PHASES phases of a lifted stabilized trace that
+    holds every configuration (see `BallInfimumCheck`), against the
+    brute-force fold of each phase-start v0 snapshot over the balls."""
+    check = BallInfimumCheck(lt, op, rho)
+    check.feed(0, lt.trace.records, lt.trace.configs)
+    return check.verdict()

@@ -183,8 +183,8 @@ class DroppedConfiguration(LookupError):
 
 
 class HeldConfigs(Sequence):
-    """The configurations of a trace that keeps only some of them: the
-    first and the last whole, and the process states given to `hold`.
+    """The configurations of a trace that keeps only the first and the
+    last.
 
     Its length counts every configuration of the trace.  Reading one that
     is not kept raises DroppedConfiguration, never another value; an index
@@ -195,7 +195,6 @@ class HeldConfigs(Sequence):
     def __init__(self, first: Configuration):
         self._len = 1
         self._whole: dict[int, Configuration] = {0: first}
-        self._states: dict[tuple[int, int], dict[str, Any]] = {}
 
     def __len__(self) -> int:
         return self._len
@@ -209,8 +208,6 @@ class HeldConfigs(Sequence):
             out._len = len(span)
             out._whole = {t - span.start: cfg for t, cfg in self._whole.items()
                           if t in span}
-            out._states = {(t - span.start, p): st
-                           for (t, p), st in self._states.items() if t in span}
             return out
         t = range(self._len)[i]
         try:
@@ -226,21 +223,6 @@ class HeldConfigs(Sequence):
             self._whole.pop(self._len - 1, None)
         self._whole[self._len] = cfg
         self._len += 1
-
-    def hold(self, t: int, p: int, state: dict[str, Any]) -> None:
-        """Keep `state`, process p's state in configuration t."""
-        self._states[t, p] = state
-
-    def state(self, t: int, p: int) -> dict[str, Any]:
-        """Process p's state in configuration t, if kept."""
-        cfg = self._whole.get(t)
-        if cfg is not None:
-            return cfg[p]
-        try:
-            return self._states[t, p]
-        except KeyError:
-            raise DroppedConfiguration(
-                f"process {p} in configuration {t} was not kept") from None
 
 
 @dataclass
@@ -272,12 +254,6 @@ class Trace:
             (*fired, *fired.values()), fired)
         self.configs.append(cfg)
         self.records.append(rec)
-
-    def state(self, t: int, p: int) -> dict[str, Any]:
-        """Process p's state in configuration t."""
-        if isinstance(self.configs, HeldConfigs):
-            return self.configs.state(t, p)
-        return self.configs[t][p]
 
     def suffix(self, start: int) -> "Trace":
         """A trace beginning at configuration index `start`.

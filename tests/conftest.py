@@ -8,9 +8,10 @@ from unittest import mock
 
 import pytest
 
-from rhosync import (DaemonPolicy, View, auto_sizes, build_ss_dc,
-                     build_ss_ws, cli, generate, graph_params,
+from rhosync import (DaemonPolicy, InfimumVerdict, View, auto_sizes, ball,
+                     build_ss_dc, build_ss_ws, cli, generate, graph_params,
                      random_configuration, run, stabilization_indices)
+from rhosync.infimum import PHASES
 
 
 ACCEPTANCE_LINES = []
@@ -102,6 +103,57 @@ def stored_run(scn):
     daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     return run(proto, topo, daemon, init,
                max_steps=cli.auto_steps(scn, topo, proto))
+
+
+def naive_ball_infimum(lt, op, rho):
+    """The ball-infimum check of `verify_ball_infimum`, written post hoc
+    over a lifting of a stored trace: for each of the first PHASES phases
+    that every process completes, read each process's state at each of the
+    phase's levels and its decide event at the phase end, and compare them
+    with the fold of the phase-start v0 snapshot over the balls."""
+    if rho < 1:
+        raise ValueError(f"rho must be >= 1, got {rho}")
+    trace = lt.trace
+    topo = trace.topo
+    delta = rho + 1
+    start = lt.first_phase_level(delta)
+    top = lt.top_level()
+    mismatches = []
+    phases = 0
+    k0 = start
+    while k0 + delta <= top and phases < PHASES:
+        snapshot = {p: trace.configs[lt.level_time(p, k0)][p]["v0"]
+                    for p in topo.nodes}
+
+        def oracle(p, radius):
+            return op.fold(snapshot[q] for q in ball(topo, p, radius))
+
+        for k in range(1, rho + 1):
+            for p in topo.nodes:
+                st = trace.configs[lt.level_time(p, k0 + k)][p]
+                exp1, exp2 = oracle(p, k - 1), oracle(p, k)
+                if st["v1"] != exp1:
+                    mismatches.append((k0, k, p, "v1", st["v1"], exp1))
+                if st["v2"] != exp2:
+                    mismatches.append((k0, k, p, "v2", st["v2"], exp2))
+        for p in topo.nodes:
+            t = lt.level_time(p, k0 + delta)
+            payload = None
+            for ev in trace.records[t - 1].events:
+                if ev.process == p and ev.kind == "decide":
+                    payload = ev.payload
+                    break
+            if payload is None:
+                mismatches.append((k0, delta, p, "decide", None, "payload"))
+                continue
+            exp1, exp2 = oracle(p, rho - 1), oracle(p, rho)
+            if payload["v1"] != exp1:
+                mismatches.append((k0, delta, p, "v1", payload["v1"], exp1))
+            if payload["v2"] != exp2:
+                mismatches.append((k0, delta, p, "v2", payload["v2"], exp2))
+        phases += 1
+        k0 += delta
+    return InfimumVerdict(not mismatches, phases, mismatches)
 
 
 @contextlib.contextmanager

@@ -34,3 +34,13 @@ def test_every_library_module_is_reexported():
 def test_all_matches_reexports(module):
     mod = importlib.import_module(f"rhosync.{module}")
     assert sorted(mod.__all__) == sorted(_reexports()[module])
+
+
+def test_the_held_state_oracle_is_gone():
+    # The ball-infimum check reads each run as it comes, so no trace keeps
+    # process states for it and no module names the levels it read.
+    assert not hasattr(rhosync, "oracle_levels")
+    assert "oracle_levels" not in rhosync.infimum.__all__
+    for cls, attr in ((rhosync.HeldConfigs, "hold"),
+                      (rhosync.HeldConfigs, "state"), (rhosync.Trace, "state")):
+        assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -2,15 +2,16 @@
 and delay agreement."""
 
 import itertools
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from rhosync import (DaemonPolicy, SizingError, auto_sizes, build_ss_dc,
-                     delay, graph_params, lift, run, stabilization_indices,
-                     trivial_plugin, uniform_configuration,
-                     verify_delay_agreement)
+                     cli, delay, graph_params, lift, run,
+                     stabilization_indices, trivial_plugin,
+                     uniform_configuration, verify_delay_agreement)
 from conftest import ADVERSARIAL, make_dc, stabilized_dc
 
 
@@ -144,3 +145,39 @@ def test_cs_events_every_phase_for_trivial(ring8):
     cs = [ev for rec in tr.records for ev in rec.events if ev.kind == "cs"]
     assert len(cs) == ring8.node_count * (steps // delta)
 
+
+
+# -- a slave wound once around an odd ring -----------------------------------
+
+
+def _wound_slave_run(tmp_path, k2):
+    """The report of `lme` on ring:7 at rho 1 under the synchronous daemon,
+    from a slave wound once around the ring: r2 = p at each process p and
+    every other register at its default; and the slave's period."""
+    params = {"proto": "lme", "topo": "ring:7", "rho": "1",
+              "daemon": "synchronous", "k2": k2}
+    scn = cli.scenario_from({}, params)
+    topo = cli.make_topology(scn.topo)
+    default = cli.build_protocol(scn, topo).default_state()
+    init = tmp_path / "wound.json"
+    init.write_text(json.dumps([dict(default, r2=p) for p in topo.nodes]))
+    scn = cli.scenario_from({}, {**params, "init": f"adversarial_file:{init}"})
+    trace = cli.run_scenario(scn)
+    return (cli.analyze(scn, trace),
+            trace.protocol.clock_registers["r2"].period)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="auto sizing gives the slave a period of C_G = 7 "
+                   "on ring:7, and a wound slave then never unwinds "
+                   "(ROADMAP item 2)")
+def test_auto_sizing_unwinds_a_wound_slave_on_an_odd_ring(tmp_path):
+    report, period = _wound_slave_run(tmp_path, "auto")
+    assert period == 7
+    assert report["stab_index"] is not None, report.get("notes")
+
+
+def test_a_slave_period_above_the_ring_unwinds_a_wound_slave(tmp_path):
+    report, period = _wound_slave_run(tmp_path, "8")
+    assert period == 8
+    assert report["stab_index"] == 13 and report["violations"] == 0

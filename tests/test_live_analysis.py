@@ -21,15 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (DAEMONS, DroppedConfiguration, LiftError,
-                     extract_cs_records, lift, lra_monitor_start, metrics,
-                     monitor_liveness, monitor_safety, oracle_levels,
-                     round_count, stabilization_indices, unison,
-                     verify_ball_infimum, verify_delay_agreement)
+from rhosync import (DAEMONS, DroppedConfiguration, HookEvent, LiftError,
+                     Trace, TransitionRecord, extract_cs_records, lift,
+                     lra_monitor_start, metrics, monitor_liveness,
+                     monitor_safety, round_count, stabilization_indices,
+                     unison, verify_ball_infimum, verify_delay_agreement)
 from rhosync import cli
 from rhosync.cli import (CSV_HEADER, analyze, main, read_trace, run_scenario,
                          scenario_from, write_trace)
-from conftest import stored_run
+from conftest import naive_ball_infimum, stored_run
 
 REPORTS = json.loads(pathlib.Path(__file__).with_name(
     "analyze_reports.json").read_text(encoding="utf-8"))
@@ -154,26 +154,87 @@ def test_a_live_trace_keeps_only_what_analyze_reads():
     assert len(configs) == len(stored.configs) == 151
     assert (configs[0], configs[-1]) == (stored.configs[0],
                                          stored.configs[-1])
-    for i in (1, 75, -2, 149):
+    for i in [*range(1, 150), *range(-150, -1)]:
         with pytest.raises(DroppedConfiguration):
             configs[i]
-    with pytest.raises(IndexError):
-        configs[151]
-    with pytest.raises(DroppedConfiguration):
-        live.suffix(3).configs[0]
-    with pytest.raises(DroppedConfiguration):
-        live.state(75, 0)
-    # the infimum oracle's states are kept, and are the run's
+    for i in (151, -152):
+        with pytest.raises(IndexError):
+            configs[i]
+    # a suffix, and the trace of each lifting, keep only the last
+    stab = live.stab_index
+    assert 0 < stab < 150
     lt = live.lifted("r")
-    tail = stored.suffix(live.stab_index)
-    levels = oracle_levels(lt, scn.rho + 1)
-    for p in live.topo.nodes:
-        for k in levels:
-            t = lt.level_time(p, k)
-            if t is not None:
-                assert lt.trace.state(t, p) == tail.configs[t][p]
-    with pytest.raises(DroppedConfiguration):
-        lt.trace.state(lt.level_time(0, levels.stop), 0)
+    for suffix in (live.suffix(3), live.suffix(stab), lt.trace):
+        assert suffix.configs[-1] == stored.configs[-1]
+        for i in range(len(suffix.configs) - 1):
+            with pytest.raises(DroppedConfiguration):
+                suffix.configs[i]
+    # no process state is kept for the infimum check, which judged the
+    # run's phases as they came
+    assert not hasattr(live, "state") and not hasattr(configs, "state")
+    verdict = live.infimum_verdict()
+    assert verdict.phases_checked > 0
+    assert verdict == verify_ball_infimum(lift(stored.suffix(stab)),
+                                          live.protocol.meta["infimum"],
+                                          scn.rho)
+
+
+def _tampered(suffix, lt, op, rho):
+    """`suffix` with three lies, each at a level the infimum check reads:
+    process 0's v1 at the first inner level, the last process's decide
+    payload v2 at the end of the first phase, and process 0's decide at
+    the end of the second phase dropped."""
+    delta, last = rho + 1, suffix.topo.node_count - 1
+    k0 = lt.first_phase_level(delta)
+    configs, records = list(suffix.configs), list(suffix.records)
+    t = lt.level_time(0, k0 + 1)
+    configs[t] = tuple({**st, "v1": op.identity} if p == 0 else st
+                       for p, st in enumerate(configs[t]))
+    t = lt.level_time(last, k0 + delta)
+    rec = records[t - 1]
+    records[t - 1] = TransitionRecord(rec.fired, tuple(
+        HookEvent(ev.process, ev.kind, {**ev.payload, "v2": op.identity})
+        if (ev.process, ev.kind) == (last, "decide") else ev
+        for ev in rec.events))
+    t = lt.level_time(0, k0 + 2 * delta)
+    rec = records[t - 1]
+    records[t - 1] = TransitionRecord(rec.fired, tuple(
+        ev for ev in rec.events if (ev.process, ev.kind) != (0, "decide")))
+    return Trace(suffix.protocol, suffix.topo, configs, records,
+                 stop_reason=suffix.stop_reason)
+
+
+@settings(max_examples=30, deadline=None)
+@given(topo=st.sampled_from(["ring:7", "path:5", "grid:2x3", "tree:6",
+                             "random:6"]),
+       rho=st.integers(1, 3),
+       infimum=st.sampled_from(["min_int", "max_int", "lex_pair"]),
+       daemon=st.sampled_from(["synchronous", "distributed_random"]),
+       seed=st.integers(0, 10_000))
+def test_live_stored_and_naive_infimum_checks_agree(topo, rho, infimum,
+                                                    daemon, seed):
+    scn = scenario_from({}, {"proto": "ss_ws", "topo": topo, "rho": rho,
+                             "infimum": infimum, "daemon": daemon,
+                             "seed": seed})
+    live, stored = run_scenario(scn), stored_run(scn)
+    _w1, stab = stabilization_indices(stored)
+    assert live.stab_index == stab is not None
+    op = stored.protocol.meta["infimum"]
+    suffix = stored.suffix(stab)
+    lt = lift(suffix)
+    verdict = verify_ball_infimum(lt, op, rho)
+    assert live.infimum_verdict() == verdict == naive_ball_infimum(lt, op,
+                                                                   rho)
+    assert verdict.ok and verdict.phases_checked >= 2
+    # negative control: the library check and the reference see the
+    # same lies, in the same order
+    bad = lift(_tampered(suffix, lt, op, rho))
+    lies = verify_ball_infimum(bad, op, rho)
+    assert lies == naive_ball_infimum(bad, op, rho)
+    k0, delta = lt.first_phase_level(rho + 1), rho + 1
+    assert [m[:4] for m in lies.mismatches] == [
+        (k0, 1, 0, "v1"), (k0, delta, suffix.topo.node_count - 1, "v2"),
+        (k0 + delta, delta, 0, "decide")]
 
 
 def _held_bytes(make):
@@ -189,7 +250,7 @@ def _held_bytes(make):
 
 
 def test_a_live_run_holds_less_than_half_a_stored_one():
-    # 1,200 steps: the held infimum states are a bounded window
+    # 1,200 steps: the infimum check holds only the phases in flight
     scn = scenario_from({}, {"topo": "ring:32", "proto": "ss_ws", "rho": "2",
                              "infimum": "lex_pair", "seed": "7",
                              "steps": "1200"})
