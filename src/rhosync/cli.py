@@ -19,8 +19,10 @@ import os
 import random
 import sys
 import tempfile
+import weakref
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
+from types import MethodType
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import (BallInfimumCheck, InfimumVerdict, attach_infimum,
@@ -300,26 +302,22 @@ def run_scenario(scn: Scenario) -> LiveTrace:
 # Analysis shared by run, check, and sweep
 
 
-# The steps a `LiveTrace` lifts at a time: it holds at most this many
-# configurations besides the first and the last.
-_LIFT_BATCH = 16
-
-
 class LiveTrace(Trace):
-    """A trace that runs the analysis's scans as its steps are appended and
-    keeps only what `analyze` reads later.
+    """A trace that runs the analysis's monitors as its steps are appended
+    and keeps only what `analyze` reads later.
 
     It keeps every record, and of the configurations (`HeldConfigs`) the
-    first and the last, besides those not lifted yet.  As the steps come
-    it finds:
+    first and the last.  Each monitor takes each step as it comes, as
+    `monitor(i, rec, cfg, nxt)`: step i took `cfg` to `nxt` via `rec`.  Up
+    to the stabilization index they find:
       - `stab_index`, the first stable configuration (`is_stable`); for
         the layer clock also `wu1_index`, the first in WU1;
-      - `stab_round`, the number of rounds before the stabilization index;
-      - from that index on, the lifting of each clock register (`lifted`),
-        extended every `_LIFT_BATCH` steps;
-      - for an `ss_ws` with an infimum attached, the ball-infimum verdict
-        (`infimum_verdict`), fed each batch of lifted steps.
-    The first monitor that fails, say with a LiftError, stops them all; the
+      - `stab_round`, the number of rounds before the stabilization index
+        (`RoundCounter`).
+    At that index the liftings of each clock register (`lifted`) take
+    over, and for an `ss_ws` with an infimum attached the ball-infimum
+    check (`infimum_verdict`), counting the steps of the suffix.  The
+    first monitor that fails, say with a LiftError, stops them all; the
     steps go on, and `analyze` raises that `fault`.
     """
 
@@ -330,83 +328,67 @@ class LiveTrace(Trace):
         self.stab_index: int | None = None
         self.stab_round: int | None = None
         self.fault: Exception | None = None
-        self._rounds = RoundCounter(proto, topo, init)
+        self._last = init  # the configuration the next step starts from
+        self._origin = 0  # the configuration the monitors count steps from
+        self._rounds = RoundCounter(proto, topo)
         # Each clock register's lifting from the stabilization index on,
-        # whose trace `lifted` sets to the suffix, and the configurations
-        # from the last one lifted on.
+        # whose trace `lifted` sets to the suffix.
         self._lifted: dict[str, LiftedTrace] = {}
-        self._unlifted: list[Configuration] = []
         self._infimum: BallInfimumCheck | None = None
-        self._scan(init)
+        # The scan reaches the trace through a weak proxy: its bound method
+        # in the trace's own list would be a reference cycle, and a trace
+        # that never stabilizes would wait for the cyclic collector.
+        self._monitors = [self._rounds.step,
+                          MethodType(LiveTrace._scan, weakref.proxy(self))]
+        try:
+            self._scan(-1, None, None, init)  # as if a step led to it
+        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+            self.fault, self._monitors = exc, []
 
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
         Trace.append(self, cfg, rec)
-        if self.stab_index is not None:
-            self._unlifted.append(cfg)
-            if len(self._unlifted) > _LIFT_BATCH:
-                self._lift()
-        elif self.fault is None:
-            self._scan(cfg, rec)
+        i = len(self.records) - 1 - self._origin
+        last, self._last = self._last, cfg
+        try:
+            for monitor in self._monitors:
+                monitor(i, rec, last, cfg)
+        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+            self.fault, self._monitors = exc, []
 
     def lifted(self, reg: str) -> LiftedTrace:
         """The lifting of clock register `reg` over the suffix from the
         stabilization index."""
-        self._lift()
         return replace(self._lifted[reg], trace=self.suffix(self.stab_index))
 
     def infimum_verdict(self) -> InfimumVerdict:
         """The verdict of the ball-infimum check over the steps so far."""
-        self._lift()
         return self._infimum.verdict()
 
-    def _lift(self) -> None:
-        """Extend each lifting over the steps not lifted yet, then feed
-        them to the infimum check."""
-        configs, self._unlifted = self._unlifted, self._unlifted[-1:]
-        steps = len(configs) - 1
-        if not steps or self.fault is not None:
-            return
-        i = len(self.records) - steps - self.stab_index  # in the suffix
-        records = self.records[-steps:]
-        try:
-            for lt in self._lifted.values():
-                lt.extend(i, records, configs)
-            if self._infimum is not None:
-                self._infimum.feed(i, records, configs)
-        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-            self.fault = exc
-
-    def _scan(self, cfg: Configuration,
-              rec: TransitionRecord | None = None) -> None:
-        """Count the step `rec` that led to `cfg` among the rounds, note
-        whether `cfg` is the first in WU1, then start the liftings at `cfg`
-        if it is stable."""
-        proto, topo, i = self.protocol, self.topo, len(self.records)
+    def _scan(self, i: int, rec: TransitionRecord | None,
+              cfg: Configuration | None, nxt: Configuration) -> None:
+        """Note whether `nxt`, configuration i + 1, is the first in WU1;
+        if it is stable, swap the liftings, started at `nxt`, in for the
+        round counter and this scan."""
+        proto, topo, t = self.protocol, self.topo, i + 1
         sys1 = proto.clock_registers.get("r1")
-        try:
-            if rec is not None:
-                self._rounds.step(rec, cfg)
-            if sys1 is not None and self.wu1_index is None \
-                    and is_wu(cfg, topo, sys1, "r1"):
-                self.wu1_index = i
-            # WU0 implies WU: a configuration outside WU1 is not stable
-            stable = (sys1 is None or self.wu1_index is not None) \
-                and is_stable(cfg, proto, topo)
-            if stable:
-                start = self.suffix(i)  # `cfg` alone
-                self._lifted = {reg: lift(start, reg)
-                                for reg in proto.clock_registers}
-                if "infimum" in proto.meta:
-                    self._infimum = BallInfimumCheck(
-                        self._lifted["r"], proto.meta["infimum"],
-                        proto.meta["delta"] - 1)
-        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-            self.fault = exc
+        if sys1 is not None and self.wu1_index is None \
+                and is_wu(nxt, topo, sys1, "r1"):
+            self.wu1_index = t
+        # WU0 implies WU: a configuration outside WU1 is not stable
+        if (sys1 is not None and self.wu1_index is None) \
+                or not is_stable(nxt, proto, topo):
             return
-        if stable:
-            self.stab_index, self.stab_round = i, len(self._rounds.boundaries)
-            self._rounds = None
-            self._unlifted = [cfg]
+        start = self.suffix(t)  # `nxt` alone
+        self._lifted = {reg: lift(start, reg)
+                        for reg in proto.clock_registers}
+        monitors = [lt.extend for lt in self._lifted.values()]
+        if "infimum" in proto.meta:
+            self._infimum = BallInfimumCheck(
+                self._lifted["r"], proto.meta["infimum"],
+                proto.meta["delta"] - 1)
+            monitors.append(self._infimum.feed)
+        self.stab_index, self.stab_round = t, len(self._rounds.boundaries)
+        self._monitors, self._rounds, self._origin = monitors, None, t
 
 
 def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
@@ -440,12 +422,10 @@ def analyze(scn: Scenario, trace: LiveTrace) -> dict:
     total drives the exit code.  Every monitor reads the one lifting of
     each clock register of the suffix from the stabilization index on.  A
     fault a monitor met while the steps came is raised here."""
-    proto, topo = trace.protocol, trace.topo
-    stab = trace.stab_index
-    lifted = {} if stab is None else {
-        reg: trace.lifted(reg) for reg in proto.clock_registers}
     if trace.fault is not None:
         raise trace.fault
+    proto, topo = trace.protocol, trace.topo
+    stab = trace.stab_index
     rho = scn.rho
     report: dict = {"stop_reason": trace.stop_reason,
                     "steps": len(trace.records), "n": topo.node_count}
@@ -460,7 +440,7 @@ def analyze(scn: Scenario, trace: LiveTrace) -> dict:
     report["stab_round"] = trace.stab_round
     violations = 0
     if ws:
-        lt = lifted["r"]
+        lt = trace.lifted("r")
         levels = check_wavelet_levels(lt, rho)
         report["wavelet_levels"] = len(levels)
         bad = [k for k, ok in levels if not ok]
@@ -472,7 +452,7 @@ def analyze(scn: Scenario, trace: LiveTrace) -> dict:
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
     else:
-        lt1, lt2 = lifted["r1"], lifted["r2"]
+        lt1, lt2 = trace.lifted("r1"), trace.lifted("r2")
         agree = verify_delay_agreement(lt2, rho, sample_every=5)
         report["delay_pairs"] = agree.pairs_checked
         report["delay_disagreements"] = len(agree.disagreements)

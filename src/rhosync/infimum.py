@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .kernel import (Configuration, RegisterSpec, TransitionRecord, View,
                      int_range)
@@ -184,19 +184,21 @@ PHASES = 20
 
 
 class BallInfimumCheck:
-    """The rho-ball infimum check of a lifted stabilized trace, fed its
-    steps as they are lifted.
+    """The rho-ball infimum check of a lifted stabilized trace, fed each
+    step once the lifting holds it.
 
     With delta = rho + 1, phase j spans the levels k0 = start + j * delta
     to k0 + delta, from start = `lt.first_phase_level(delta)`.  When a
     process reaches a level of one of the first PHASES phases, `feed`
     keeps the one value read there: its v0 at k0 (the phase-start
     snapshot), its v1 and v2 at each inner level k0 + k, and the payload
-    of its decide in the step that took it to k0 + delta.  A phase is
-    judged once every process has reached k0 + delta: at k0 + k, v1 and v2
-    must be the fold of the snapshot over the (k-1)- and k-balls, and the
-    decide payload must hold the (rho-1)- and rho-ball ones.  So only the
-    phases in flight are held, as register values.
+    of its decide in the step that took it to k0 + delta.  Every process
+    starts below `start`, so it reaches each of these levels by a move, in
+    order: once the row of level k0 + delta is full, every process has
+    passed the phase, and it is judged.  At k0 + k, v1 and v2 must be the
+    fold of the snapshot over the (k-1)- and k-balls, and the decide
+    payload must hold the (rho-1)- and rho-ball ones.  So only the phases
+    in flight are held, as register values.
     """
 
     def __init__(self, lt: LiftedTrace, op: InfimumOp, rho: int):
@@ -210,35 +212,36 @@ class BallInfimumCheck:
         self._k0 = lt.first_phase_level(rho + 1)  # the next phase to judge
         self._stop = self._k0 + PHASES * (rho + 1)  # the last level read
         # level -> each process's (v0, decide payload) at a phase boundary,
-        # or its (v1, v2) at an inner level
+        # or its (v1, v2) at an inner level; None until it reaches the level
         self._held: dict[int, list] = {}
         self._phases = 0
         self._mismatches: list[tuple[int, int, int, str, Any, Any]] = []
 
-    def feed(self, i: int, records: Sequence[TransitionRecord],
-             configs: Sequence[Configuration]) -> None:
-        """Read steps i, i+1, ... of the lifted trace, as
-        `LiftedTrace.extend` takes them, once the lifting holds them; then
-        judge each phase that every process has passed."""
+    def feed(self, i: int, rec: TransitionRecord, cfg: Configuration,
+             nxt: Configuration) -> None:
+        """Read step i of the lifted trace, where `rec` took `cfg` to `nxt`:
+        the level that each fired process whose register rose reaches;
+        then judge the phase whose last row that fills."""
         if self._phases == PHASES:
             return
-        lt, delta, held = self._lt, self._rho + 1, self._held
-        end = i + len(records)
-        for p in self._nodes:
-            for k in range(max(lt.value(i, p) + 1, self._k0),
-                           min(lt.value(end, p), self._stop) + 1):
-                t = lt.level_time(p, k)
-                st = configs[t - i][p]
-                if (k - self._k0) % delta:
-                    value = (st["v1"], st["v2"])
-                else:
-                    value = (st["v0"], next(
-                        (ev.payload for ev in records[t - 1 - i].events
-                         if ev.process == p and ev.kind == "decide"), None))
-                held.setdefault(k, [None] * len(self._nodes))[p] = value
-        top = lt.top_level()
-        while self._phases < PHASES and self._k0 + delta <= top:
-            self._judge()
+        lt, reg, delta = self._lt, self._lt.reg, self._rho + 1
+        for p in rec.fired:
+            if cfg[p][reg] == nxt[p][reg]:
+                continue
+            k = lt.value(i + 1, p)
+            if not self._k0 <= k <= self._stop:
+                continue
+            st = nxt[p]
+            if (k - self._k0) % delta:
+                value = (st["v1"], st["v2"])
+            else:
+                value = (st["v0"], next(
+                    (ev.payload for ev in rec.events
+                     if ev.process == p and ev.kind == "decide"), None))
+            row = self._held.setdefault(k, [None] * len(self._nodes))
+            row[p] = value
+            if k == self._k0 + delta and None not in row:
+                self._judge()
 
     def _judge(self) -> None:
         """Judge the phase from level `_k0` and drop what only it read."""
@@ -279,5 +282,7 @@ def verify_ball_infimum(lt: LiftedTrace, op: InfimumOp,
     holds every configuration (see `BallInfimumCheck`), against the
     brute-force fold of each phase-start v0 snapshot over the balls."""
     check = BallInfimumCheck(lt, op, rho)
-    check.feed(0, lt.trace.records, lt.trace.configs)
+    configs = lt.trace.configs
+    for i, rec in enumerate(lt.trace.records):
+        check.feed(i, rec, configs[i], configs[i + 1])
     return check.verdict()

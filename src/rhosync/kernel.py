@@ -509,23 +509,19 @@ class RoundCounter:
     a round start where no process is enabled.
     """
 
-    def __init__(self, proto: ProtocolDef, topo: Topology,
-                 c0: Configuration):
+    def __init__(self, proto: ProtocolDef, topo: Topology):
         self.proto, self.topo = proto, topo
         self.boundaries: list[int] = []
-        self._cfg = c0  # the configuration the next step starts from
-        self._steps = 0
         # The processes pending in the open round; None when none is open.
         # It stays empty after a round start where none is enabled.
         self._pending: set[int] | None = None
 
-    def step(self, rec: TransitionRecord, nxt: Configuration) -> None:
-        """Take the next step: `rec`, which produced `nxt`."""
+    def step(self, i: int, rec: TransitionRecord, cfg: Configuration,
+             nxt: Configuration) -> None:
+        """Take step i: `rec`, which took `cfg` to `nxt`."""
         proto, topo = self.proto, self.topo
         if self._pending is None:
-            self._pending = set(first_enabled_map(self._cfg, proto, topo))
-        self._cfg = nxt
-        self._steps += 1
+            self._pending = set(first_enabled_map(cfg, proto, topo))
         pending = self._pending
         if not pending:
             return
@@ -535,7 +531,7 @@ class RoundCounter:
             if _first_enabled(nxt, p, proto, topo) is None:
                 pending.discard(p)
         if not pending:
-            self.boundaries.append(self._steps)
+            self.boundaries.append(i + 1)
             self._pending = None
 
 
@@ -545,9 +541,10 @@ def rounds(t: Trace) -> list[int]:
     Returns indices i such that configuration i ends a round: every process
     enabled at the round start has acted or been neutralized by step i.
     """
-    counter = RoundCounter(t.protocol, t.topo, t.configs[0])
-    for rec, nxt in zip(t.records, t.configs[1:]):
-        counter.step(rec, nxt)
+    counter = RoundCounter(t.protocol, t.topo)
+    configs = t.configs
+    for i, rec in enumerate(t.records):
+        counter.step(i, rec, configs[i], configs[i + 1])
     return counter.boundaries
 
 

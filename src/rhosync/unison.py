@@ -13,7 +13,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .kernel import (Action, Configuration, ProtocolDef, RegisterSpec, Trace,
                      TransitionRecord, View)
@@ -349,6 +349,9 @@ class LiftedTrace:
     start: list[int]
     moves: list[array]
 
+    def __post_init__(self):
+        self._period = self.trace.protocol.clock_registers[self.reg].period
+
     def value(self, t: int, p: int) -> int:
         """p's lifted register in configuration t."""
         return self.start[p] + bisect_right(self.moves[p], t)
@@ -390,25 +393,21 @@ class LiftedTrace:
         return LiftedTrace(self.trace.suffix(i), self.reg, min(start),
                            start, moves)
 
-    def extend(self, i: int, records: Sequence[TransitionRecord],
-               configs: Sequence[Configuration]) -> None:
-        """Add steps i, i+1, ... of the trace, where `records[j]` took
-        `configs[j]` to `configs[j+1]`: one move of each fired process
-        whose register rose by one increment.  Raises LiftError on any
-        other change, after adding the steps before it."""
-        reg, moves = self.reg, self.moves
-        period = self.trace.protocol.clock_registers[reg].period
-        for j, rec in enumerate(records):
-            cfg, nxt = configs[j], configs[j + 1]
-            for p in rec.fired:
-                old, new = cfg[p][reg], nxt[p][reg]
-                if new == old:
-                    continue
-                if not 0 <= old < period or new != (old + 1) % period:
-                    raise LiftError(
-                        f"step {i + j}: process {p} changed {reg} from "
-                        f"{old} to {new}, not by one increment")
-                moves[p].append(i + j + 1)
+    def extend(self, i: int, rec: TransitionRecord, cfg: Configuration,
+               nxt: Configuration) -> None:
+        """Add step i of the trace, where `rec` took `cfg` to `nxt`: one
+        move of each fired process whose register rose by one increment.
+        Raises LiftError on any other change."""
+        reg, moves, period = self.reg, self.moves, self._period
+        for p in rec.fired:
+            old, new = cfg[p][reg], nxt[p][reg]
+            if new == old:
+                continue
+            if not 0 <= old < period or new != (old + 1) % period:
+                raise LiftError(
+                    f"step {i}: process {p} changed {reg} from {old} to "
+                    f"{new}, not by one increment")
+            moves[p].append(i + 1)
 
 
 def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
@@ -433,5 +432,7 @@ def lift(trace: Trace, reg: str = "r") -> LiftedTrace:
     base = c0[p_min][reg]
     start = [base + delays[p] - delays[p_min] for p in topo.nodes]
     lt = LiftedTrace(trace, reg, base, start, [array("q") for _ in topo.nodes])
-    lt.extend(0, trace.records, trace.configs)
+    configs = trace.configs
+    for i, rec in enumerate(trace.records):
+        lt.extend(i, rec, configs[i], configs[i + 1])
     return lt

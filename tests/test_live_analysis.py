@@ -10,22 +10,26 @@ that analysis, built from the stored-trace entry points, and the property
 test holds random scenarios to it.
 """
 
+import gc
 import json
 import math
 import os
 import pathlib
 import tempfile
 import tracemalloc
+import types
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (DAEMONS, DroppedConfiguration, HookEvent, LiftError,
-                     Trace, TransitionRecord, extract_cs_records, lift,
-                     lra_monitor_start, metrics, monitor_liveness,
-                     monitor_safety, round_count, stabilization_indices,
-                     unison, verify_ball_infimum, verify_delay_agreement)
+                     ProtocolDef, Topology, Trace, TransitionRecord,
+                     extract_cs_records, lift, lra_monitor_start, metrics,
+                     monitor_liveness, monitor_safety, round_count,
+                     stabilization_indices, unison, verify_ball_infimum,
+                     verify_delay_agreement)
 from rhosync import cli
 from rhosync.cli import (CSV_HEADER, analyze, main, read_trace, run_scenario,
                          scenario_from, write_trace)
@@ -179,6 +183,45 @@ def test_a_live_trace_keeps_only_what_analyze_reads():
                                           scn.rho)
 
 
+_NOT_HELD_STATE = (TransitionRecord, ProtocolDef, Topology, type,
+                   types.ModuleType, types.FunctionType,
+                   types.BuiltinFunctionType)
+
+
+def _reached_configurations(root, n):
+    """The configurations (tuples of n register dicts) that `root` reaches
+    by references, past records, the protocol, the topology, types,
+    modules and functions."""
+    seen, stack, found = set(), [root], {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_HELD_STATE):
+            continue
+        seen.add(id(obj))
+        if type(obj) is tuple and len(obj) == n \
+                and all(type(st) is dict for st in obj):
+            found[id(obj)] = obj
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("steps", [150, 157, 163])
+def test_a_live_trace_reaches_three_configurations_at_most(steps):
+    # configuration 0, the last one, and the stabilization configuration
+    # that each lifting's start trace holds, whatever the run's length
+    scn = scenario_from({}, {"topo": "ring:8", "proto": "ss_ws", "rho": "2",
+                             "infimum": "lex_pair", "steps": str(steps)})
+    live, stored = run_scenario(scn), stored_run(scn)
+    assert 0 < live.stab_index < steps
+    held = _reached_configurations(live, 8)
+    assert len(held) <= 3
+    assert all(any(cfg is c for cfg in held)
+               for c in (live.configs[0], live.configs[-1]))
+    kept = [stored.configs[t] for t in (0, live.stab_index, steps)]
+    assert all(cfg in kept for cfg in held)
+
+
 def _tampered(suffix, lt, op, rho):
     """`suffix` with three lies, each at a level the infimum check reads:
     process 0's v1 at the first inner level, the last process's decide
@@ -259,18 +302,37 @@ def test_a_live_run_holds_less_than_half_a_stored_one():
     assert 0 < live < stored / 2
 
 
+def test_a_live_trace_that_never_stabilizes_is_freed_when_dropped():
+    # its monitors hold no reference cycle, so no collector run is needed
+    scn = scenario_from({}, {"topo": "ring:8", "steps": "1"})
+    trace = run_scenario(scn)
+    assert trace.stab_index is None
+    gc.disable()
+    try:
+        ref = weakref.ref(trace)
+        del trace
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_a_fault_met_while_the_steps_come_is_raised_by_analyze(
         tmp_path, monkeypatch, capsys):
-    def faulty(self, i, records, configs):
-        if records:
-            raise LiftError(f"step {i}: injected")
+    # Faults at steps 5 (r2) and 9 (r1) of the suffix: the one kept is the
+    # first in step order, though r1's lifting takes each step first.
+    extend = unison.LiftedTrace.extend
+
+    def faulty(self, i, rec, cfg, nxt):
+        if (self.reg, i) in (("r2", 5), ("r1", 9)):
+            raise LiftError(f"step {i}: injected into {self.reg}")
+        extend(self, i, rec, cfg, nxt)
 
     monkeypatch.setattr(unison.LiftedTrace, "extend", faulty)
     flags = {"topo": "ring:6", "proto": "trivial", "steps": "60"}
     scn = scenario_from({}, flags)
     trace = run_scenario(scn)
-    assert len(trace.records) == 60 and trace.stab_index is not None
-    with pytest.raises(LiftError, match="step 0: injected"):
+    assert len(trace.records) == 60 and trace.stab_index + 10 <= 60
+    with pytest.raises(LiftError, match="step 5: injected into r2"):
         analyze(scn, trace)
     assert cli._sweep_cell(scn)[CSV_HEADER.index("violations")] == \
         "error: LiftError"

@@ -1,6 +1,7 @@
 """Clock system, wave-stream protocol, legitimacy predicates, and lifting."""
 
 import itertools
+import json
 import random
 import re
 from array import array
@@ -14,6 +15,7 @@ from rhosync import (DaemonPolicy, GraphParams, IncrementingSystem, LiftError,
                      generate, graph_params, intrinsic_delays, is_wu, is_wu0,
                      lift, random_configuration, run, trivial_plugin,
                      uniform_configuration)
+from rhosync import cli
 from conftest import (ADVERSARIAL, make_dc, make_ws, stabilized_dc,
                       stabilized_suffix)
 
@@ -242,6 +244,41 @@ def test_ss_ws_quiesces_never(ring8):
     tr = run(proto, ring8, DaemonPolicy(kind="synchronous"),
              uniform_configuration(proto, ring8), max_steps=100)
     assert tr.stop_reason == "budget"
+
+
+# -- a master clock wound once around an odd ring --------------------------
+
+
+def _wound_clock_run(tmp_path, k):
+    """The report of `ss_ws` on ring:9 at rho 2 under the synchronous
+    daemon, from a clock wound once around the ring (r = p at each
+    process p), and the clock's period."""
+    init = tmp_path / "wound.json"
+    init.write_text(json.dumps([{"r": p} for p in range(9)]))
+    scn = cli.scenario_from({}, {"proto": "ss_ws", "topo": "ring:9",
+                                 "rho": "2", "k": k,
+                                 "init": f"adversarial_file:{init}"})
+    trace = cli.run_scenario(scn)
+    return (cli.analyze(scn, trace),
+            trace.protocol.clock_registers["r"].period)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the master floor accepts K = 3 at rho 2 on "
+                   "ring:9, a period of C_G = 9, and a clock wound around "
+                   "the ring then never unwinds (ROADMAP item 2)")
+def test_the_master_floor_unwinds_a_wound_clock_on_an_odd_ring(tmp_path):
+    report, period = _wound_clock_run(tmp_path, "3")
+    assert period == 9
+    # today no process is enabled: the run stops by quiescence at step 0
+    assert report["stab_index"] is not None, (report["stop_reason"],
+                                              report["steps"])
+
+
+def test_a_master_period_above_the_ring_unwinds_a_wound_clock(tmp_path):
+    report, period = _wound_clock_run(tmp_path, "4")
+    assert period == 12
+    assert report["stab_index"] == 17 and report["violations"] == 0
 
 
 # -- lifting ---------------------------------------------------------------
