@@ -12,12 +12,12 @@ from .topology import (GraphParams, Topology, TopologyError, ball,
                        cyclomatic_bound, generate, graph_params,
                        greatest_hole, load_topology, parse_edge_list)
 from .kernel import (DAEMONS, Action, Configuration, DaemonPolicy,
-                     DroppedConfiguration, EngineFault, HeldConfigs,
-                     HookEvent, ProtocolDef, RegisterSpec, RoundCounter,
-                     Trace, TransitionRecord, View, check_attractor,
-                     check_closure, first_enabled_map, int_range,
-                     random_configuration, round_count, rounds, run, step,
-                     uniform_configuration)
+                     DroppedConfiguration, DroppedEvents, EngineFault,
+                     HeldConfigs, HookEvent, ProtocolDef, RegisterSpec,
+                     RoundCounter, Trace, TransitionRecord, View,
+                     check_attractor, check_closure, first_enabled_map,
+                     int_range, random_configuration, round_count, rounds,
+                     run, step, uniform_configuration)
 from .unison import (IncrementingSystem, LiftedTrace, LiftError,
                      SizingError, auto_sizes, build_ss_ws, delay,
                      intrinsic_delays, is_stable, is_wu, is_wu0, lift)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import shutil
 import sys
 import tempfile
 import weakref
@@ -287,15 +288,21 @@ def auto_steps(scn: Scenario, topo: Topology, proto) -> int:
     return 3 * topo.node_count * ticks
 
 
-def run_scenario(scn: Scenario) -> LiveTrace:
-    """Run a scenario into a `LiveTrace`, analyzed as the steps come."""
+def run_scenario(scn: Scenario, trace_path: str | None = None) -> LiveTrace:
+    """Run a scenario into a `LiveTrace`, analyzed as the steps come, and
+    with a `trace_path` written there as they come (`TraceWriter`)."""
     topo = make_topology(scn.topo)
     proto = build_protocol(scn, topo)
     init = make_init(scn, proto, topo)
     daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
     budget = auto_steps(scn, topo, proto)
-    return run(proto, topo, daemon, init, max_steps=budget,
-               trace=LiveTrace(proto, topo, init))
+    with TraceWriter(trace_path, scn) if trace_path \
+            else contextlib.nullcontext() as writer:
+        trace = run(proto, topo, daemon, init, max_steps=budget,
+                    trace=LiveTrace(proto, topo, init, writer))
+        if writer:
+            writer.finish(trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +313,13 @@ class LiveTrace(Trace):
     """A trace that runs the analysis's monitors as its steps are appended
     and keeps only what `analyze` reads later.
 
-    It keeps every record, and of the configurations (`HeldConfigs`) the
-    first and the last.  Each monitor takes each step as it comes, as
-    `monitor(i, rec, cfg, nxt)`: step i took `cfg` to `nxt` via `rec`.  Up
-    to the stabilization index they find:
+    It keeps every record's `fired` map, and its events only for a layer
+    clock, whose LRA monitors read them after the run: an `ss_ws` record
+    drops them once the writer and the monitors took its step.  Of the
+    configurations (`HeldConfigs`) it keeps the first and the last.  A
+    `writer` (`TraceWriter`), then each monitor, takes each step as it
+    comes, the monitor as `monitor(i, rec, cfg, nxt)`: step i took `cfg`
+    to `nxt` via `rec`.  Up to the stabilization index they find:
       - `stab_index`, the first stable configuration (`is_stable`); for
         the layer clock also `wu1_index`, the first in WU1;
       - `stab_round`, the number of rounds before the stabilization index
@@ -318,11 +328,11 @@ class LiveTrace(Trace):
     over, and for an `ss_ws` with an infimum attached the ball-infimum
     check (`infimum_verdict`), counting the steps of the suffix.  The
     first monitor that fails, say with a LiftError, stops them all; the
-    steps go on, and `analyze` raises that `fault`.
+    steps and the writer go on, and `analyze` raises that `fault`.
     """
 
     def __init__(self, proto: ProtocolDef, topo: Topology,
-                 init: Configuration):
+                 init: Configuration, writer: TraceWriter | None = None):
         super().__init__(proto, topo, HeldConfigs(init), [])
         self.wu1_index: int | None = None
         self.stab_index: int | None = None
@@ -330,6 +340,7 @@ class LiveTrace(Trace):
         self.fault: Exception | None = None
         self._last = init  # the configuration the next step starts from
         self._origin = 0  # the configuration the monitors count steps from
+        self._writer = writer
         self._rounds = RoundCounter(proto, topo)
         # Each clock register's lifting from the stabilization index on,
         # whose trace `lifted` sets to the suffix.
@@ -347,6 +358,8 @@ class LiveTrace(Trace):
 
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
         Trace.append(self, cfg, rec)
+        if self._writer is not None:
+            self._writer.step(len(self.records) - 1, rec)
         i = len(self.records) - 1 - self._origin
         last, self._last = self._last, cfg
         try:
@@ -354,6 +367,8 @@ class LiveTrace(Trace):
                 monitor(i, rec, last, cfg)
         except Exception as exc:  # noqa: BLE001 - `analyze` raises it
             self.fault, self._monitors = exc, []
+        if rec.events and self.protocol.name == "ss_ws":
+            del rec.events
 
     def lifted(self, reg: str) -> LiftedTrace:
         """The lifting of clock register `reg` over the suffix from the
@@ -547,14 +562,41 @@ def _encode_footer(trace: Trace) -> dict:
             "final_states": list(trace.configs[-1])}
 
 
+class TraceWriter(contextlib.AbstractContextManager):
+    """The trace file of scenario `scn` at `path`, written as the steps
+    come: `step` spools each step line in an unnamed temporary file beside
+    `path`; after the last step `finish` writes the header, whose stop
+    reason is known only then, the config line, the spool and the footer.
+    Leaving the `with` block closes the spool: no file without `finish`."""
+
+    def __init__(self, path: str, scn: Scenario):
+        self.path, self.scn = path, scn
+        self._spool = tempfile.TemporaryFile(
+            "w+", encoding="utf-8", dir=os.path.dirname(path) or ".")
+
+    def __exit__(self, *exc_info) -> None:
+        self._spool.close()
+
+    def step(self, i: int, rec: TransitionRecord) -> None:
+        self._spool.write(json.dumps(_encode_step(i, rec)) + "\n")
+
+    def finish(self, trace: Trace) -> None:
+        self._spool.seek(0)
+        with open(self.path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_encode_header(self.scn, trace.topo,
+                                               trace.stop_reason)) + "\n")
+            fh.write(json.dumps(_encode_config(trace.configs[0])) + "\n")
+            shutil.copyfileobj(self._spool, fh)
+            fh.write(json.dumps(_encode_footer(trace)) + "\n")
+
+
 def write_trace(path: str, scn: Scenario, trace: Trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_encode_header(scn, trace.topo,
-                                           trace.stop_reason)) + "\n")
-        fh.write(json.dumps(_encode_config(trace.configs[0])) + "\n")
+    """Write `trace` through a `TraceWriter`.  A live `ss_ws` trace, which
+    dropped its events, raises DroppedEvents and leaves no file."""
+    with TraceWriter(path, scn) as writer:
         for i, rec in enumerate(trace.records):
-            fh.write(json.dumps(_encode_step(i, rec)) + "\n")
-        fh.write(json.dumps(_encode_footer(trace)) + "\n")
+            writer.step(i, rec)
+        writer.finish(trace)
 
 
 def _last_line(path: str) -> bytes:
@@ -841,9 +883,7 @@ def cmd_run(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
     scn = scenario_from(config, _scenario_flags(args))
     with _output_file(args.trace, "trace") as tmp:
-        trace = run_scenario(scn)
-        if tmp:
-            write_trace(tmp, scn, trace)
+        trace = run_scenario(scn, tmp)
     report = analyze(scn, trace)
     print_summary(scn, report)
     return 0 if report["violations"] == 0 else 1

@@ -31,6 +31,7 @@ __all__ = [
     "HookEvent",
     "TransitionRecord",
     "DroppedConfiguration",
+    "DroppedEvents",
     "HeldConfigs",
     "Trace",
     "EngineFault",
@@ -172,14 +173,25 @@ class TransitionRecord:
     from both (see `rounds`).
 
     A trace's records with equal `fired` maps hold one dict (see
-    `Trace.append`), so a `fired` map must never be mutated."""
+    `Trace.append`), so a `fired` map must never be mutated.  A record
+    whose events a live trace dropped (`del rec.events`) raises
+    DroppedEvents where they are read."""
 
     fired: dict[int, str]
     events: tuple[HookEvent, ...] = ()
 
+    def __getattr__(self, name: str):  # an attribute that is not set
+        if name == "events":
+            raise DroppedEvents("a live trace dropped the events of this step")
+        raise AttributeError(name)
+
 
 class DroppedConfiguration(LookupError):
     """A trace that keeps only some configurations was asked for another."""
+
+
+class DroppedEvents(LookupError):
+    """A record was asked for the events it dropped."""
 
 
 class HeldConfigs(Sequence):

@@ -8,9 +8,10 @@ from unittest import mock
 
 import pytest
 
-from rhosync import (DaemonPolicy, InfimumVerdict, View, auto_sizes, ball,
-                     build_ss_dc, build_ss_ws, cli, generate, graph_params,
-                     random_configuration, run, stabilization_indices)
+from rhosync import (DaemonPolicy, InfimumVerdict, TransitionRecord, View,
+                     auto_sizes, ball, build_ss_dc, build_ss_ws, cli,
+                     generate, graph_params, random_configuration, run,
+                     stabilization_indices)
 from rhosync.infimum import PHASES
 
 
@@ -157,19 +158,21 @@ def naive_ball_infimum(lt, op, rho):
 
 
 @contextlib.contextmanager
-def replayed_configs():
-    """Yield a list that collects the configurations `cli.read_trace`
-    replays within the block, one per step (its `step` calls)."""
-    configs = []
+def replayed_steps():
+    """Yield a list that collects the steps `cli.read_trace` replays within
+    the block (its `step` calls): the configuration each produced, and a
+    copy of its record, events included, taken before the live trace may
+    drop them."""
+    steps = []
     step = cli.step
 
     def recording(*args, **kwargs):
         cfg, rec = step(*args, **kwargs)
-        configs.append(cfg)
+        steps.append((cfg, TransitionRecord(rec.fired, rec.events)))
         return cfg, rec
 
     with mock.patch.object(cli, "step", recording):
-        yield configs
+        yield steps
 
 
 def enabled_labels(c, p, proto, topo):

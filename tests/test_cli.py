@@ -21,7 +21,7 @@ from rhosync.cli import (CSV_HEADER, CorruptTraceError, Scenario,
                          ScenarioError, analyze, expand_grid, main,
                          make_topology, parse_config_file, read_trace,
                          run_scenario, scenario_from, write_trace)
-from conftest import replayed_configs, stored_run
+from conftest import replayed_steps, stored_run
 
 
 # -- configuration ---------------------------------------------------------
@@ -375,7 +375,7 @@ def test_header_roundtrip_keeps_every_field(tmp_path, params, left_default):
     for f in dataclasses.fields(Scenario):
         assert (getattr(scn, f.name) == f.default) == (f.name == left_default)
     trace_file = str(tmp_path / "t.jsonl")
-    write_trace(trace_file, scn, run_scenario(scn))
+    run_scenario(scn, trace_file)
     assert read_trace(trace_file)[0] == scn
 
 
@@ -918,10 +918,11 @@ def test_trace_roundtrip_preserves_run(tmp_path):
                          "seed": "4"}, {})
     trace = stored_run(scn)
     write_trace(trace_file, scn, trace)
-    with replayed_configs() as stepped:
+    with replayed_steps() as stepped:
         scn2, replayed = read_trace(trace_file)
     assert scn2 == scn
-    assert [replayed.configs[0], *stepped] == trace.configs
+    assert [replayed.configs[0], *(cfg for cfg, _rec in stepped)] == \
+        trace.configs
 
 
 _POOL_PROBE = """

@@ -29,7 +29,7 @@ from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
                          read_trace, run_scenario, scenario_from, write_trace)
 from rhosync.kernel import step
-from conftest import (enabled_labels, neighbor_reads, replayed_configs,
+from conftest import (enabled_labels, neighbor_reads, replayed_steps,
                       stored_run)
 
 
@@ -181,10 +181,12 @@ def test_run_and_replay_match_reference(topo, proto, rho, daemon, init,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
         write_trace(path, scn, trace)
-        with replayed_configs() as stepped:
+        with replayed_steps() as stepped:
             _scn, replayed = read_trace(path)
-    assert [replayed.configs[0], *stepped] == configs
-    assert replayed.records == records
+    assert [replayed.configs[0], *(cfg for cfg, _rec in stepped)] == configs
+    assert [rec for _cfg, rec in stepped] == records
+    assert [rec.fired for rec in replayed.records] == [
+        rec.fired for rec in records]
 
 
 @pytest.mark.parametrize("daemon", ["central", "rho_central",

@@ -10,6 +10,7 @@ that analysis, built from the stored-trace entry points, and the property
 test holds random scenarios to it.
 """
 
+import errno
 import gc
 import json
 import math
@@ -24,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhosync import (DAEMONS, DroppedConfiguration, HookEvent, LiftError,
-                     ProtocolDef, Topology, Trace, TransitionRecord,
-                     extract_cs_records, lift, lra_monitor_start, metrics,
-                     monitor_liveness, monitor_safety, round_count,
-                     stabilization_indices, unison, verify_ball_infimum,
-                     verify_delay_agreement)
-from rhosync import cli
+from rhosync import (DAEMONS, DroppedConfiguration, DroppedEvents,
+                     EngineFault, HookEvent, LiftError, ProtocolDef,
+                     Topology, Trace, TransitionRecord, extract_cs_records,
+                     lift, lra_monitor_start, metrics, monitor_liveness,
+                     monitor_safety, round_count, stabilization_indices,
+                     unison, verify_ball_infimum, verify_delay_agreement)
+from rhosync import cli, kernel
 from rhosync.cli import (CSV_HEADER, analyze, main, read_trace, run_scenario,
                          scenario_from, write_trace)
 from conftest import naive_ball_infimum, stored_run
@@ -105,11 +106,12 @@ def post_hoc_report(scn, trace):
 
 def _three_reports(scn):
     """The reports of the live run, of the stored run and of the live
-    replay of its trace file, and whether both runs wrote the same bytes."""
-    live, stored = run_scenario(scn), stored_run(scn)
+    replay of its trace file, and whether the live run's writer and
+    `write_trace` of the stored run wrote the same bytes."""
+    stored = stored_run(scn)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("live", "stored")]
-        write_trace(paths[0], scn, live)
+        live = run_scenario(scn, paths[0])
         write_trace(paths[1], scn, stored)
         same = [open(p, "rb").read() for p in paths]
         _scn, replayed = read_trace(paths[0])
@@ -183,27 +185,33 @@ def test_a_live_trace_keeps_only_what_analyze_reads():
                                           scn.rho)
 
 
-_NOT_HELD_STATE = (TransitionRecord, ProtocolDef, Topology, type,
-                   types.ModuleType, types.FunctionType,
-                   types.BuiltinFunctionType)
+_NOT_HELD_STATE = (ProtocolDef, Topology, type, types.ModuleType,
+                   types.FunctionType, types.BuiltinFunctionType)
 
 
-def _reached_configurations(root, n):
-    """The configurations (tuples of n register dicts) that `root` reaches
-    by references, past records, the protocol, the topology, types,
-    modules and functions."""
+def _reached(root, wanted, past=()):
+    """The objects for which `wanted` holds that `root` reaches by
+    references, past the protocol, the topology, types, modules, functions
+    and the types `past`, and not into a wanted object."""
     seen, stack, found = set(), [root], {}
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, _NOT_HELD_STATE):
+        if id(obj) in seen or isinstance(obj, (*_NOT_HELD_STATE, *past)):
             continue
         seen.add(id(obj))
-        if type(obj) is tuple and len(obj) == n \
-                and all(type(st) is dict for st in obj):
+        if wanted(obj):
             found[id(obj)] = obj
         else:
             stack.extend(gc.get_referents(obj))
     return list(found.values())
+
+
+def _reached_configurations(root, n):
+    """The configurations (tuples of n register dicts) that `root` reaches
+    (`_reached`), past records."""
+    return _reached(root, lambda obj: type(obj) is tuple and len(obj) == n
+                    and all(type(st) is dict for st in obj),
+                    past=(TransitionRecord,))
 
 
 @pytest.mark.parametrize("steps", [150, 157, 163])
@@ -336,9 +344,153 @@ def test_a_fault_met_while_the_steps_come_is_raised_by_analyze(
         analyze(scn, trace)
     assert cli._sweep_cell(scn)[CSV_HEADER.index("violations")] == \
         "error: LiftError"
-    # `run --trace` writes the trace before the analysis raises
+    # `run --trace` writes every line of the trace, as `write_trace` of
+    # the stored run does, before the analysis raises
     path = tmp_path / "t.jsonl"
     argv = [x for key, val in flags.items() for x in (f"--{key}", val)]
     with pytest.raises(LiftError):
         main(["run", *argv, "--trace", str(path)])
     assert len(path.read_text().splitlines()) == 63
+    write_trace(str(tmp_path / "stored.jsonl"), scn, stored_run(scn))
+    assert path.read_bytes() == (tmp_path / "stored.jsonl").read_bytes()
+
+
+# -- the trace writer -------------------------------------------------------
+
+
+def _written_live_and_stored(tmp_path, scn):
+    """Write the trace of `scn` twice, by the live run's writer
+    (`run_scenario(scn, path)`) and by `write_trace` of the stored run;
+    return the live trace and both files' bytes."""
+    live_path, stored_path = tmp_path / "live.jsonl", tmp_path / "stored.jsonl"
+    live = run_scenario(scn, str(live_path))
+    write_trace(str(stored_path), scn, stored_run(scn))
+    assert sorted(os.listdir(tmp_path)) == ["live.jsonl", "stored.jsonl"]
+    return live, live_path.read_bytes(), stored_path.read_bytes()
+
+
+@pytest.mark.parametrize("daemon", DAEMONS)
+@pytest.mark.parametrize("rho", [1, 2])
+@pytest.mark.parametrize("topo", ["ring:6", "grid:2x3", "tree:5"])
+@pytest.mark.parametrize("proto, infimum", [
+    ("ss_ws", ""), ("ss_ws", "min_int"), ("ss_ws", "lex_pair"),
+    ("trivial", ""), ("lme", ""), ("gme", ""), ("rw", "")])
+def test_the_live_writer_writes_the_bytes_of_write_trace(
+        tmp_path, proto, infimum, topo, rho, daemon):
+    scn = scenario_from({}, {"proto": proto, "infimum": infimum,
+                             "topo": topo, "rho": rho, "daemon": daemon,
+                             "seed": 3, "steps": "400"})
+    live, written, stored = _written_live_and_stored(tmp_path, scn)
+    assert written == stored
+    assert len(written.splitlines()) == len(live.records) + 3
+
+
+def _wound_ring9(tmp_path):
+    """`ss_ws` on ring:9 at rho 2 with K = 3, from a clock wound once
+    around the ring: no process is enabled at step 0."""
+    init = tmp_path / "wound.json"
+    init.write_text(json.dumps([{"r": p} for p in range(9)]))
+    return {"proto": "ss_ws", "topo": "ring:9", "rho": "2", "k": "3",
+            "init": f"adversarial_file:{init}"}
+
+
+@pytest.mark.parametrize("stop_reason", ["budget", "quiescence"])
+def test_the_live_writer_writes_the_lines_of_a_run_of_no_step(
+        tmp_path, stop_reason):
+    # a 0-step budget, and a start where no process is enabled
+    (tmp_path / "out").mkdir()
+    params = _wound_ring9(tmp_path) if stop_reason == "quiescence" else {
+        "proto": "ss_ws", "infimum": "lex_pair", "steps": "0"}
+    live, written, stored = _written_live_and_stored(
+        tmp_path / "out", scenario_from({}, params))
+    assert written == stored
+    assert live.records == [] and live.stop_reason == stop_reason
+    assert len(written.splitlines()) == 3
+    replayed = read_trace(str(tmp_path / "out" / "live.jsonl"))[1]
+    assert replayed.stop_reason == stop_reason
+
+
+def _lex_pair_ring8():
+    return scenario_from({}, {"topo": "ring:8", "proto": "ss_ws", "rho": "2",
+                              "infimum": "lex_pair"})
+
+
+def _is_event(obj):
+    return type(obj) is HookEvent
+
+
+def test_a_finished_ss_ws_trace_reaches_no_event(tmp_path):
+    # the decide events, read by the infimum check and the writer as each
+    # step comes, are dropped; a layer clock keeps the cs events that the
+    # LRA monitors read after the run
+    path = str(tmp_path / "t.jsonl")
+    scn = _lex_pair_ring8()
+    live = run_scenario(scn, path)
+    assert analyze(scn, live)["infimum_phases"] > 0
+    assert any(ev.kind == "decide" for rec in stored_run(scn).records
+               for ev in rec.events)
+    assert _reached(live, _is_event) == []
+    _scn, replayed = read_trace(path)
+    assert analyze(scn, replayed) == analyze(scn, live)
+    assert _reached(replayed, _is_event) == []
+    lme = run_scenario(scenario_from({}, {"topo": "ring:8", "proto": "lme"}))
+    events = _reached(lme, _is_event)
+    assert events and all(ev.kind == "cs" for ev in events)
+    assert len(events) == sum(len(rec.events) for rec in lme.records)
+
+
+def test_write_trace_refuses_a_live_trace_without_its_events(tmp_path):
+    scn = _lex_pair_ring8()
+    live = run_scenario(scn)
+    with pytest.raises(DroppedEvents) as exc:
+        write_trace(str(tmp_path / "t.jsonl"), scn, live)
+    assert "a live trace dropped the events of this step" in str(exc.value)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(DroppedEvents):
+        [rec.events for rec in live.records]
+    # a record that had no events drops none, and a layer clock's live
+    # trace keeps them and writes the bytes its writer wrote
+    quiet = scenario_from({}, {"topo": "ring:8", "steps": "40"})
+    assert all(rec.events == () for rec in run_scenario(quiet).records)
+    lme = scenario_from({}, {"topo": "ring:8", "proto": "lme"})
+    run_scenario(lme, str(tmp_path / "live.jsonl"))
+    write_trace(str(tmp_path / "t.jsonl"), lme, run_scenario(lme))
+    assert (tmp_path / "t.jsonl").read_bytes() == \
+        (tmp_path / "live.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("fault", [
+    EngineFault("injected"), OSError(errno.ENOSPC, "injected")],
+    ids=["engine", "write"])
+def test_a_run_that_fails_mid_run_leaves_no_trace_and_no_spool(
+        tmp_path, monkeypatch, capsys, fault):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"earlier trace\n")
+    seen = []
+    if isinstance(fault, EngineFault):
+        owner, name = kernel, "step"
+    else:
+        owner, name = cli.TraceWriter, "step"
+    original = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        seen.append(sorted(os.listdir(tmp_path)))
+        if len(seen) == 30:
+            raise fault
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    argv = ["run", "--topo", "ring:8", "--proto", "ss_ws", "--infimum",
+            "lex_pair", "--trace", str(path)]
+    if isinstance(fault, EngineFault):
+        with pytest.raises(EngineFault, match="injected"):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        assert "cannot write trace" in capsys.readouterr().err
+    # while the run goes, the directory holds the earlier trace and the
+    # temporary file that replaces it on success; the spool has no name
+    assert len(seen) == 30 and len(seen[-1]) == 2
+    assert seen[-1][0].startswith(".t.jsonl.") and seen[-1][1] == "t.jsonl"
+    assert os.listdir(tmp_path) == ["t.jsonl"]
+    assert path.read_bytes() == b"earlier trace\n"
