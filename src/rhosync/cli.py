@@ -20,10 +20,8 @@ import random
 import shutil
 import sys
 import tempfile
-import weakref
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
-from types import MethodType
 
 from .causality import build_event_graph, check_wavelet, cut_for_level
 from .infimum import (BallInfimumCheck, InfimumVerdict, attach_infimum,
@@ -317,16 +315,16 @@ class LiveTrace(Trace):
     clock, whose LRA monitors read them after the run: an `ss_ws` record
     drops them once the writer and the monitors took its step.  Of the
     configurations (`HeldConfigs`) it keeps the first and the last.  A
-    `writer` (`TraceWriter`), then each monitor, takes each step as it
-    comes, the monitor as `monitor(i, rec, cfg, nxt)`: step i took `cfg`
-    to `nxt` via `rec`.  Up to the stabilization index they find:
+    `writer` (`TraceWriter`) takes each step as it comes; up to the
+    stabilization index, the round counter and the stability scan take
+    it and find:
       - `stab_index`, the first stable configuration (`is_stable`); for
         the layer clock also `wu1_index`, the first in WU1;
-      - `stab_round`, the number of rounds before the stabilization index
-        (`RoundCounter`).
-    At that index the liftings of each clock register (`lifted`) take
-    over, and for an `ss_ws` with an infimum attached the ball-infimum
-    check (`infimum_verdict`), counting the steps of the suffix.  The
+      - `stab_round`, the number of rounds before it (`RoundCounter`).
+    From there each suffix monitor takes step i as `monitor(i -
+    stab_index, rec, cfg, nxt)`, `rec` taking `cfg` to `nxt`: the
+    liftings of each clock register (`lifted`), then for an `ss_ws` with
+    an infimum attached the ball-infimum check (`infimum_verdict`).  The
     first monitor that fails, say with a LiftError, stops them all; the
     steps and the writer go on, and `analyze` raises that `fault`.
     """
@@ -339,34 +337,35 @@ class LiveTrace(Trace):
         self.stab_round: int | None = None
         self.fault: Exception | None = None
         self._last = init  # the configuration the next step starts from
-        self._origin = 0  # the configuration the monitors count steps from
         self._writer = writer
         self._rounds = RoundCounter(proto, topo)
         # Each clock register's lifting from the stabilization index on,
         # whose trace `lifted` sets to the suffix.
         self._lifted: dict[str, LiftedTrace] = {}
         self._infimum: BallInfimumCheck | None = None
-        # The scan reaches the trace through a weak proxy: its bound method
-        # in the trace's own list would be a reference cycle, and a trace
-        # that never stabilizes would wait for the cyclic collector.
-        self._monitors = [self._rounds.step,
-                          MethodType(LiveTrace._scan, weakref.proxy(self))]
+        self._monitors: list = []  # the suffix monitors
         try:
-            self._scan(-1, None, None, init)  # as if a step led to it
+            self._scan(init)
         except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-            self.fault, self._monitors = exc, []
+            self.fault = exc
 
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
         Trace.append(self, cfg, rec)
+        i = len(self.records) - 1
         if self._writer is not None:
-            self._writer.step(len(self.records) - 1, rec)
-        i = len(self.records) - 1 - self._origin
+            self._writer.step(i, rec)
         last, self._last = self._last, cfg
-        try:
-            for monitor in self._monitors:
-                monitor(i, rec, last, cfg)
-        except Exception as exc:  # noqa: BLE001 - `analyze` raises it
-            self.fault, self._monitors = exc, []
+        if self.fault is None:
+            try:
+                if self.stab_index is None:
+                    self._rounds.step(i, rec, last, cfg)
+                    self._scan(cfg)
+                else:
+                    j = i - self.stab_index
+                    for monitor in self._monitors:
+                        monitor(j, rec, last, cfg)
+            except Exception as exc:  # noqa: BLE001 - `analyze` raises it
+                self.fault = exc
         if rec.events and self.protocol.name == "ss_ws":
             del rec.events
 
@@ -379,31 +378,29 @@ class LiveTrace(Trace):
         """The verdict of the ball-infimum check over the steps so far."""
         return self._infimum.verdict()
 
-    def _scan(self, i: int, rec: TransitionRecord | None,
-              cfg: Configuration | None, nxt: Configuration) -> None:
-        """Note whether `nxt`, configuration i + 1, is the first in WU1;
-        if it is stable, swap the liftings, started at `nxt`, in for the
-        round counter and this scan."""
-        proto, topo, t = self.protocol, self.topo, i + 1
+    def _scan(self, cfg: Configuration) -> None:
+        """Note whether `cfg`, the last configuration, is the first in WU1;
+        if it is stable, make it the stabilization index and start the
+        suffix monitors there."""
+        proto, topo, t = self.protocol, self.topo, len(self.records)
         sys1 = proto.clock_registers.get("r1")
         if sys1 is not None and self.wu1_index is None \
-                and is_wu(nxt, topo, sys1, "r1"):
+                and is_wu(cfg, topo, sys1, "r1"):
             self.wu1_index = t
         # WU0 implies WU: a configuration outside WU1 is not stable
         if (sys1 is not None and self.wu1_index is None) \
-                or not is_stable(nxt, proto, topo):
+                or not is_stable(cfg, proto, topo):
             return
-        start = self.suffix(t)  # `nxt` alone
+        start = self.suffix(t)  # `cfg` alone
         self._lifted = {reg: lift(start, reg)
                         for reg in proto.clock_registers}
-        monitors = [lt.extend for lt in self._lifted.values()]
+        self._monitors = [lt.extend for lt in self._lifted.values()]
         if "infimum" in proto.meta:
             self._infimum = BallInfimumCheck(
                 self._lifted["r"], proto.meta["infimum"],
                 proto.meta["delta"] - 1)
-            monitors.append(self._infimum.feed)
+            self._monitors.append(self._infimum.feed)
         self.stab_index, self.stab_round = t, len(self._rounds.boundaries)
-        self._monitors, self._rounds, self._origin = monitors, None, t
 
 
 def check_wavelet_levels(lt: LiftedTrace, rho: int) -> list[tuple[int, bool]]:
@@ -461,11 +458,17 @@ def analyze(scn: Scenario, trace: LiveTrace) -> dict:
         bad = [k for k, ok in levels if not ok]
         report["wavelet_failures"] = bad
         violations += len(bad)
+        vacuous = [] if levels else ["wavelet window"]
         if scn.infimum:
             verdict = trace.infimum_verdict()
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
+            vacuous += [] if verdict.phases_checked else ["infimum phase"]
+        if vacuous:
+            violations += 1
+            report["notes"] = [f"the stabilized suffix holds no "
+                               f"{' and no '.join(vacuous)} to check"]
     else:
         lt1, lt2 = trace.lifted("r1"), trace.lifted("r2")
         agree = verify_delay_agreement(lt2, rho, sample_every=5)
@@ -958,7 +961,7 @@ def cmd_sweep(args) -> int:
             # Only a parallel sweep pays for loading the process pool
             # (multiprocessing, pickle, logging, socket).
             from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(min(args.jobs, len(cells))) as pool:
                 rows = list(pool.map(_sweep_cell, cells))
         else:
             rows = [_sweep_cell(scn) for scn in cells]

@@ -1,7 +1,7 @@
 """Guarded-action execution engine.
 
 Configurations, atomic composite steps, daemon policies, rounds,
-neutralization, and the closure/attractor monitors.
+neutralization, and the closure monitor.
 
 A protocol is a list of actions in priority order; when several actions of
 one process are enabled in the same step, the first (highest-priority) one
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .topology import Topology
@@ -42,7 +42,6 @@ __all__ = [
     "rounds",
     "round_count",
     "check_closure",
-    "check_attractor",
     "random_configuration",
     "uniform_configuration",
 ]
@@ -599,38 +598,3 @@ def check_closure(pred: Callable[[Configuration], bool],
             return ClosureVerdict(False, checked, (
                 tr.configs[-2], tuple(tr.records[-1].fired), tr.configs[-1]))
     return ClosureVerdict(True, checked, None)
-
-
-@dataclass
-class AttractorVerdict:
-    converged: bool
-    hit_indices: list[int | None]
-    round_counts: list[int | None]
-
-
-def check_attractor(p_pred: Callable[[Configuration], bool] | None,
-                    q_pred: Callable[[Configuration], bool],
-                    proto: ProtocolDef, topo: Topology,
-                    daemon: DaemonPolicy,
-                    sampler: Callable[[random.Random], Configuration],
-                    *, runs: int = 10, budget: int = 2000,
-                    seed: int = 0) -> AttractorVerdict:
-    """For runs starting in p_pred, report the first index where q_pred holds
-    (None on budget exhaustion) and the round count up to that index."""
-    rng = random.Random(seed)
-    hits: list[int | None] = []
-    round_counts: list[int | None] = []
-    for r in range(runs):
-        init = sampler(rng)
-        if p_pred is not None and not p_pred(init):
-            continue
-        tr = run(proto, topo, replace(daemon, seed=daemon.seed + r), init,
-                 max_steps=budget, stop_predicate=q_pred)
-        if tr.stop_reason == "predicate" or (tr.configs and q_pred(tr.configs[-1])):
-            idx = len(tr.records)
-            hits.append(idx)
-            round_counts.append(round_count(tr, idx))
-        else:
-            hits.append(None)
-            round_counts.append(None)
-    return AttractorVerdict(all(h is not None for h in hits), hits, round_counts)

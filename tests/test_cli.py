@@ -1,6 +1,7 @@
 """CLI: scenario parsing and precedence, topology specs, run / check /
 sweep subcommands, trace round-trips, and exit codes."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -637,6 +638,22 @@ def test_an_lra_run_with_no_clean_phase_fails(tmp_path):
     assert not any(line.startswith("  cs_") for line in lines)
 
 
+@pytest.mark.parametrize("flags, missing", [
+    (["--steps", "0", "--infimum", "min_int"],
+     "no wavelet window and no infimum phase"),
+    (["--steps", "4", "--infimum", "min_int"], "no infimum phase"),
+    (["--steps", "2"], "no wavelet window"),
+], ids=["nothing", "no_phase", "no_window"])
+def test_an_ss_ws_verdict_that_checked_nothing_fails(capsys, flags, missing):
+    # a stable start and a few steps: the suffix ends before the first
+    # complete wavelet window or judged infimum phase
+    rc = main(["run", "--topo", "ring:6", "--init", "wu0_uniform", *flags])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert f"  note: the stabilized suffix holds {missing} to check" in lines
+    assert lines[-1] == "  violations = 1"
+
+
 @pytest.mark.parametrize("flags", [
     {"topo": "ring:8", "proto": "ss_ws", "daemon": "synchronous",
      "rho": "2", "infimum": "lex_pair"},
@@ -992,6 +1009,31 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["sweep", "--grid", str(grid), "--out", str(out2),
                  "--jobs", "2"]) == 0
     assert open(out1).read() == open(out2).read()
+
+
+def test_sweep_asks_for_no_more_workers_than_cells(monkeypatch, capsys):
+    # A stand-in for the pool that forks nothing: it records the worker
+    # count asked for and maps in this process.
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert main(["sweep", "--topo", "ring:6", "--proto", "lme",
+                 "--steps", "200", "--jobs", "64"]) == 0
+    assert asked == [1]
+    assert len(capsys.readouterr().out.splitlines()) == 2  # header, 1 row
 
 
 def test_sweep_cell_error_reported_as_row(tmp_path):

@@ -1,5 +1,5 @@
 """Engine tests: views, composite atomicity, priorities, neutralization,
-daemons, rounds, and the closure/attractor monitors."""
+daemons, rounds, and the closure monitor."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosync import (DAEMONS, Action, DaemonPolicy, EngineFault, ProtocolDef,
-                     RegisterSpec, Trace, View, check_attractor, check_closure,
+                     RegisterSpec, Trace, View, check_closure,
                      first_enabled_map, generate, random_configuration, rounds,
                      run, step, uniform_configuration)
 from conftest import enabled_labels, neighbor_reads
@@ -375,17 +375,3 @@ def test_check_closure_accepts_invariant(ring8):
                             samples=100, steps_per_sample=4, seed=3)
     assert verdict.closed and verdict.samples_checked > 0
 
-
-def test_check_attractor_countdown(ring8):
-    proto = countdown_protocol()
-
-    def done(c):
-        return all(st["x"] == 0 for st in c)
-
-    verdict = check_attractor(
-        None, done, proto, ring8, DaemonPolicy(kind="central", seed=0),
-        lambda rng: random_configuration(proto, ring8, rng),
-        runs=5, budget=500, seed=1)
-    assert verdict.converged
-    assert all(h is not None for h in verdict.hit_indices)
-    assert all(rc is not None for rc in verdict.round_counts)

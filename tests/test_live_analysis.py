@@ -65,11 +65,19 @@ def post_hoc_report(scn, trace):
         report["wavelet_levels"] = len(levels)
         report["wavelet_failures"] = [k for k, ok in levels if not ok]
         violations += len(report["wavelet_failures"])
+        vacuous = [] if levels else ["wavelet window"]
         if scn.infimum:
             verdict = verify_ball_infimum(lt, proto.meta["infimum"], scn.rho)
             report["infimum_phases"] = verdict.phases_checked
             report["infimum_mismatches"] = len(verdict.mismatches)
             violations += len(verdict.mismatches)
+            if not verdict.phases_checked:
+                vacuous.append("infimum phase")
+        if vacuous:
+            # a verdict that checked nothing fails, as an LRA run's does
+            violations += 1
+            report["notes"] = ["the stabilized suffix holds no "
+                               + " and no ".join(vacuous) + " to check"]
         report["violations"] = violations
         return report
     lt1 = lift(suffix, "r1")
