@@ -28,8 +28,10 @@ from .infimum import (BallInfimumCheck, InfimumVerdict, attach_infimum,
                       make_infimum)
 from .kernel import (DAEMONS, Configuration, DaemonPolicy, HeldConfigs,
                      ProtocolDef, RoundCounter, Trace, TransitionRecord,
-                     first_enabled_map, random_configuration, run, step,
+                     first_enabled_map, random_configuration, run,
                      uniform_configuration)
+# cli binds `step` only because the benchmark patches it here
+from .kernel import step  # noqa: F401
 from .layerclock import (build_ss_dc, stabilization_indices, trivial_plugin,
                          verify_delay_agreement)
 from .lra import (extract_cs_records, lra_monitor_start, make_lra_plugin,
@@ -292,15 +294,21 @@ def run_scenario(scn: Scenario, trace_path: str | None = None) -> LiveTrace:
     topo = make_topology(scn.topo)
     proto = build_protocol(scn, topo)
     init = make_init(scn, proto, topo)
-    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
-    budget = auto_steps(scn, topo, proto)
     with TraceWriter(trace_path, scn) if trace_path \
             else contextlib.nullcontext() as writer:
-        trace = run(proto, topo, daemon, init, max_steps=budget,
-                    trace=LiveTrace(proto, topo, init, writer))
+        trace = _run_live(scn, LiveTrace(proto, topo, init, writer))
         if writer:
             writer.finish(trace)
     return trace
+
+
+def _run_live(scn: Scenario, trace: LiveTrace) -> LiveTrace:
+    """Run scenario `scn` onto `trace`, which holds its protocol, topology
+    and start: the one engine loop of `run` and `check`."""
+    proto, topo = trace.protocol, trace.topo
+    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
+    return run(proto, topo, daemon, trace.configs[0],
+               max_steps=auto_steps(scn, topo, proto), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +323,10 @@ class LiveTrace(Trace):
     clock, whose LRA monitors read them after the run: an `ss_ws` record
     drops them once the writer and the monitors took its step.  Of the
     configurations (`HeldConfigs`) it keeps the first and the last.  A
-    `writer` (`TraceWriter`) takes each step as it comes; up to the
-    stabilization index, the round counter and the stability scan take
-    it and find:
+    `writer` takes each step as it comes, as `writer.step(i, rec)`: a
+    `TraceWriter` writes it, a `_StepLines` holds a file's line to it.  Up
+    to the stabilization index, the round counter and the stability scan
+    take it and find:
       - `stab_index`, the first stable configuration (`is_stable`); for
         the layer clock also `wu1_index`, the first in WU1;
       - `stab_round`, the number of rounds before it (`RoundCounter`).
@@ -330,14 +339,14 @@ class LiveTrace(Trace):
     """
 
     def __init__(self, proto: ProtocolDef, topo: Topology,
-                 init: Configuration, writer: TraceWriter | None = None):
+                 init: Configuration, writer=None):
         super().__init__(proto, topo, HeldConfigs(init), [])
         self.wu1_index: int | None = None
         self.stab_index: int | None = None
         self.stab_round: int | None = None
         self.fault: Exception | None = None
         self._last = init  # the configuration the next step starts from
-        self._writer = writer
+        self.writer = writer
         self._rounds = RoundCounter(proto, topo)
         # Each clock register's lifting from the stabilization index on,
         # whose trace `lifted` sets to the suffix.
@@ -352,8 +361,8 @@ class LiveTrace(Trace):
     def append(self, cfg: Configuration, rec: TransitionRecord) -> None:
         Trace.append(self, cfg, rec)
         i = len(self.records) - 1
-        if self._writer is not None:
-            self._writer.step(i, rec)
+        if self.writer is not None:
+            self.writer.step(i, rec)
         last, self._last = self._last, cfg
         if self.fault is None:
             try:
@@ -628,7 +637,7 @@ def _parse_ends(header_text: str, config_text: str, footer_text: bytes
     The header's scenario determines the graph and the start, unless it
     names a `file:` topology or an `adversarial_file:` init: then they are
     read from the header's edges and the config line.  The header's stop
-    reason must be there; `read_trace` decides its value after the replay.
+    reason must be there; `read_trace` holds it to the run's.
 
     Returns (scenario, trace, footer): `trace` holds the protocol,
     topology, header stop reason and initial configuration only, as a
@@ -664,7 +673,7 @@ def _parse_ends(header_text: str, config_text: str, footer_text: bytes
             raise CorruptTraceError(f"bad topology in header: {exc}") from exc
     else:
         topo = make_topology(scn.topo)
-    # encoded with its own stop reason, whose value the replay decides: so
+    # encoded with its own stop reason, whose value the run decides: so
     # here only a missing key differs
     _check_line("header", header, _encode_header(
         scn, topo, header.get("stop_reason")))
@@ -682,46 +691,16 @@ def _parse_ends(header_text: str, config_text: str, footer_text: bytes
     return scn, trace, footer
 
 
-def _decode_step(text: str, i: int, n: int) -> tuple[dict, list[int]]:
-    """Decode step line `i` of a trace over `n` processes into the line,
-    its events frozen as the engine emits them, and its selection.
-
-    The selection must be a non-empty, strictly ascending list of process
-    ids (ints in range(n), not bools), and `step` an int.  Raises
-    CorruptTraceError otherwise.  `read_trace` holds the rest of the line
-    to `_encode_step` of the replayed step.
-    """
-    try:
-        line = json.loads(text)
-        selected, step_index = line["selected"], line["step"]
-        if type(selected) is not list or not selected \
-                or any(type(p) is not int for p in selected) \
-                or not 0 <= selected[0] \
-                or any(p >= q for p, q in zip(selected, selected[1:])) \
-                or selected[-1] >= n:
-            raise ValueError(f"selected {selected!r} is not an ascending "
-                             f"list of process ids")
-        if type(step_index) is not int:
-            raise ValueError(f"step {step_index!r} is not an integer")
-        line["events"] = [_freeze(ev) for ev in line["events"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
-    return line, selected
-
-
-def _json_text(value) -> str:
-    """A JSON value as text that is equal for two values iff they are the
-    same JSON: key order aside, and with number types kept."""
-    return json.dumps(value, sort_keys=True)
-
-
 def _differing_keys(line: dict, written: dict) -> list[str]:
     """The keys, sorted, in which trace line `line` differs from the line
     `written` that `write_trace` writes in its place: a missing or an
-    extra key, or another JSON value by `_json_text`."""
+    extra key, or another JSON value.  Two values are the same JSON iff
+    their `json.dumps(sort_keys=True)` texts are equal: key order aside,
+    and with number types kept."""
     return [k for k in sorted(line.keys() | written.keys())
             if k not in line or k not in written
-            or _json_text(line[k]) != _json_text(written[k])]
+            or json.dumps(line[k], sort_keys=True)
+            != json.dumps(written[k], sort_keys=True)]
 
 
 def _check_line(name: str, line: dict, written: dict) -> None:
@@ -732,45 +711,86 @@ def _check_line(name: str, line: dict, written: dict) -> None:
             f"malformed {name}: it differs from the replay in {keys}")
 
 
-def _replayed_stop_reason(scn: Scenario, trace: Trace) -> str:
-    """The stop reason `run` gives these steps: `budget` iff they are the
-    scenario's step budget, else `quiescence` iff no process is enabled at
-    the end.  Raises CorruptTraceError for any other trace."""
-    budget = auto_steps(scn, trace.topo, trace.protocol)
-    steps = len(trace.records)
-    if steps == budget:
-        return "budget"
-    if steps > budget:
-        raise CorruptTraceError(
-            f"trace has {steps} steps, above the step budget {budget}")
-    if first_enabled_map(trace.configs[-1], trace.protocol, trace.topo):
-        raise CorruptTraceError(
-            f"trace stops after {steps} steps, below the step budget "
-            f"{budget}, with processes still enabled")
-    return "quiescence"
+class _StepLines:
+    """The step lines of a trace file, as the writer of the `LiveTrace`
+    that `read_trace` runs for the file's header: `step` holds line i to
+    the run's step i, and `close` refuses the lines the run leaves."""
+
+    def __init__(self, lines, scn: Scenario, trace: LiveTrace):
+        self._lines, self._topo = lines, trace.topo
+        self._daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho,
+                                    scn.p_select)
+        self._budget = auto_steps(scn, trace.topo, trace.protocol)
+
+    def step(self, i: int, rec: TransitionRecord) -> None:
+        """Hold the next line to step i, `rec`.  The text `TraceWriter`
+        writes passes at once; else the line must hold the same JSON
+        values, and its selection be a non-empty, strictly ascending list
+        of process ids (ints in range(n), not bools).  A selection that
+        differs breaks the daemon's rule (`DaemonPolicy.refusal`) or is
+        not its seeded draw."""
+        text = next(self._lines, None)
+        if text is None:
+            raise CorruptTraceError(
+                f"trace stops after {i} steps, below the step budget "
+                f"{self._budget}, with processes still enabled")
+        written = _encode_step(i, rec)
+        if text == json.dumps(written) + "\n":
+            return
+        try:
+            line = json.loads(text)
+            selected = line["selected"]
+            if type(selected) is not list or not selected \
+                    or any(type(p) is not int for p in selected) \
+                    or not 0 <= selected[0] \
+                    or any(p >= q for p, q in zip(selected, selected[1:])) \
+                    or selected[-1] >= self._topo.node_count:
+                raise ValueError(f"selected {selected!r} is not an "
+                                 f"ascending list of process ids")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptTraceError(f"malformed step {i}: {exc!r}") from exc
+        keys = _differing_keys(line, written)
+        if "selected" in keys:
+            drawn = written["selected"]
+            # only the synchronous rule reads the enabled processes, all of
+            # which that daemon draws
+            rule = self._daemon.refusal(selected, self._topo, lambda: drawn)
+            raise CorruptTraceError(
+                f"step {i} {rule}" if rule else
+                f"step {i} selects {selected}, not the seeded draw {drawn}")
+        if keys:
+            raise CorruptTraceError(f"malformed step {i}: the replay at "
+                                    f"step {i} differs in {keys}")
+
+    def close(self, trace: LiveTrace) -> None:
+        """Refuse the step lines left after the run, `trace`."""
+        if extra := sum(1 for _ in self._lines):
+            steps = len(trace.records) + extra
+            raise CorruptTraceError(
+                f"trace has {steps} steps, above the step budget "
+                f"{self._budget}" if trace.stop_reason == "budget" else
+                f"trace has {steps} steps; no process is enabled after "
+                f"{len(trace.records)}")
 
 
 def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
-    """Load and replay a trace file into a `LiveTrace`, analyzed as the
-    replay goes.
+    """Load a trace file and run its header's scenario into a `LiveTrace`,
+    analyzed as the run goes.
 
     Every line must be the JSON value that `write_trace` writes in its
-    place: the header and config line for the header's scenario
-    (`_parse_ends`), each step line for the replayed step, the footer for
-    the replayed trace.  Replay re-executes every recorded selection
-    through the engine and holds it to the header daemon's rule
-    (`DaemonPolicy.refusal`); after the last step it decides the header's
-    stop reason (`_replayed_stop_reason`).  A number's type counts (5.0 is
-    not 5, nor true 1); whitespace and key order do not (see
-    `_json_text`).  Any divergence, truncation or malformed line raises
-    CorruptTraceError, the first in file order, except that a footer that
-    is no footer line comes first and the stop reason after the steps.
+    place for that run: the header and config line for the header's
+    scenario (`_parse_ends`), each step line for the run's step
+    (`_StepLines`), the footer for the run.  So every selection is the
+    header daemon's seeded draw, and the header's stop reason the run's.
+    A number's type counts (5.0 is not 5, nor true 1); whitespace and key
+    order do not (`_differing_keys`).  Any divergence, truncation or
+    malformed line raises CorruptTraceError, the first in file order,
+    except that a footer that is no footer line comes first and the stop
+    reason after the steps.
 
     The footer, the file's last non-blank line, is read first
     (`_last_line`); then the file is read once, one line ahead of the
-    replay, so the footer never reaches it.  A step evaluates the guards
-    of the selected processes only, unless the daemon's rule reads the
-    enabled set (`synchronous`): then it fires the hits found.
+    run, so the footer never reaches it.
     """
     try:
         footer_text = _last_line(path)
@@ -783,56 +803,20 @@ def read_trace(path: str) -> tuple[Scenario, LiveTrace]:
                 raise CorruptTraceError(
                     "trace is truncated or missing header/footer")
             scn, trace, footer = _parse_ends(*head, footer_text)
-            _replay(scn, trace, lines)
+            stated = trace.stop_reason
+            trace.writer = _StepLines(lines, scn, trace)
+            _run_live(scn, trace)
+            trace.writer.close(trace)
     except OSError as exc:
         raise CorruptTraceError(f"cannot read trace {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptTraceError(f"malformed trace line: {exc}") from exc
-    stop = _replayed_stop_reason(scn, trace)
-    if trace.stop_reason != stop:
+    if stated != trace.stop_reason:
         raise CorruptTraceError(
-            f"header says stop_reason {trace.stop_reason!r}, the replay "
-            f"stops on {stop!r}")
+            f"header says stop_reason {stated!r}, the replay stops on "
+            f"{trace.stop_reason!r}")
     _check_line("footer", footer, _encode_footer(trace))
     return scn, trace
-
-
-def _replay(scn: Scenario, trace: LiveTrace, step_lines) -> None:
-    """Replay the step lines of a trace for scenario `scn` onto `trace`,
-    which holds the initial configuration, holding each to the header
-    daemon's rule and to `_encode_step` of the replayed step."""
-    proto, topo = trace.protocol, trace.topo
-    daemon = DaemonPolicy(scn.daemon, scn.seed, scn.rho, scn.p_select)
-    n = topo.node_count
-    cfg = trace.configs[0]
-    hits: dict = {}
-
-    def enabled():  # the enabled set of `cfg`, kept as the step's hits
-        hits.update(first_enabled_map(cfg, proto, topo))
-        return hits
-
-    for i, text in enumerate(step_lines):
-        line, selected = _decode_step(text, i, n)
-        hits.clear()
-        refusal = daemon.refusal(selected, topo, enabled)
-        if refusal:
-            raise CorruptTraceError(f"step {i} {refusal}")
-        try:
-            cfg, rec = step(cfg, selected, proto, topo, hits)
-        except Exception as exc:
-            raise CorruptTraceError(
-                f"replay failed at step {i}: {exc}") from exc
-        replayed = _encode_step(i, rec)
-        # `==` takes 5.0 for 5 and true for 1.  Outside the events each
-        # value is a str or an int `_decode_step` checked, and repr tells
-        # an event's numbers apart; any doubt is settled key by key.
-        if line != replayed or repr(line["events"]) != repr(
-                replayed["events"]):
-            if keys := _differing_keys(line, replayed):
-                raise CorruptTraceError(
-                    f"malformed step {i}: the replay at step {i} "
-                    f"differs in {keys}")
-        trace.append(cfg, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -957,11 +941,11 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(f"--jobs must be >= 1, got {args.jobs}")
     cells = expand_grid(config) if config else []
     with _output_file(args.out, "sweep output") as tmp:
-        if args.jobs > 1 and cells:
+        if (workers := min(args.jobs, len(cells))) > 1:
             # Only a parallel sweep pays for loading the process pool
             # (multiprocessing, pickle, logging, socket).
             from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
-            with ProcessPoolExecutor(min(args.jobs, len(cells))) as pool:
+            with ProcessPoolExecutor(workers) as pool:
                 rows = list(pool.map(_sweep_cell, cells))
         else:
             rows = [_sweep_cell(scn) for scn in cells]

@@ -164,11 +164,11 @@ def pipeline_step(view: View, clock: str, op: Callable[[Any, Any], Any],
     `acc` with each neighbour's `cur` slot, or its `prev` slot when that
     neighbour's `clock` is one tick ahead (it has folded this stage), then
     shift the process's own `cur` into `prev`."""
-    own = view.get(clock)
-    for q in view.neighbors:
-        slot = cur if view.nget(q, clock) == own else prev
-        acc = op(acc, view.nget(q, slot))
-    return {prev: view.get(cur), cur: acc}
+    cfg, own = view.cfg, view.cfg[view.p]  # local by the View's adjacency
+    for q in view.topo.adjacency[view.p]:
+        st = cfg[q]
+        acc = op(acc, st[cur] if st[clock] == own[clock] else st[prev])
+    return {prev: own[cur], cur: acc}
 
 
 @dataclass

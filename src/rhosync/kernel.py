@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .topology import Topology
+from .topology import Topology, ball
 
 __all__ = [
     "Configuration",
@@ -417,12 +417,15 @@ class DaemonPolicy:
                 [p for p in enabled if rng.random() < self.p_select]
                 or [rng.choice(enabled)])
         if kind == "rho_central":
+            balls = [ball(topo, p, self.rho) for p in topo.nodes]
+
             def select(enabled: list[int], i: int) -> list[int]:
-                pool, chosen = list(enabled), []
+                pool, chosen, near = list(enabled), [], set()
                 rng.shuffle(pool)  # then greedily, pairwise beyond rho
                 for p in pool:
-                    if all(topo.dist[p][q] > self.rho for q in chosen):
+                    if p not in near:  # the rho-balls of the chosen ones
                         chosen.append(p)
+                        near |= balls[p]
                 return chosen
             return select
         last_acted = dict.fromkeys(topo.nodes, -1)

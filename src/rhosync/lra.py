@@ -382,9 +382,15 @@ def _comms_per_phase(lt1: LiftedTrace) -> list[int]:
     delta = trace.protocol.meta["delta"]
     first = lt1.first_phase_level(delta) // delta
     counts = [0] * max(lt1.top_level() // delta - first, 0)
+    # the value before step t is start[p] + p's moves up to t, `seen[p]`
+    start, moves, seen = lt1.start, lt1.moves, [0] * len(lt1.moves)
     for t, rec in enumerate(trace.records):
         for p in rec.fired:
-            i = lt1.value(t, p) // delta - first  # the value before the step
+            m, j = moves[p], seen[p]
+            while j < len(m) and m[j] <= t:
+                j += 1
+            seen[p] = j
+            i = (start[p] + j) // delta - first
             if 0 <= i < len(counts):
                 counts[i] += len(adjacency[p])
     return counts

@@ -10,8 +10,8 @@ import pytest
 
 from rhosync import (DaemonPolicy, InfimumVerdict, TransitionRecord, View,
                      auto_sizes, ball, build_ss_dc, build_ss_ws, cli,
-                     generate, graph_params, random_configuration, run,
-                     stabilization_indices)
+                     generate, graph_params, kernel, random_configuration,
+                     run, stabilization_indices)
 from rhosync.infimum import PHASES
 
 
@@ -159,19 +159,19 @@ def naive_ball_infimum(lt, op, rho):
 
 @contextlib.contextmanager
 def replayed_steps():
-    """Yield a list that collects the steps `cli.read_trace` replays within
-    the block (its `step` calls): the configuration each produced, and a
-    copy of its record, events included, taken before the live trace may
-    drop them."""
+    """Yield a list that collects the steps the engine takes within the
+    block (its `kernel.step` calls), as the run inside `cli.read_trace`
+    does: the configuration each produced, and a copy of its record,
+    events included, taken before the live trace may drop them."""
     steps = []
-    step = cli.step
+    step = kernel.step
 
     def recording(*args, **kwargs):
         cfg, rec = step(*args, **kwargs)
         steps.append((cfg, TransitionRecord(rec.fired, rec.events)))
         return cfg, rec
 
-    with mock.patch.object(cli, "step", recording):
+    with mock.patch.object(kernel, "step", recording):
         yield steps
 
 

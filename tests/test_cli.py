@@ -854,33 +854,47 @@ def test_check_leaves_no_file_open(tmp_path, capsys, name):
     assert (capsys.readouterr().err == "") == (code == 0)
 
 
+def _drop_from_a_selection(lines):
+    """Drop the last process of the first selection of several, with its
+    action and events, and return that step: the rest stays pairwise
+    beyond rho, and the greedy draw would have added it back."""
+    step = next(x for x in lines[2:-1] if len(x["selected"]) > 1)
+    p = step["selected"].pop()
+    del step["fired"][str(p)]
+    step["events"] = [ev for ev in step["events"] if ev["process"] != p]
+    return step["step"]
+
+
 # Lies about the seeded draw: each selection is one the header's daemon can
-# make, but not the one its seed draws.  `check` does not replay the draw
-# yet (ROADMAP item 3).
+# make, but not the one its seed draws.  Each edit returns the step it
+# names, if it knows it.
 DRAW_LIES = {
     "synchronous_as_distributed_random": (
         {"daemon": "synchronous", "steps": "40"},
-        {"daemon": "distributed_random"}),
+        lambda lines: lines[0]["scenario"].update(
+            daemon="distributed_random")),
     "central_seed_2_as_3": (
         {"daemon": "central", "init": "wu0_uniform", "steps": "60",
-         "seed": "2"}, {"seed": 3}),
+         "seed": "2"}, lambda lines: lines[0]["scenario"].update(seed=3)),
+    "rho_central_not_maximal": (
+        {"daemon": "rho_central", "steps": "60"}, _drop_from_a_selection),
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="check does not hold a selection to the seeded "
-                   "draw yet (ROADMAP item 3)")
 @pytest.mark.parametrize("lie", sorted(DRAW_LIES))
 def test_check_refuses_a_selection_that_is_not_the_seeded_draw(tmp_path,
-                                                               lie):
+                                                               capsys, lie):
     trace_file = str(tmp_path / "t.jsonl")
-    params, changes = DRAW_LIES[lie]
+    params, edit = DRAW_LIES[lie]
     scn = scenario_from({"topo": "ring:6", "proto": "trivial", **params}, {})
     write_trace(trace_file, scn, run_scenario(scn))
     lines = [json.loads(x) for x in open(trace_file)]
-    lines[0]["scenario"].update(changes)
+    step = edit(lines)
     open(trace_file, "w").write("\n".join(json.dumps(x) for x in lines) + "\n")
     assert run_cli(["check", trace_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step {'' if step is None else step}")
+    assert "not the seeded draw" in err
 
 
 def test_read_trace_holds_one_copy_of_the_trace(tmp_path):
@@ -1030,9 +1044,14 @@ def test_sweep_asks_for_no_more_workers_than_cells(monkeypatch, capsys):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    assert main(["sweep", "--topo", "ring:6", "--proto", "lme",
+    assert main(["sweep", "--topo", "ring:6,ring:8", "--proto", "lme",
                  "--steps", "200", "--jobs", "64"]) == 0
-    assert asked == [1]
+    assert asked == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 3  # header, 2 rows
+    # one cell runs in this process: no pool of one
+    assert main(["sweep", "--topo", "ring:6", "--proto", "lme",
+                 "--jobs", "64"]) == 0
+    assert asked == [2]
     assert len(capsys.readouterr().out.splitlines()) == 2  # header, 1 row
 
 

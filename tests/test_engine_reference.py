@@ -4,12 +4,12 @@ The reference engine below recomputes the full enabled map before and after
 every step, evaluates every guard of every process, and scans every process
 for neutralization.  `kernel.run` instead keeps a map of first enabled
 actions and re-evaluates only the closed neighborhood of the fired
-processes, the trace replay evaluates only the selected processes, and
-`kernel.rounds` derives neutralization from consecutive configurations;
-all must produce the same configurations and records, live and in trace
-replay, and the same round boundaries.  The reference also logs what each
-fired action reads while it fires (`conftest.neighbor_reads`), which
-`lra.metrics` derives afterwards from the trace.
+processes, which the trace check re-runs, and `kernel.rounds` derives
+neutralization from consecutive configurations; all must produce the same
+configurations and records, live and in trace replay, and the same round
+boundaries.  The reference also logs what each fired action reads while it
+fires (`conftest.neighbor_reads`), which `lra.metrics` derives afterwards
+from the trace.
 """
 
 import dataclasses
@@ -28,7 +28,6 @@ from rhosync import (DAEMONS, Action, DaemonPolicy, EngineFault, HookEvent,
 from rhosync import cli
 from rhosync.cli import (auto_steps, build_protocol, make_init, make_topology,
                          read_trace, run_scenario, scenario_from, write_trace)
-from rhosync.kernel import step
 from conftest import (enabled_labels, neighbor_reads, replayed_steps,
                       stored_run)
 
@@ -320,37 +319,40 @@ def test_guard_evaluations_stay_in_the_fired_neighborhood():
             f"step {i} evaluated {hi - lo} guards"
 
 
-def test_replay_evaluates_only_the_selected_guards(tmp_path, monkeypatch):
-    """rho_central daemon on grid:3x4 (rw, rho=2): each replayed step
-    evaluates, at each selected process only, the guards up to its first
-    enabled one; the replay keeps no enabled map of the other processes."""
+def test_check_evaluates_the_guards_of_the_run_it_replays(tmp_path,
+                                                          monkeypatch):
+    """rho_central daemon on grid:3x4 (rw, rho=2): `check` runs the
+    header's scenario through `kernel.run`, so between each two steps it
+    evaluates the very guards, in the same order, that the run did."""
     scn = scenario_from({}, {"topo": "grid:3x4", "proto": "rw", "rho": 2,
                              "daemon": "rho_central", "seed": 0})
     path = str(tmp_path / "t.jsonl")
-    write_trace(path, scn, run_scenario(scn))
-    counters = []
+    logs = []  # per protocol built: (process, label) per guard, None per step
 
-    def counted_build(*args):
-        proto, evals = counting(build_protocol(*args))
-        counters.append(evals)
-        return proto
+    def logged_build(*args):
+        proto, log = build_protocol(*args), []
+        logs.append(log)
 
-    per_step, pre_states = [], []
+        def logged(action):
+            def guard(view):
+                log.append((view.p, action.label))
+                return action.guard(view)
+            return guard
 
-    def counted_step(*args, **kwargs):
-        before = counters[-1][0]
-        result = step(*args, **kwargs)
-        per_step.append(counters[-1][0] - before)
-        pre_states.append(args[0])
-        return result
+        return dataclasses.replace(proto, actions=tuple(
+            dataclasses.replace(a, guard=logged(a)) for a in proto.actions))
 
-    monkeypatch.setattr(cli, "build_protocol", counted_build)
-    monkeypatch.setattr(cli, "step", counted_step)
+    append = cli.LiveTrace.append
+
+    def marked(trace, cfg, rec):
+        logs[-1].append(None)
+        append(trace, cfg, rec)
+
+    monkeypatch.setattr(cli, "build_protocol", logged_build)
+    monkeypatch.setattr(cli.LiveTrace, "append", marked)
+    run_scenario(scn, path)
     _scn, trace = read_trace(path)
-    proto, topo = build_protocol(scn, trace.topo), trace.topo
-    expected = [sum(scanned(pre_states[i], p, proto, topo)
-                    for p in rec.fired)
-                for i, rec in enumerate(trace.records)]
-    assert len(per_step) == len(trace.records) > 1000
-    assert per_step == expected
-    assert sum(len(rec.fired) for rec in trace.records) > len(trace.records)
+    ran, checked = logs
+    assert ran.count(None) == len(trace.records) > 1000
+    assert len(ran) > 10 * len(trace.records)
+    assert checked == ran

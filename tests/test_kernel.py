@@ -178,6 +178,25 @@ def test_daemon_rho_central_respects_distance(ring8):
                 assert a == b or ring8.dist[a][b] > 2
 
 
+def test_daemon_rho_central_draw_is_the_greedy_pairwise_draw():
+    # the draw tests each shuffled process against the chosen ones' balls;
+    # the reference, against each chosen process's distance
+    for topo in (generate("ring", n=8), generate("grid", rows=3, cols=4),
+                 generate("tree", n=9, seed=2)):
+        for seed, rho in itertools.product(range(3), (1, 2, 3)):
+            select = DaemonPolicy("rho_central", seed, rho).scheduler(topo)
+            rng, sets = random.Random(seed), random.Random(seed + 100)
+            for i in range(30):
+                enabled = sorted(sets.sample(topo.nodes,
+                                             sets.randint(1, topo.node_count)))
+                pool, chosen = list(enabled), []
+                rng.shuffle(pool)
+                for p in pool:
+                    if all(topo.dist[p][q] > rho for q in chosen):
+                        chosen.append(p)
+                assert select(enabled, i) == chosen
+
+
 def test_daemon_distributed_random_nonempty(ring8):
     select = DaemonPolicy(kind="distributed_random", seed=3,
                           p_select=0.01).scheduler(ring8)

@@ -117,11 +117,24 @@ def test_delay_agreement_undersized_control(ring8):
     proto = make_dc(ring8, rho, trivial_plugin())
     # central daemon: slave delays stay nonzero, the short ring misreads them
     tr, wu = stabilized_dc(proto, ring8, "central", seed=4, max_steps=30000)
-    verdict = verify_delay_agreement(lift(tr.suffix(wu), "r2"), rho,
-                                     k2_override=2 * rho + 1)
+    lt2 = lift(tr.suffix(wu), "r2")
+    verdict = verify_delay_agreement(lt2, rho, k2_override=2 * rho + 1)
     assert not verdict.ok
     t, p, q, got, true = verdict.disagreements[0]
     assert got != true
+    # against a reference that reads each sampled row by binary search
+    k2, window = 2 * rho + 1, 2 * rho
+    for every in (1, 3, 5):
+        rows = range(0, len(lt2.trace.configs), every)
+        pairs = [(p, q) for p in ring8.nodes for q in ring8.nodes
+                 if p < q and ring8.dist[p][q] <= window]
+        expected = [(t, p, q, delay(row[p] % k2, row[q] % k2, k2, window),
+                     row[q] - row[p])
+                    for t in rows for row in [lt2.row(t)] for p, q in pairs]
+        verdict = verify_delay_agreement(lt2, rho, k2_override=k2,
+                                         sample_every=every)
+        assert verdict.disagreements == [x for x in expected if x[3] != x[4]]
+        assert verdict.pairs_checked == len(expected)
 
 
 def test_trivial_plugin_one_tick_per_phase(ring8):
