@@ -725,6 +725,21 @@ def test_check_refuses_a_header_the_steps_contradict(tmp_path, capsys, lie):
     assert err.startswith("error: ") and message in err
 
 
+def test_check_refuses_step_lines_after_a_quiescence_stop():
+    # the clock protocols keep some process enabled, so the line checker
+    # takes a hand-made run that stopped on quiescence at step 0, and one
+    # step line left after it
+    scn = Scenario(topo="ring:6", proto="trivial")
+    topo = make_topology(scn.topo)
+    proto = cli.build_protocol(scn, topo)
+    trace = cli.LiveTrace(proto, topo, uniform_configuration(proto, topo))
+    trace.stop_reason = "quiescence"
+    lines = cli._StepLines(iter(['{"type": "step"}\n']), scn, trace)
+    with pytest.raises(CorruptTraceError, match=r"^trace has 1 steps; no "
+                       r"process is enabled after 0$"):
+        lines.close(trace)
+
+
 def test_check_refuses_a_relabelled_synchronous_trace(tmp_path, capsys):
     # step 0 of this distributed_random run skips enabled processes
     trace_file = str(tmp_path / "t.jsonl")
